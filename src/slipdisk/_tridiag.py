@@ -1,14 +1,20 @@
-"""Batched Thomas solver for stacks of tridiagonal systems.
+"""Batched tridiagonal solves through LAPACK.
 
-Every per-Fourier-mode radial operator in this package is tridiagonal and
-diagonally dominant, so a pivot-free LU is stable and can be vectorized
-over the mode axis: one factorization pass, then O(n) sweeps whose inner
-operations act on whole mode batches at once.
+Every per-Fourier-mode radial operator in this package is tridiagonal.
+A batch of them is one block-diagonal tridiagonal matrix: the modes'
+bands are laid end to end and the entries that would couple the last
+row of one block to the first row of the next are zero. LAPACK's
+`dgttrf` factors that matrix once (LU with partial pivoting; a row
+interchange never crosses a block boundary, because the coupling entry
+there is zero) and `dgttrs` solves every mode in one compiled call.
+Complex right-hand sides go in as two real ones, Re and Im, since the
+bands are real.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 class TridiagonalBatch:
@@ -16,44 +22,48 @@ class TridiagonalBatch:
 
     Bands have shape (n_batch, n): lower[:, j] multiplies x_{j-1} in row j
     (lower[:, 0] is ignored), upper[:, j] multiplies x_{j+1} (upper[:, -1]
-    is ignored). Intended for diagonally dominant systems; a vanishing
-    pivot raises rather than pivoting.
+    is ignored). A singular system raises ZeroDivisionError. Immutable
+    after construction; solves may run concurrently.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        lower = np.asarray(lower, dtype=float)
+        lower = np.array(lower, dtype=float)
         diag = np.asarray(diag, dtype=float)
-        upper = np.asarray(upper, dtype=float)
+        upper = np.array(upper, dtype=float)
         if not (lower.shape == diag.shape == upper.shape) or diag.ndim != 2:
             raise ValueError("bands must share a common (n_batch, n) shape")
-        n = diag.shape[1]
-        piv = np.empty_like(diag)
-        fac = np.zeros_like(diag)
-        piv[:, 0] = diag[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j in range(1, n):
-                fac[:, j - 1] = upper[:, j - 1] / piv[:, j - 1]
-                piv[:, j] = diag[:, j] - lower[:, j] * fac[:, j - 1]
-        if not np.all(np.isfinite(piv)) or np.any(piv == 0.0):
-            raise ZeroDivisionError("zero pivot in tridiagonal factorization")
-        self._lower = lower
-        self._piv = piv
-        self._fac = fac
-        self.n = n
+        lower[:, 0] = 0.0
+        upper[:, -1] = 0.0
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(
+            lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        if info > 0 or not (np.all(np.isfinite(d)) and np.all(np.isfinite(du))):
+            raise ZeroDivisionError("singular tridiagonal system in the batch")
+        self._factors = (dl, d, du, du2, ipiv)
+        self.shape = diag.shape
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for each batch row; rhs (n_batch, n), real or complex."""
-        if rhs.shape != self._piv.shape:
-            raise ValueError(f"rhs shape {rhs.shape} does not match bands {self._piv.shape}")
-        n = self.n
-        y = np.empty_like(rhs)
-        y[:, 0] = rhs[:, 0] / self._piv[:, 0]
-        for j in range(1, n):
-            y[:, j] = (rhs[:, j] - self._lower[:, j] * y[:, j - 1]) / self._piv[:, j]
-        x = y
-        for j in range(n - 2, -1, -1):
-            x[:, j] = y[:, j] - self._fac[:, j] * x[:, j + 1]
-        return x
+        rhs = np.asarray(rhs)
+        if rhs.shape != self.shape:
+            raise ValueError(f"rhs shape {rhs.shape} does not match bands {self.shape}")
+        complex_rhs = np.iscomplexobj(rhs)
+        # One column per real right-hand side, in LAPACK's column-major layout.
+        b = np.empty((2 if complex_rhs else 1,) + self.shape)
+        if complex_rhs:
+            b[0] = rhs.real
+            b[1] = rhs.imag
+        else:
+            b[0] = rhs
+        x, info = lapack.dgttrs(*self._factors, b.reshape(b.shape[0], -1).T,
+                                overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"dgttrs rejected argument {-info}")
+        if not complex_rhs:
+            return x[:, 0].reshape(self.shape)
+        out = np.empty(self.shape, dtype=complex)
+        out.real = x[:, 0].reshape(self.shape)
+        out.imag = x[:, 1].reshape(self.shape)
+        return out
 
 
 def apply_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,

@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
-from .field import ScalarField, VectorField, perp_grad, radial_derivative
+from .field import (ScalarField, VectorField, from_modes, perp_grad,
+                    radial_derivative, to_modes)
 from .geometry import BoundaryTrace, PolarGrid
 
 
@@ -109,22 +110,18 @@ class PoissonDirichletSolver:
         return psi
 
     def solve(self, omega: ScalarField) -> ScalarField:
-        n = self.grid.n_theta
-        rhs = np.fft.rfft(omega.values, axis=1).T.copy()  # (n_modes, n_r)
-        psi_modes = self.solve_modes(rhs)
-        psi = np.fft.irfft(psi_modes.T, n=n, axis=1)
-        return ScalarField(self.grid, psi)
+        psi_modes = self.solve_modes(to_modes(omega.values))
+        return ScalarField(self.grid, from_modes(psi_modes, self.grid.n_theta))
 
     def apply(self, psi: ScalarField,
               boundary: np.ndarray | None = None) -> ScalarField:
         """Discrete Laplacian with the solver's boundary closure (boundary
         value 0 unless given); used for residual checks."""
-        n = self.grid.n_theta
-        modes = np.fft.rfft(psi.values, axis=1).T.copy()
-        out = apply_tridiagonal(self._lower, self._diag, self._upper, modes)
+        out = apply_tridiagonal(self._lower, self._diag, self._upper,
+                                to_modes(psi.values))
         if boundary is not None:
             out[:, -1] += self._data_coeff * np.fft.rfft(boundary)
-        return ScalarField(self.grid, np.fft.irfft(out.T, n=n, axis=1))
+        return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
 
 
 _solver_cache: dict[tuple[int, int], PoissonDirichletSolver] = {}

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -76,7 +76,8 @@ class SweepConfig:
         if self.euler_refinement_factor < 2:
             raise ValueError("euler_refinement_factor must be >= 2")
         if self.p not in self.base.lp_exponents:
-            self.base.lp_exponents = tuple(self.base.lp_exponents) + (self.p,)
+            self.base = replace(self.base,
+                                lp_exponents=self.base.lp_exponents + (self.p,))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":

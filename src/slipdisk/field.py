@@ -103,11 +103,24 @@ class VectorField:
 # core stencils
 # ---------------------------------------------------------------------------
 
-def theta_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
+def to_modes(values: np.ndarray) -> np.ndarray:
+    """rfft coefficients in theta of node values (n_r, n_theta), laid out
+    (n_theta//2 + 1, n_r): one row per mode, like the radial solvers' bands."""
+    return np.fft.rfft(values, axis=1).T
+
+
+def from_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
+    """Node values (n_r, n_theta) from to_modes coefficients."""
+    return np.fft.irfft(modes.T, n=n_theta, axis=1)
+
+
+def theta_derivative(values: np.ndarray, order: int = 1,
+                     modes: np.ndarray | None = None) -> np.ndarray:
     """Spectral d/dtheta along axis 1. The Nyquist mode of odd-order
-    derivatives is dropped (its sine partner is not representable)."""
+    derivatives is dropped (its sine partner is not representable).
+    A caller that already holds to_modes(values) passes it as modes."""
     n = values.shape[1]
-    coeffs = np.fft.rfft(values, axis=1)
+    coeffs = np.fft.rfft(values, axis=1) if modes is None else modes.T
     k = np.arange(n // 2 + 1)
     ik = (1j * k) ** order
     if order % 2 == 1 and n % 2 == 0:
@@ -117,8 +130,8 @@ def theta_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
 
 def _pole_ghost(row: np.ndarray, parity: float) -> np.ndarray:
     """Value at the reflected node (-r_1, theta) = parity * value at (r_1, theta+pi)."""
-    n = row.shape[-1]
-    return parity * np.roll(row, n // 2, axis=-1)
+    cut = row.shape[-1] - row.shape[-1] // 2  # np.roll by n // 2, without its overhead
+    return parity * np.concatenate((row[..., cut:], row[..., :cut]), axis=-1)
 
 
 def radial_derivative(values: np.ndarray, grid: PolarGrid,
@@ -152,22 +165,28 @@ def boundary_values(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
     return (15.0 * values[-1] - 10.0 * values[-2] + 3.0 * values[-3]) / 8.0
 
 
+def dealias_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
+    """2/3-rule filter on to_modes coefficients, in place: zero the modes
+    with k > n_theta/3."""
+    modes[n_theta // 3 + 1:] = 0.0
+    return modes
+
+
 def dealias_theta(values: np.ndarray) -> np.ndarray:
     """2/3-rule filter in theta: zero modes with k > n_theta/3."""
     n = values.shape[1]
-    coeffs = np.fft.rfft(values, axis=1)
-    k = np.arange(n // 2 + 1)
-    coeffs[:, k > n // 3] = 0.0
-    return np.fft.irfft(coeffs, n=n, axis=1)
+    return from_modes(dealias_modes(to_modes(values), n), n)
 
 
 # ---------------------------------------------------------------------------
 # vector calculus
 # ---------------------------------------------------------------------------
 
-def perp_grad(psi: ScalarField) -> VectorField:
+def perp_grad(psi: ScalarField, modes: np.ndarray | None = None) -> VectorField:
+    """Velocity of a stream function; modes is to_modes(psi.values) when
+    the caller already holds it."""
     grid = psi.grid
-    u_r = -theta_derivative(psi.values) / grid.r_col
+    u_r = -theta_derivative(psi.values, modes=modes) / grid.r_col
     u_theta = radial_derivative(psi.values, grid, SCALAR_PARITY)
     return VectorField(grid, u_r, u_theta)
 

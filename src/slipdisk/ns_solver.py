@@ -8,6 +8,15 @@ omega = (2 kappa - alpha) u . tau evaluated on the stage-lagged stream
 function, so arbitrary initial vorticity is pulled onto the compatible
 boundary value by the first diffusion solve rather than by projection.
 
+A step runs in theta-mode space: the state carries the vorticity's rfft
+modes, and the RK stages, the Poisson solves, the dealiasing and the
+Crank-Nicolson solve act on modes. Fields go to the nodes only where a
+product or a radial stencil needs them: each stage transforms its
+advection product forward once, and the boundary data is transformed as
+one ring. Each time level carries its velocity, built once from the
+stream function's modes, and that velocity serves the CFL check, the
+first RK stage, simulate()'s record and the automatic dt.
+
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
 is a precondition of step(); simulate() re-evaluates an automatic dt
 against it every 10 steps.
@@ -23,8 +32,8 @@ import numpy as np
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .biot_savart import _cached_solver, dirichlet_laplacian_bands
 from .field import (ScalarField, VectorField, boundary_tangential_velocity,
-                    boundary_values, dealias_theta, lp_norm, perp_grad,
-                    radial_derivative, theta_derivative)
+                    boundary_values, dealias_modes, from_modes, lp_norm,
+                    perp_grad, radial_derivative, theta_derivative, to_modes)
 from .geometry import BoundaryTrace, PolarGrid, boundary_trace, build_grid
 
 
@@ -68,6 +77,16 @@ class SimConfig:
             raise ValueError(f"dt must be 'auto' or positive, got {self.dt}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
+        for name in ("n_r", "n_theta"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
+            setattr(self, name, int(size))
+        if self.n_r < 4:
+            raise ValueError(f"n_r must be >= 4 for the radial stencils, got {self.n_r}")
+        if self.n_theta <= 0 or self.n_theta % 2 != 0:
+            raise ValueError(f"n_theta must be positive and even for the pole "
+                             f"parity ghosts, got {self.n_theta}")
         self.lp_exponents = tuple(float(p) for p in self.lp_exponents)
         if any(p < 1 for p in self.lp_exponents):
             raise ValueError("lp exponents must be >= 1")
@@ -176,12 +195,14 @@ def vorticity_boundary(psi: ScalarField, trace: BoundaryTrace) -> np.ndarray:
     return (2.0 * trace.kappa - trace.alpha) * boundary_tangential_velocity(psi)
 
 
-def _advection(omega: ScalarField, u: VectorField) -> np.ndarray:
-    """u . grad(omega) in advective form, dealiased in theta."""
-    grid = omega.grid
-    adv = (u.u_r * radial_derivative(omega.values, grid)
-           + u.u_theta / grid.r_col * theta_derivative(omega.values))
-    return dealias_theta(adv)
+def _advection(omega: np.ndarray, omega_modes: np.ndarray,
+               u: VectorField) -> np.ndarray:
+    """to_modes of u . grad(omega) in advective form, dealiased in theta;
+    omega is given both on the nodes and as its modes."""
+    grid = u.grid
+    adv = (u.u_r * radial_derivative(omega, grid)
+           + u.u_theta / grid.r_col * theta_derivative(omega, modes=omega_modes))
+    return dealias_modes(to_modes(adv), grid.n_theta)
 
 
 class _DiffusionCN:
@@ -196,13 +217,22 @@ class _DiffusionCN:
         self.grid = grid
         self.lam = lam
 
-    def step(self, omega_values: np.ndarray, g: np.ndarray) -> np.ndarray:
-        n = self.grid.n_theta
-        modes = np.fft.rfft(omega_values, axis=1).T.copy()
-        rhs = apply_tridiagonal(*self._explicit, modes)
+    def step(self, omega_modes: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """New vorticity modes from omega_modes and the boundary values g."""
+        rhs = apply_tridiagonal(*self._explicit, omega_modes)
         rhs[:, -1] += self._data * np.fft.rfft(g)
-        out = self._lu.solve(rhs)
-        return np.fft.irfft(out.T, n=n, axis=1)
+        return self._lu.solve(rhs)
+
+
+@dataclass
+class _State:
+    """One time level: the vorticity as modes and on the nodes, and the
+    stream function and velocity it induces."""
+
+    omega_modes: np.ndarray
+    omega: ScalarField
+    psi: ScalarField
+    u: VectorField
 
 
 class _Stepper:
@@ -224,25 +254,35 @@ class _Stepper:
             stepper = self._diffusion[lam] = _DiffusionCN(self.grid, lam)
         return stepper
 
-    def advance(self, omega: ScalarField, psi: ScalarField, dt: float):
-        u = perp_grad(psi)
+    def _velocity(self, omega_modes: np.ndarray) -> tuple[ScalarField, VectorField]:
+        """Stream function and velocity of the vorticity modes."""
+        psi_modes = self.poisson.solve_modes(omega_modes)
+        psi = ScalarField(self.grid, from_modes(psi_modes, self.grid.n_theta))
+        return psi, perp_grad(psi, psi_modes)
+
+    def state(self, omega_modes: np.ndarray, omega: ScalarField) -> _State:
+        """The time level of the vorticity omega, whose modes are omega_modes."""
+        return _State(omega_modes, omega, *self._velocity(omega_modes))
+
+    def advance(self, s: _State, dt: float) -> _State:
+        u = s.u
         bound = cfl_bound(u)
         if dt > bound:
             raise CflError(dt, bound, float(np.max(u.magnitude())))
-        w = omega.values
-        w_mid = w - 0.5 * dt * _advection(omega, u)
-        psi_mid = self.poisson.solve(ScalarField(self.grid, w_mid))
-        u_mid = perp_grad(psi_mid)
-        w_star = w - dt * _advection(ScalarField(self.grid, w_mid), u_mid)
+        n = self.grid.n_theta
+        w_modes = s.omega_modes
+        mid_modes = w_modes - 0.5 * dt * _advection(s.omega.values, w_modes, u)
+        psi_mid, u_mid = self._velocity(mid_modes)
+        star_modes = w_modes - dt * _advection(from_modes(mid_modes, n), mid_modes, u_mid)
         if self.nu > 0.0:
             g = vorticity_boundary(psi_mid, self.trace)
-            w_new = self.diffusion(dt).step(w_star, g)
+            new_modes = self.diffusion(dt).step(star_modes, g)
         else:
-            w_new = w_star
+            new_modes = star_modes
+        w_new = from_modes(new_modes, n)
         if not np.all(np.isfinite(w_new)):
             raise DivergenceError("non-finite vorticity after step")
-        omega_new = ScalarField(self.grid, w_new)
-        return omega_new, self.poisson.solve(omega_new)
+        return self.state(new_modes, ScalarField(self.grid, w_new))
 
 
 def step(omega: ScalarField, psi: ScalarField, config: SimConfig,
@@ -254,7 +294,8 @@ def step(omega: ScalarField, psi: ScalarField, config: SimConfig,
             raise ValueError("step needs a concrete dt; config.dt is 'auto'")
         dt = float(config.dt)
     stepper = _Stepper(omega.grid, trace, config.nu)
-    return stepper.advance(omega, psi, dt)
+    s = stepper.advance(_State(to_modes(omega.values), omega, psi, perp_grad(psi)), dt)
+    return s.omega, s.psi
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +378,7 @@ def simulate(config: SimConfig) -> Trajectory:
     trace = boundary_trace(grid, config.alpha)
     stepper = _Stepper(grid, trace, config.nu)
     omega = initial_vorticity(config.initial_condition, grid)
-    psi = stepper.poisson.solve(omega)
+    state = stepper.state(to_modes(omega.values), omega)
 
     auto = config.dt == "auto"
     dt_nominal = None if auto else float(config.dt)
@@ -348,24 +389,22 @@ def simulate(config: SimConfig) -> Trajectory:
                                + [f"enstrophy_{_fmt_p(p)}" for p in config.lp_exponents]
                                + ["bc_residual"]}
 
-    def record(t, omega, psi, u):
+    def record(t, s: _State):
         series["t"].append(t)
-        series["energy"].append(lp_norm(u, 2.0) ** 2)
+        series["energy"].append(lp_norm(s.u, 2.0) ** 2)
         for p in config.lp_exponents:
-            series[f"enstrophy_{_fmt_p(p)}"].append(lp_norm(omega, p))
-        bc = boundary_values(omega.values, grid) - vorticity_boundary(psi, trace)
+            series[f"enstrophy_{_fmt_p(p)}"].append(lp_norm(s.omega, p))
+        bc = boundary_values(s.omega.values, grid) - vorticity_boundary(s.psi, trace)
         series["bc_residual"].append(float(np.max(np.abs(bc))))
 
-    def snapshot(t, omega, psi):
-        u = perp_grad(psi)
-        omegas.append(omega)
-        psis.append(psi)
-        us.append(u)
-        u_tau.append(boundary_tangential_velocity(psi))
-        return u
+    def snapshot(s: _State):
+        omegas.append(s.omega)
+        psis.append(s.psi)
+        us.append(s.u)
+        u_tau.append(boundary_tangential_velocity(s.psi))
 
-    u = snapshot(0.0, omega, psi)
-    record(0.0, omega, psi, u)
+    snapshot(state)
+    record(0.0, state)
     times = [0.0]
 
     t = 0.0
@@ -373,20 +412,19 @@ def simulate(config: SimConfig) -> Trajectory:
     eps = 1e-12 * config.t_end
     while t < config.t_end - eps:
         if auto and step_idx % 10 == 0:
-            bound = cfl_bound(perp_grad(psi))
+            bound = cfl_bound(state.u)
             dt_nominal = 0.9 * bound if np.isfinite(bound) else config.t_end
         dt = min(dt_nominal, config.t_end - t)
         try:
-            omega, psi = stepper.advance(omega, psi, dt)
+            state = stepper.advance(state, dt)
         except (CflError, DivergenceError) as exc:
             exc.args = (f"step {step_idx + 1} at t={t:.6g}: {exc}",)
             raise
         t += dt
         step_idx += 1
-        u = perp_grad(psi)
-        record(t, omega, psi, u)
+        record(t, state)
         if step_idx % config.output_stride == 0 or t >= config.t_end - eps:
-            snapshot(t, omega, psi)
+            snapshot(state)
             times.append(t)
 
     return Trajectory(config=config, grid=grid, trace=trace,

@@ -32,8 +32,8 @@ import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .field import (VECTOR_PARITY, ScalarField, VectorField, boundary_values,
-                    divergence, grad, lp_norm, radial_derivative,
-                    theta_derivative)
+                    divergence, from_modes, grad, lp_norm, radial_derivative,
+                    theta_derivative, to_modes)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 
 TANGENCY_TOL = 1e-6
@@ -128,22 +128,21 @@ class PoissonNeumannSolver:
         n = grid.n_theta
         if neumann.shape != (n,):
             raise ValueError("Neumann data must be sampled on the theta grid")
-        f_modes = np.fft.rfft(rhs.values, axis=1).T.copy()
+        f_modes = to_modes(rhs.values)
         g_modes = np.fft.rfft(neumann)
         f_modes[:, -1] -= self._data_coeff * g_modes
         f_modes[0, 0] = 0.0  # pinned gauge row
         p_modes = self._lu.solve(f_modes)
-        p = np.fft.irfft(p_modes.T, n=n, axis=1)
+        p = from_modes(p_modes, n)
         p -= integrate(grid, p) / np.sum(grid.weights)
         return ScalarField(grid, p)
 
     def apply(self, p: ScalarField, neumann: np.ndarray) -> ScalarField:
         """Unpinned operator action plus boundary data, for residual checks."""
-        n = self.grid.n_theta
-        modes = np.fft.rfft(p.values, axis=1).T.copy()
-        out = apply_tridiagonal(self._lower, self._diag, self._upper, modes)
+        out = apply_tridiagonal(self._lower, self._diag, self._upper,
+                                to_modes(p.values))
         out[:, -1] += self._data_coeff * np.fft.rfft(neumann)
-        return ScalarField(self.grid, np.fft.irfft(out.T, n=n, axis=1))
+        return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
 
 
 _solver_cache: dict[tuple[int, int], PoissonNeumannSolver] = {}

@@ -59,6 +59,15 @@ def test_sweep_config_appends_p_to_tracked_exponents():
     assert 4.0 in config.base.lp_exponents
 
 
+def test_sweep_config_leaves_callers_base_unchanged():
+    base = _tiny_base(lp_exponents=(2.0,))
+    before = SimConfig.from_dict(base.to_dict())
+    config = SweepConfig(base=base, nu_list=(0.1,), q_list=(2.0,), p=4.0)
+    assert base == before
+    assert base.lp_exponents == (2.0,)
+    assert config.base.lp_exponents == (2.0, 4.0)
+
+
 def test_sweep_config_dict_roundtrip():
     config = SweepConfig(base=_tiny_base(), nu_list=(0.1, 0.01),
                          q_list=(2.0,), p=4.0)

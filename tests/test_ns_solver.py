@@ -8,6 +8,7 @@ condition construction, and trajectory serialization.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from slipdisk import (
 from slipdisk.field import boundary_values
 from slipdisk.ns_solver import bump_values, cfl_bound, vorticity_boundary
 
+DATA = Path(__file__).parent / "data"
+
 
 # ---------------------------------------------------------------------------
 # configuration and initial data
@@ -46,6 +49,23 @@ def test_config_validation():
         SimConfig(**{**good, "output_stride": 0})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "lp_exponents": (0.5,)})
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("n_r", 3, "n_r must be >= 4"),
+    ("n_theta", 31, "n_theta must be positive and even"),
+    ("n_theta", 0, "n_theta must be positive and even"),
+    ("n_theta", -8, "n_theta must be positive and even"),
+    ("n_r", 32.0, "n_r must be an integer"),
+    ("n_theta", "32", "n_theta must be an integer"),
+    ("n_r", True, "n_r must be an integer"),
+])
+def test_config_rejects_bad_grid_sizes(field, value, match):
+    good = dict(nu=0.1, t_end=1.0, initial_condition={"const": 2.0})
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{**good, field: value})
+    with pytest.raises(ValueError, match=match):
+        SimConfig.from_dict({**good, field: value})
 
 
 def test_config_roundtrip(tmp_path):
@@ -227,6 +247,23 @@ def test_simulate_series_and_snapshots():
     assert len(traj.series["t"]) >= len(traj.times)
     # snapshots at stride multiples plus endpoints
     assert len(traj.times) >= 3
+
+
+def test_bump_run_matches_recorded_values():
+    """A 32^2 bump run against values recorded from the Thomas-loop,
+    physical-space stepper: the LAPACK solves and the mode-space step
+    reorder roundoff only, so everything holds to 1e-10 relative."""
+    config = SimConfig(nu=0.01, t_end=0.25, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
+        alpha=1.0, n_r=32, n_theta=32, output_stride=50)
+    traj = simulate(config)
+    assert len(traj.series["t"]) - 1 == 154
+    recorded = {"energy": 0.5501677594956391, "enstrophy_2": 2.724499016808271,
+                "enstrophy_4": 3.945025237922802, "bc_residual": 0.009160045864830879}
+    for key, want in recorded.items():
+        assert abs(traj.series[key][-1] - want) <= 1e-10 * abs(want), key
+    omega = np.load(DATA / "bump32_omega_final.npy")
+    assert np.max(np.abs(traj.omegas[-1].values - omega)) <= 1e-10 * np.max(np.abs(omega))
 
 
 def test_trajectory_save_load_roundtrip(tmp_path):
