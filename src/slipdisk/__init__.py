@@ -19,7 +19,7 @@ from .field import (ScalarField, VectorField, curl, divergence, grad, lp_norm,
                     perp_grad)
 from .geometry import PolarGrid, BoundaryTrace, boundary_trace, build_grid, integrate
 from .ns_solver import (CflError, DivergenceError, SimConfig, Trajectory,
-                        initial_vorticity, simulate, step)
+                        initial_vorticity, simulate, simulate_ensemble, step)
 from .pressure import PressureSolve, pressure_estimate_slack, recover_pressure
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
     "navier_laplacian_problem", "navier_residuals", "perp_grad",
     "pressure_estimate_slack", "principal_parts", "recover_pressure",
     "renormalized_slack", "roots_positive_imag", "run_sweep",
-    "sample_navier_field", "simulate", "solve_poisson_dirichlet", "step",
+    "sample_navier_field", "simulate", "simulate_ensemble",
+    "solve_poisson_dirichlet", "step",
     "weak_form_residual",
 ]
 

@@ -92,21 +92,22 @@ class PoissonDirichletSolver:
         """Solve T_k psi_k = rhs_k - data_coeff * g_k for all modes at once,
         then lift so the trace of psi_k / r equals g_k exactly for k >= 1.
 
-        rhs_modes has shape (n_modes, n_r); returns the same layout.
+        rhs_modes has shape (..., n_modes, n_r), leading axes solved as
+        further right-hand sides; returns the same layout.
         """
         rhs = np.array(rhs_modes, dtype=complex)
         if boundary_modes is not None:
-            rhs[:, -1] -= self._data_coeff * boundary_modes
+            rhs[..., -1] -= self._data_coeff * boundary_modes
         psi = self._lu.solve(rhs)
         r = self.grid.r
-        trace = (15.0 * psi[:, -1] / r[-1] - 10.0 * psi[:, -2] / r[-2]
-                 + 3.0 * psi[:, -3] / r[-3]) / 8.0
+        trace = (15.0 * psi[..., -1] / r[-1] - 10.0 * psi[..., -2] / r[-2]
+                 + 3.0 * psi[..., -3] / r[-3]) / 8.0
         target = np.zeros_like(trace)
         if boundary_modes is not None:
             target += boundary_modes
         delta = (target - trace) / self._lift_trace
-        delta[0] = 0.0
-        psi += delta[:, None] * self._lift
+        delta[..., 0] = 0.0
+        psi += delta[..., None] * self._lift
         return psi
 
     def solve(self, omega: ScalarField) -> ScalarField:

@@ -10,8 +10,7 @@ Verbs:
 
 Run directories hold config-resolved.json, series.csv, and (simulate)
 snapshots.npz. Identical configs reproduce identical outputs except the
-wall_ms column, which reports measured wall time. SLIPDISK_THREADS caps
-the number of concurrent sweep runs.
+wall_ms column, which reports measured wall time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+# Unused: perfbench/layers.py looks this name up; the next benchmark change removes it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -35,7 +35,7 @@ from .diagnostics import (enstrophy_balance_residual, extended_tangent,
 from .field import ScalarField, VectorField, lp_norm, perp_grad
 from .geometry import build_grid
 from .ns_solver import (CflError, SimConfig, Trajectory, cfl_bound,
-                        initial_vorticity, simulate)
+                        initial_vorticity, simulate, simulate_ensemble)
 from .pressure import recover_pressure
 
 ENERGY_RATE_TOL = 1e-6
@@ -136,13 +136,6 @@ class ConvergenceReport:
             fh.write("\n")
 
 
-def _thread_count(n_tasks: int) -> int:
-    env = os.environ.get("SLIPDISK_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
 def _energy_ok(series: dict) -> bool:
     e = np.asarray(series["energy"])
     t = np.asarray(series["t"])
@@ -158,10 +151,11 @@ def _interpolate_to_base(values: np.ndarray, factor: int, base_grid,
     return CubicSpline(fine_grid.r, sub, axis=0)(base_grid.r)
 
 
-def _timed_run(config: SimConfig):
+def _timed_run(run, arg):
+    """run(arg) and its wall time in milliseconds."""
     start = time.perf_counter()
-    traj = simulate(config)
-    return traj, 1e3 * (time.perf_counter() - start)
+    result = run(arg)
+    return result, 1e3 * (time.perf_counter() - start)
 
 
 def run_sweep(config: SweepConfig, return_runs: bool = False):
@@ -172,6 +166,9 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
     on the refined grid: refining the grid by a factor shrinks the
     near-center angular bound by its square while the reference step
     shrinks only linearly, so the refined run is the binding constraint.
+    The viscous runs and the base-grid inviscid run share everything but
+    the viscosity and are stepped as one ensemble; the refined run
+    follows it.
 
     With return_runs the trajectories come back too, as
     (report, {"viscous": [...], "euler_base": ..., "euler_refined": ...}).
@@ -201,34 +198,22 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
                          output_stride=stride,
                          lp_exponents=base.lp_exponents, tol=base.tol)
 
-    results = None
-    for attempt, dt_try in enumerate(candidates):
+    for attempt, dt_try in enumerate(candidates, start=1):
         n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
         dt = base.t_end / n_steps
-        configs = [variant(nu, base.n_r, base.n_theta, dt, base.output_stride)
-                   for nu in config.nu_list]
-        configs.append(variant(0.0, base.n_r, base.n_theta, dt, base.output_stride))
-        configs.append(variant(0.0, m * base.n_r, m * base.n_theta, dt / m,
-                               m * base.output_stride))
-        with ThreadPoolExecutor(max_workers=_thread_count(len(configs))) as pool:
-            futures = [pool.submit(_timed_run, c) for c in configs]
-            try:
-                results = [f.result() for f in futures]
-                break
-            except CflError as err:
-                for f in futures:
-                    f.cancel()
-                if attempt == len(candidates) - 1:
-                    raise RuntimeError(f"sweep failed at its smallest step "
-                                       f"dt={dt}: {err}") from err
-            except Exception as err:
-                bad = next(c for c, f in zip(configs, futures)
-                           if f.done() and f.exception() is not None)
-                raise RuntimeError(f"sweep run nu={bad.nu} at {bad.n_r}x{bad.n_theta} "
-                                   f"failed: {err}") from err
-    viscous = results[: len(config.nu_list)]
-    euler_base, euler_base_ms = results[-2]
-    euler_fine, euler_fine_ms = results[-1]
+        members = [variant(nu, base.n_r, base.n_theta, dt, base.output_stride)
+                   for nu in config.nu_list + (0.0,)]
+        refined = variant(0.0, m * base.n_r, m * base.n_theta, dt / m,
+                          m * base.output_stride)
+        try:
+            base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
+            euler_fine, euler_fine_ms = _timed_run(simulate, refined)
+            break
+        except CflError as err:
+            if attempt == len(candidates):
+                raise RuntimeError(f"sweep failed at its smallest step "
+                                   f"dt={dt}: {err}") from err
+    viscous, euler_base = base_runs[:-1], base_runs[-1]
 
     if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):
         raise RuntimeError("reference snapshot times do not align with the sweep")
@@ -242,7 +227,7 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
     euler_floor = {q: sup_diff(euler_base, q) for q in config.q_list}
 
     rows = []
-    for nu, (traj, wall_ms) in zip(config.nu_list, viscous):
+    for nu, traj in zip(config.nu_list, viscous):
         if not np.allclose(traj.times, euler_fine.times, atol=1e-9):
             raise RuntimeError(f"snapshot times for nu={nu} do not align")
         sup_lp = max(lp_norm(om, config.p) for om in traj.omegas)
@@ -251,7 +236,7 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
         for q in config.q_list:
             rows.append({"nu": nu, "q": q, "sup_lq_diff": sup_diff(traj, q),
                          "sup_lp_enstrophy": sup_lp, "energy_ok": ok,
-                         "renorm_slack": slack, "wall_ms": wall_ms})
+                         "renorm_slack": slack, "wall_ms": ensemble_ms})
     for row in rows:
         for key, value in row.items():
             if not np.isfinite(float(value)):
@@ -259,15 +244,16 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
 
     resolved = config.to_dict()
     resolved["base"]["dt"] = dt
-    metadata = {"n_steps": n_steps, "dt": dt,
+    metadata = {"n_steps": n_steps, "dt": dt, "attempts": attempt,
+                "refined_n_steps": len(euler_fine.series["t"]) - 1,
                 "base_grid": [base.n_r, base.n_theta],
                 "refined_grid": [m * base.n_r, m * base.n_theta],
-                "euler_base_wall_ms": euler_base_ms,
+                "ensemble_wall_ms": ensemble_ms,
                 "euler_refined_wall_ms": euler_fine_ms}
     report = ConvergenceReport(rows=tuple(rows), euler_floor=euler_floor,
                                config=resolved, metadata=metadata)
     if return_runs:
-        return report, {"viscous": [t for t, _ in viscous],
+        return report, {"viscous": viscous,
                         "euler_base": euler_base, "euler_refined": euler_fine}
     return report
 
@@ -279,7 +265,7 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
 def _cmd_simulate(args) -> int:
     config = SimConfig.from_json(args.config)
     out = args.out or os.path.join("runs", _stem(args.config))
-    traj, wall_ms = _timed_run(config)
+    traj, wall_ms = _timed_run(simulate, config)
     traj.save(out)
     times = traj.series["t"]
     report = {"config": config.to_dict(),

@@ -20,16 +20,11 @@ import numpy as np
 from .biot_savart import biot_savart
 from .field import (ScalarField, VectorField, boundary_values, curl, divergence,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
-                    perp_grad, theta_derivative, vector_gradient)
+                    perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 from .pressure import PressureSolve, advective_acceleration
 
 MEMBERSHIP_TOL = 1e-6
-
-
-def _wall_derivative(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """One-sided second-order d/dr at r = 1 of a node-sampled quantity."""
-    return (2.0 * values[-1] - 3.0 * values[-2] + values[-3]) / grid.dr
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +95,7 @@ def navier_residuals(u: VectorField, omega: ScalarField, trace: BoundaryTrace,
     """
     grid = u.grid
     ut = boundary_values(u.u_theta, grid)
-    dut = _wall_derivative(u.u_theta, grid)
+    dut = wall_derivative(u.u_theta, grid)
     dur_dtheta = theta_derivative(boundary_values(u.u_r, grid)[None, :])[0]
     om_tr = boundary_values(omega.values, grid)
     alpha, kappa = trace.alpha, trace.kappa

@@ -9,6 +9,11 @@ stencil whose leading truncation error matches the centered interior one
 (the boundary circle carries no node), so that composed operators such
 as curl of perp_grad keep second order up to the last ring.
 
+The stencils act on node arrays (..., n_r, n_theta) and mode arrays
+(..., n_theta//2 + 1, n_r): leading axes, such as the member axis of the
+time stepper's ensemble, pass through untouched. The field classes
+themselves hold one (n_r, n_theta) sample each.
+
 Boundary traces at r = 1 use quadratic extrapolation from the last three
 node rings; it is exact for radial polynomials of degree <= 2, which keeps
 rigid rotation exact throughout the package.
@@ -104,28 +109,30 @@ class VectorField:
 # ---------------------------------------------------------------------------
 
 def to_modes(values: np.ndarray) -> np.ndarray:
-    """rfft coefficients in theta of node values (n_r, n_theta), laid out
-    (n_theta//2 + 1, n_r): one row per mode, like the radial solvers' bands."""
-    return np.fft.rfft(values, axis=1).T
+    """rfft coefficients in theta of node values (..., n_r, n_theta), laid
+    out (..., n_theta//2 + 1, n_r): one row per mode, like the radial
+    solvers' bands."""
+    return np.fft.rfft(values, axis=-1).swapaxes(-1, -2)
 
 
 def from_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
-    """Node values (n_r, n_theta) from to_modes coefficients."""
-    return np.fft.irfft(modes.T, n=n_theta, axis=1)
+    """Node values (..., n_r, n_theta) from to_modes coefficients."""
+    return np.fft.irfft(modes.swapaxes(-1, -2), n=n_theta, axis=-1)
 
 
 def theta_derivative(values: np.ndarray, order: int = 1,
                      modes: np.ndarray | None = None) -> np.ndarray:
-    """Spectral d/dtheta along axis 1. The Nyquist mode of odd-order
-    derivatives is dropped (its sine partner is not representable).
-    A caller that already holds to_modes(values) passes it as modes."""
-    n = values.shape[1]
-    coeffs = np.fft.rfft(values, axis=1) if modes is None else modes.T
+    """Spectral d/dtheta along the last axis. The Nyquist mode of
+    odd-order derivatives is dropped (its sine partner is not
+    representable). A caller that already holds to_modes(values) passes
+    it as modes."""
+    n = values.shape[-1]
+    coeffs = np.fft.rfft(values, axis=-1) if modes is None else modes.swapaxes(-1, -2)
     k = np.arange(n // 2 + 1)
     ik = (1j * k) ** order
     if order % 2 == 1 and n % 2 == 0:
         ik[-1] = 0.0
-    return np.fft.irfft(coeffs * ik[None, :], n=n, axis=1)
+    return np.fft.irfft(coeffs * ik, n=n, axis=-1)
 
 
 def _pole_ghost(row: np.ndarray, parity: float) -> np.ndarray:
@@ -150,11 +157,12 @@ def radial_derivative(values: np.ndarray, grid: PolarGrid,
     if grid.n_r < 4:
         raise ValueError("radial stencils need n_r >= 4")
     dr = grid.dr
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
-    out[0] = (values[1] - _pole_ghost(values[0], parity)) / (2.0 * dr)
-    out[-1] = (4.0 * values[-1] - 7.0 * values[-2]
-               + 4.0 * values[-3] - values[-4]) / (2.0 * dr)
+    v = values
+    out = np.empty_like(v)
+    out[..., 1:-1, :] = (v[..., 2:, :] - v[..., :-2, :]) / (2.0 * dr)
+    out[..., 0, :] = (v[..., 1, :] - _pole_ghost(v[..., 0, :], parity)) / (2.0 * dr)
+    out[..., -1, :] = (4.0 * v[..., -1, :] - 7.0 * v[..., -2, :]
+                       + 4.0 * v[..., -3, :] - v[..., -4, :]) / (2.0 * dr)
     return out
 
 
@@ -162,19 +170,20 @@ def boundary_values(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
     """Quadratic extrapolation of a node-sampled quantity to r = 1."""
     if grid.n_r < 3:
         raise ValueError("boundary extrapolation needs n_r >= 3")
-    return (15.0 * values[-1] - 10.0 * values[-2] + 3.0 * values[-3]) / 8.0
+    return (15.0 * values[..., -1, :] - 10.0 * values[..., -2, :]
+            + 3.0 * values[..., -3, :]) / 8.0
 
 
 def dealias_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
     """2/3-rule filter on to_modes coefficients, in place: zero the modes
     with k > n_theta/3."""
-    modes[n_theta // 3 + 1:] = 0.0
+    modes[..., n_theta // 3 + 1:, :] = 0.0
     return modes
 
 
 def dealias_theta(values: np.ndarray) -> np.ndarray:
     """2/3-rule filter in theta: zero modes with k > n_theta/3."""
-    n = values.shape[1]
+    n = values.shape[-1]
     return from_modes(dealias_modes(to_modes(values), n), n)
 
 
@@ -185,10 +194,16 @@ def dealias_theta(values: np.ndarray) -> np.ndarray:
 def perp_grad(psi: ScalarField, modes: np.ndarray | None = None) -> VectorField:
     """Velocity of a stream function; modes is to_modes(psi.values) when
     the caller already holds it."""
-    grid = psi.grid
-    u_r = -theta_derivative(psi.values, modes=modes) / grid.r_col
-    u_theta = radial_derivative(psi.values, grid, SCALAR_PARITY)
-    return VectorField(grid, u_r, u_theta)
+    return VectorField(psi.grid, *perp_grad_values(psi.values, psi.grid, modes))
+
+
+def perp_grad_values(psi: np.ndarray, grid: PolarGrid,
+                     modes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """perp_grad on node arrays: (u_r, u_theta) of the stream-function
+    values psi (..., n_r, n_theta), whose to_modes the caller may pass."""
+    u_r = -theta_derivative(psi, modes=modes) / grid.r_col
+    u_theta = radial_derivative(psi, grid, SCALAR_PARITY)
+    return u_r, u_theta
 
 
 def curl(u: VectorField) -> ScalarField:
@@ -259,22 +274,30 @@ def lp_norm(f: ScalarField | VectorField, p: float) -> float:
     """Quadrature L^p norm on the disk; p = inf is the grid max (a lower
     bound of the true sup norm, since nodes sample the field)."""
     mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
+    return float(lp_norms(mag, f.grid, p))
+
+
+def lp_norms(mag: np.ndarray, grid: PolarGrid, p: float) -> np.ndarray:
+    """lp_norm of node magnitudes (..., n_r, n_theta), one per leading index."""
     if np.isinf(p):
-        return float(np.max(mag))
+        return np.max(mag, axis=(-2, -1))
     if p < 1:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    w = f.grid.weights
-    return float(np.sum(w * mag ** p) ** (1.0 / p))
+    return np.sum(grid.weights * mag ** p, axis=(-2, -1)) ** (1.0 / p)
 
 
 def boundary_tangential_velocity(psi: ScalarField) -> np.ndarray:
     """u . tau at r = 1, the one-sided second-order radial derivative of the
     stream function at the boundary; exact for radial quadratics."""
-    grid = psi.grid
-    if grid.n_r < 3:
+    if psi.grid.n_r < 3:
         raise ValueError("boundary derivative needs n_r >= 3")
-    v = psi.values
-    return (2.0 * v[-1] - 3.0 * v[-2] + v[-3]) / grid.dr
+    return wall_derivative(psi.values, psi.grid)
+
+
+def wall_derivative(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
+    """One-sided second-order d/dr at r = 1 of node values (..., n_r, n_theta)."""
+    return (2.0 * values[..., -1, :] - 3.0 * values[..., -2, :]
+            + values[..., -3, :]) / grid.dr
 
 
 def field_to_csv(f: ScalarField | VectorField, path) -> None:

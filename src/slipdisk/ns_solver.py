@@ -15,36 +15,51 @@ product or a radial stencil needs them: each stage transforms its
 advection product forward once, and the boundary data is transformed as
 one ring. Each time level carries its velocity, built once from the
 stream function's modes, and that velocity serves the CFL check, the
-first RK stage, simulate()'s record and the automatic dt.
+first RK stage, the per-step record and the automatic dt.
+
+The stepper advances an ensemble: members that share the grid, the
+slip coefficient, the initial datum and the time steps and differ only
+in the viscosity. Every stage array carries a leading member axis, nodes
+(B, n_r, n_theta) and modes (B, n_modes, n_r), so each FFT, Poisson
+solve and Crank-Nicolson solve of a step is one call for all B members:
+the Poisson solve takes the members as further right-hand sides of its
+one factorization, and the Crank-Nicolson bands are stacked with each
+member's lambda = nu dt / 2 (an inviscid member's lambda = 0 is an
+identity solve). Fields are built per member only at snapshots, and the
+per-step record is computed for all members at once. simulate() is the
+ensemble of one.
 
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
-is a precondition of step(); simulate() re-evaluates an automatic dt
-against it every 10 steps.
+is a precondition of step(), checked per member; simulate_ensemble()
+re-evaluates an automatic dt against the smallest member bound every 10
+steps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .biot_savart import _cached_solver, dirichlet_laplacian_bands
-from .field import (ScalarField, VectorField, boundary_tangential_velocity,
-                    boundary_values, dealias_modes, from_modes, lp_norm,
-                    perp_grad, radial_derivative, theta_derivative, to_modes)
+from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
+                    from_modes, lp_norms, perp_grad, perp_grad_values,
+                    radial_derivative, theta_derivative, to_modes, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, boundary_trace, build_grid
 
 
 class CflError(RuntimeError):
-    """Advective CFL bound violated."""
+    """Advective CFL bound violated by the member of viscosity nu."""
 
-    def __init__(self, dt: float, bound: float, max_u: float):
-        super().__init__(f"dt={dt:.6g} exceeds CFL bound {bound:.6g} (max|u|={max_u:.6g})")
+    def __init__(self, dt: float, bound: float, max_u: float, nu: float):
+        super().__init__(f"nu={nu:.6g}: dt={dt:.6g} exceeds CFL bound {bound:.6g} "
+                         f"(max|u|={max_u:.6g})")
         self.dt = dt
         self.bound = bound
         self.max_u = max_u
+        self.nu = nu
 
 
 class DivergenceError(RuntimeError):
@@ -180,109 +195,129 @@ def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
 # stepping
 # ---------------------------------------------------------------------------
 
-def cfl_bound(u: VectorField) -> float:
-    """0.5 min(dr, r_1 dtheta) / max|u|; inf for the zero field."""
+def cfl_bound(u) -> float | np.ndarray:
+    """0.5 min(dr, r_1 dtheta) / max|u|; inf for the zero field.
+
+    u is a VectorField, or a stepper time level whose member axis gives
+    one bound per member.
+    """
     grid = u.grid
-    max_u = float(np.max(u.magnitude()))
+    max_u = np.max(np.hypot(u.u_r, u.u_theta), axis=(-2, -1))
     h = min(grid.dr, grid.r[0] * grid.dtheta)
-    if max_u == 0.0:
-        return np.inf
-    return 0.5 * h / max_u
+    with np.errstate(divide="ignore"):
+        return 0.5 * h / max_u
 
 
 def vorticity_boundary(psi: ScalarField, trace: BoundaryTrace) -> np.ndarray:
     """Slip-compatible vorticity boundary value (2 kappa - alpha) u . tau."""
-    return (2.0 * trace.kappa - trace.alpha) * boundary_tangential_velocity(psi)
+    return _boundary_vorticity(psi.values, psi.grid, trace)
 
 
-def _advection(omega: np.ndarray, omega_modes: np.ndarray,
-               u: VectorField) -> np.ndarray:
-    """to_modes of u . grad(omega) in advective form, dealiased in theta;
-    omega is given both on the nodes and as its modes."""
-    grid = u.grid
-    adv = (u.u_r * radial_derivative(omega, grid)
-           + u.u_theta / grid.r_col * theta_derivative(omega, modes=omega_modes))
-    return dealias_modes(to_modes(adv), grid.n_theta)
-
-
-class _DiffusionCN:
-    """Crank-Nicolson solve of the diffusion half with Dirichlet data g:
-    (I - lam T) omega' = (I + lam T) omega + 2 lam d g, lam = nu dt / 2."""
-
-    def __init__(self, grid: PolarGrid, lam: float):
-        lower, diag, upper, data_coeff = dirichlet_laplacian_bands(grid)
-        self._explicit = (lam * lower, 1.0 + lam * diag, lam * upper)
-        self._lu = TridiagonalBatch(-lam * lower, 1.0 - lam * diag, -lam * upper)
-        self._data = 2.0 * lam * data_coeff
-        self.grid = grid
-        self.lam = lam
-
-    def step(self, omega_modes: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """New vorticity modes from omega_modes and the boundary values g."""
-        rhs = apply_tridiagonal(*self._explicit, omega_modes)
-        rhs[:, -1] += self._data * np.fft.rfft(g)
-        return self._lu.solve(rhs)
+def _boundary_vorticity(psi: np.ndarray, grid: PolarGrid,
+                        trace: BoundaryTrace) -> np.ndarray:
+    """vorticity_boundary of stream-function node values (..., n_r, n_theta)."""
+    return (2.0 * trace.kappa - trace.alpha) * wall_derivative(psi, grid)
 
 
 @dataclass
 class _State:
-    """One time level: the vorticity as modes and on the nodes, and the
-    stream function and velocity it induces."""
+    """One time level of every member, the member axis leading: the
+    vorticity as modes (B, n_modes, n_r) and on the nodes (B, n_r,
+    n_theta), and the stream function and velocity it induces."""
 
+    grid: PolarGrid
     omega_modes: np.ndarray
-    omega: ScalarField
-    psi: ScalarField
-    u: VectorField
+    omega: np.ndarray
+    psi: np.ndarray
+    u_r: np.ndarray
+    u_theta: np.ndarray
+
+
+def _advection(s: _State) -> np.ndarray:
+    """to_modes of u . grad(omega) in advective form, dealiased in theta,
+    for every member of the time level s."""
+    grid = s.grid
+    adv = (s.u_r * radial_derivative(s.omega, grid)
+           + s.u_theta / grid.r_col * theta_derivative(s.omega, modes=s.omega_modes))
+    return dealias_modes(to_modes(adv), grid.n_theta)
+
+
+class _DiffusionCN:
+    """Crank-Nicolson solve of the diffusion half with Dirichlet data g,
+    every member at once: (I - lam T) omega' = (I + lam T) omega + 2 lam d g,
+    lam = nu dt / 2 per member."""
+
+    def __init__(self, grid: PolarGrid, nus: np.ndarray, dt: float):
+        lower, diag, upper, data_coeff = dirichlet_laplacian_bands(grid)
+        lam = (0.5 * nus * dt)[:, None, None]
+        self._explicit = (lam * lower, 1.0 + lam * diag, lam * upper)
+        self._lu = TridiagonalBatch(-lam * lower, 1.0 - lam * diag, -lam * upper)
+        self._data = 2.0 * lam[:, 0] * data_coeff
+        self.dt = dt
+
+    def step(self, omega_modes: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """New vorticity modes (B, n_modes, n_r) from omega_modes and the
+        boundary values g (B, n_theta)."""
+        rhs = apply_tridiagonal(*self._explicit, omega_modes)
+        rhs[..., -1] += self._data * np.fft.rfft(g, axis=-1)
+        return self._lu.solve(rhs)
 
 
 class _Stepper:
-    """Holds the factorized solvers for one (grid, nu) pair."""
+    """Steps the members of one ensemble, viscosity nus[k] for member k,
+    on a shared grid and boundary trace."""
 
-    def __init__(self, grid: PolarGrid, trace: BoundaryTrace, nu: float):
+    def __init__(self, grid: PolarGrid, trace: BoundaryTrace, nus):
         self.grid = grid
         self.trace = trace
-        self.nu = nu
+        self.nus = np.array(nus, dtype=float)
+        self.viscous = bool(np.any(self.nus > 0.0))
         self.poisson = _cached_solver(grid)
-        self._diffusion: dict[float, _DiffusionCN] = {}
+        self._diffusion: _DiffusionCN | None = None
 
     def diffusion(self, dt: float) -> _DiffusionCN:
-        lam = 0.5 * self.nu * dt
-        stepper = self._diffusion.get(lam)
-        if stepper is None:
-            if len(self._diffusion) > 8:
-                self._diffusion.clear()
-            stepper = self._diffusion[lam] = _DiffusionCN(self.grid, lam)
-        return stepper
+        """The Crank-Nicolson solve for step dt. Only the latest is kept:
+        an automatic dt moves every few steps and never returns."""
+        if self._diffusion is None or self._diffusion.dt != dt:
+            self._diffusion = _DiffusionCN(self.grid, self.nus, dt)
+        return self._diffusion
 
-    def _velocity(self, omega_modes: np.ndarray) -> tuple[ScalarField, VectorField]:
-        """Stream function and velocity of the vorticity modes."""
+    def state(self, omega_modes: np.ndarray, omega: np.ndarray | None = None) -> _State:
+        """The time level of the vorticity modes omega_modes, whose node
+        values omega the caller may already hold."""
+        n = self.grid.n_theta
+        if omega is None:
+            omega = from_modes(omega_modes, n)
         psi_modes = self.poisson.solve_modes(omega_modes)
-        psi = ScalarField(self.grid, from_modes(psi_modes, self.grid.n_theta))
-        return psi, perp_grad(psi, psi_modes)
-
-    def state(self, omega_modes: np.ndarray, omega: ScalarField) -> _State:
-        """The time level of the vorticity omega, whose modes are omega_modes."""
-        return _State(omega_modes, omega, *self._velocity(omega_modes))
+        psi = from_modes(psi_modes, n)
+        return _State(self.grid, omega_modes, omega, psi,
+                      *perp_grad_values(psi, self.grid, psi_modes))
 
     def advance(self, s: _State, dt: float) -> _State:
-        u = s.u
-        bound = cfl_bound(u)
-        if dt > bound:
-            raise CflError(dt, bound, float(np.max(u.magnitude())))
-        n = self.grid.n_theta
-        w_modes = s.omega_modes
-        mid_modes = w_modes - 0.5 * dt * _advection(s.omega.values, w_modes, u)
-        psi_mid, u_mid = self._velocity(mid_modes)
-        star_modes = w_modes - dt * _advection(from_modes(mid_modes, n), mid_modes, u_mid)
-        if self.nu > 0.0:
-            g = vorticity_boundary(psi_mid, self.trace)
+        bound = cfl_bound(s)
+        over = np.flatnonzero(dt > bound)
+        if over.size:
+            k = over[0]
+            max_u = float(np.max(np.hypot(s.u_r[k], s.u_theta[k])))
+            raise CflError(dt, float(bound[k]), max_u, float(self.nus[k]))
+        mid = self.state(s.omega_modes - 0.5 * dt * _advection(s))
+        star_modes = s.omega_modes - dt * _advection(mid)
+        if self.viscous:
+            g = _boundary_vorticity(mid.psi, self.grid, self.trace)
             new_modes = self.diffusion(dt).step(star_modes, g)
         else:
             new_modes = star_modes
-        w_new = from_modes(new_modes, n)
+        w_new = from_modes(new_modes, self.grid.n_theta)
         if not np.all(np.isfinite(w_new)):
-            raise DivergenceError("non-finite vorticity after step")
-        return self.state(new_modes, ScalarField(self.grid, w_new))
+            # The stacked Crank-Nicolson solve carries one member's inf or
+            # nan into the others (0 * inf), so a member whose solve input
+            # was already non-finite is the source.
+            bad = ~np.all(np.isfinite(star_modes), axis=(-2, -1))
+            if not np.any(bad):
+                bad = ~np.all(np.isfinite(w_new), axis=(-2, -1))
+            raise DivergenceError(f"non-finite vorticity after step in the member(s) "
+                                  f"nu={self.nus[bad].tolist()}")
+        return self.state(new_modes, w_new)
 
 
 def step(omega: ScalarField, psi: ScalarField, config: SimConfig,
@@ -293,9 +328,13 @@ def step(omega: ScalarField, psi: ScalarField, config: SimConfig,
         if config.dt == "auto":
             raise ValueError("step needs a concrete dt; config.dt is 'auto'")
         dt = float(config.dt)
-    stepper = _Stepper(omega.grid, trace, config.nu)
-    s = stepper.advance(_State(to_modes(omega.values), omega, psi, perp_grad(psi)), dt)
-    return s.omega, s.psi
+    grid = omega.grid
+    stepper = _Stepper(grid, trace, [config.nu])
+    u = perp_grad(psi)
+    w = omega.values[None]
+    s = stepper.advance(_State(grid, to_modes(w), w, psi.values[None],
+                               u.u_r[None], u.u_theta[None]), dt)
+    return ScalarField(grid, s.omega[0]), ScalarField(grid, s.psi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +359,7 @@ class Trajectory:
         return float(self.times[k]), self.omegas[k], self.psis[k], self.us[k]
 
     def series_columns(self) -> list[str]:
-        cols = ["t", "energy"]
-        cols += [f"enstrophy_{_fmt_p(p)}" for p in self.config.lp_exponents]
-        cols.append("bc_residual")
-        return cols
+        return _series_columns(self.config.lp_exponents)
 
     def save(self, run_dir) -> None:
         import os
@@ -372,49 +408,70 @@ def _fmt_p(p: float) -> str:
     return str(int(p)) if float(p).is_integer() else str(p).replace(".", "_")
 
 
+def _series_columns(lp_exponents) -> list[str]:
+    return (["t", "energy"] + [f"enstrophy_{_fmt_p(p)}" for p in lp_exponents]
+            + ["bc_residual"])
+
+
 def simulate(config: SimConfig) -> Trajectory:
     """Run the configured simulation; deterministic for a given config."""
-    grid = build_grid(config.n_r, config.n_theta)
-    trace = boundary_trace(grid, config.alpha)
-    stepper = _Stepper(grid, trace, config.nu)
-    omega = initial_vorticity(config.initial_condition, grid)
-    state = stepper.state(to_modes(omega.values), omega)
+    return simulate_ensemble([config])[0]
 
-    auto = config.dt == "auto"
-    dt_nominal = None if auto else float(config.dt)
 
-    omegas, psis, us, u_tau = [], [], [], []
-    series: dict[str, list] = {c: [] for c in
-                               ["t", "energy"]
-                               + [f"enstrophy_{_fmt_p(p)}" for p in config.lp_exponents]
-                               + ["bc_residual"]}
+def simulate_ensemble(configs) -> list[Trajectory]:
+    """Run configs that differ only in nu as one ensemble, stepped together
+    on a shared grid with shared steps and snapshot times.
+
+    Member k's trajectory is simulate(configs[k]) up to roundoff, except
+    that an automatic dt follows the smallest CFL bound among the members.
+    A CflError or DivergenceError names the offending member's nu and the
+    step.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("an ensemble needs at least one config")
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [f.name for f in fields(SimConfig) if f.name != "nu"
+                  and getattr(config, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ValueError(f"ensemble configs may differ only in nu; "
+                             f"nu={config.nu} differs in {differ}")
+    grid = build_grid(first.n_r, first.n_theta)
+    trace = boundary_trace(grid, first.alpha)
+    stepper = _Stepper(grid, trace, [config.nu for config in configs])
+    omega = initial_vorticity(first.initial_condition, grid).values
+    omega = np.repeat(omega[None], len(configs), axis=0)
+    state = stepper.state(to_modes(omega), omega)
+
+    auto = first.dt == "auto"
+    dt_nominal = None if auto else float(first.dt)
+
+    record_times, records, snapshots, times = [], [], [], []
 
     def record(t, s: _State):
-        series["t"].append(t)
-        series["energy"].append(lp_norm(s.u, 2.0) ** 2)
-        for p in config.lp_exponents:
-            series[f"enstrophy_{_fmt_p(p)}"].append(lp_norm(s.omega, p))
-        bc = boundary_values(s.omega.values, grid) - vorticity_boundary(s.psi, trace)
-        series["bc_residual"].append(float(np.max(np.abs(bc))))
+        """The series columns after t, one entry per member in each."""
+        bc = boundary_values(s.omega, grid) - _boundary_vorticity(s.psi, grid, trace)
+        record_times.append(t)
+        records.append([lp_norms(np.hypot(s.u_r, s.u_theta), grid, 2.0) ** 2,
+                        *(lp_norms(np.abs(s.omega), grid, p) for p in first.lp_exponents),
+                        np.max(np.abs(bc), axis=-1)])
 
-    def snapshot(s: _State):
-        omegas.append(s.omega)
-        psis.append(s.psi)
-        us.append(s.u)
-        u_tau.append(boundary_tangential_velocity(s.psi))
+    def snapshot(t, s: _State):
+        times.append(t)
+        snapshots.append((s.omega, s.psi, s.u_r, s.u_theta))
 
-    snapshot(state)
+    snapshot(0.0, state)
     record(0.0, state)
-    times = [0.0]
 
     t = 0.0
     step_idx = 0
-    eps = 1e-12 * config.t_end
-    while t < config.t_end - eps:
+    eps = 1e-12 * first.t_end
+    while t < first.t_end - eps:
         if auto and step_idx % 10 == 0:
-            bound = cfl_bound(state.u)
-            dt_nominal = 0.9 * bound if np.isfinite(bound) else config.t_end
-        dt = min(dt_nominal, config.t_end - t)
+            bound = float(np.min(cfl_bound(state)))
+            dt_nominal = 0.9 * bound if np.isfinite(bound) else first.t_end
+        dt = min(dt_nominal, first.t_end - t)
         try:
             state = stepper.advance(state, dt)
         except (CflError, DivergenceError) as exc:
@@ -423,11 +480,17 @@ def simulate(config: SimConfig) -> Trajectory:
         t += dt
         step_idx += 1
         record(t, state)
-        if step_idx % config.output_stride == 0 or t >= config.t_end - eps:
-            snapshot(state)
-            times.append(t)
+        if step_idx % first.output_stride == 0 or t >= first.t_end - eps:
+            snapshot(t, state)
 
-    return Trajectory(config=config, grid=grid, trace=trace,
-                      times=np.array(times), omegas=omegas, psis=psis, us=us,
-                      u_tau=u_tau,
-                      series={k: np.array(v) for k, v in series.items()})
+    # (member, column, record)
+    series = np.array(records).transpose(2, 1, 0).copy()
+    columns = _series_columns(first.lp_exponents)[1:]
+    return [Trajectory(
+        config=config, grid=grid, trace=trace, times=np.array(times),
+        omegas=[ScalarField(grid, w[k]) for w, _, _, _ in snapshots],
+        psis=[ScalarField(grid, p[k]) for _, p, _, _ in snapshots],
+        us=[VectorField(grid, ur[k], ut[k]) for _, _, ur, ut in snapshots],
+        u_tau=[wall_derivative(p[k], grid) for _, p, _, _ in snapshots],
+        series={"t": np.array(record_times), **dict(zip(columns, series[k]))})
+        for k, config in enumerate(configs)]

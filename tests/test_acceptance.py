@@ -39,7 +39,7 @@ from slipdisk import (
     simulate,
     solve_poisson_dirichlet,
 )
-from slipdisk.cli import _energy_ok, _thread_count
+from slipdisk.cli import _energy_ok
 
 XI_SCALINGS = (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
 
@@ -105,8 +105,7 @@ def test_criterion_03_energy_never_increases_for_any_slip_coefficient(sweep_resu
                          n_r=64, n_theta=64, output_stride=50,
                          lp_exponents=(2.0,))
                for alpha in alphas for nu in nu_list]
-    with ThreadPoolExecutor(max_workers=_thread_count(len(configs))) as pool:
-        trajs = list(pool.map(simulate, configs))
+    trajs = [simulate(c) for c in configs]
     worst = -np.inf
     for config, traj in zip(configs, trajs):
         e = np.asarray(traj.series["energy"])

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from slipdisk import SimConfig, SweepConfig, main, run_sweep
-from slipdisk.cli import (
-    CSV_COLUMNS,
-    _energy_ok,
-    _interpolate_to_base,
-    _thread_count,
-)
+from slipdisk.cli import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 from slipdisk.geometry import build_grid
 
 
@@ -105,13 +100,6 @@ def test_interpolate_to_base_accuracy():
     assert np.max(np.abs(got - want)) < 1e-5
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("SLIPDISK_THREADS", "3")
-    assert _thread_count(8) == 3
-    monkeypatch.setenv("SLIPDISK_THREADS", "")
-    assert 1 <= _thread_count(8) <= 8
-
-
 # ---------------------------------------------------------------------------
 # the sweep
 # ---------------------------------------------------------------------------
@@ -134,6 +122,14 @@ def test_rigid_sweep_differences_are_roundoff():
         assert row["energy_ok"]
         assert abs(row["renorm_slack"]) < 1e-10
     assert report.euler_floor[2.0] < 1e-6
+
+
+def test_rigid_sweep_reports_one_attempt_and_its_steps():
+    report = run_sweep(_rigid_sweep_config())
+    meta = report.metadata
+    assert meta["attempts"] == 1
+    assert meta["refined_n_steps"] == 2 * meta["n_steps"]
+    assert all(row["wall_ms"] == meta["ensemble_wall_ms"] for row in report.rows)
 
 
 def test_sweep_is_deterministic_modulo_wall_clock():

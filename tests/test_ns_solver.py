@@ -8,6 +8,7 @@ condition construction, and trajectory serialization.
 """
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from slipdisk import (
     CflError,
+    DivergenceError,
     ScalarField,
     SimConfig,
     Trajectory,
@@ -26,8 +28,9 @@ from slipdisk import (
     simulate,
     step,
 )
-from slipdisk.field import boundary_values
-from slipdisk.ns_solver import bump_values, cfl_bound, vorticity_boundary
+from slipdisk.field import boundary_values, to_modes
+from slipdisk.ns_solver import (_DiffusionCN, _Stepper, bump_values, cfl_bound,
+                                simulate_ensemble, vorticity_boundary)
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +172,100 @@ def test_simulate_rejects_oversized_fixed_dt():
                        dt=0.1, n_r=32, n_theta=32)
     with pytest.raises(CflError):
         simulate(config)
+
+
+def test_auto_dt_run_holds_one_diffusion_factorization(monkeypatch):
+    # The automatic dt moves every 10 steps and never comes back, so the
+    # stepper keeps only the Crank-Nicolson factorization of the current dt.
+    live = weakref.WeakSet()
+    built, held = [], []
+    init, step_modes = _DiffusionCN.__init__, _DiffusionCN.step
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+        built.append(1)
+
+    def counting_step(self, *args, **kwargs):
+        held.append(len(live))
+        return step_modes(self, *args, **kwargs)
+
+    monkeypatch.setattr(_DiffusionCN, "__init__", counting_init)
+    monkeypatch.setattr(_DiffusionCN, "step", counting_step)
+    config = SimConfig(nu=0.01, t_end=0.25, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
+        alpha=1.0, n_r=32, n_theta=32, output_stride=50)
+    simulate(config)
+    assert len(built) >= 10
+    assert max(held) == 1
+
+
+# ---------------------------------------------------------------------------
+# ensembles
+# ---------------------------------------------------------------------------
+
+def _ensemble_config(**kw):
+    defaults = dict(nu=0.0, t_end=0.05, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
+        alpha=1.0, dt=5e-4, n_r=32, n_theta=32, output_stride=20,
+        lp_exponents=(2.0, 4.0))
+    defaults.update(kw)
+    return SimConfig(**defaults)
+
+
+def _close(a, b, rel=1e-12):
+    return np.max(np.abs(a - b)) <= rel * max(np.max(np.abs(b)), 1e-300)
+
+
+def test_ensemble_members_match_standalone_runs():
+    configs = [_ensemble_config(nu=nu) for nu in (0.05, 0.0, 0.005)]
+    members = simulate_ensemble(configs)
+    assert len(members) == len(configs)
+    for config, got in zip(configs, members):
+        want = simulate(config)
+        assert got.config is config
+        assert np.array_equal(got.times, want.times)
+        assert len(got.omegas) == len(want.omegas) == 6
+        for k in range(len(want.times)):
+            assert _close(got.omegas[k].values, want.omegas[k].values), (config.nu, k)
+            assert _close(got.psis[k].values, want.psis[k].values), (config.nu, k)
+            assert _close(got.us[k].u_r, want.us[k].u_r), (config.nu, k)
+            assert _close(got.us[k].u_theta, want.us[k].u_theta), (config.nu, k)
+        assert got.series_columns() == want.series_columns()
+        for col in want.series_columns():
+            assert len(got.series[col]) == 101
+            assert _close(got.series[col], want.series[col]), (config.nu, col)
+
+
+@pytest.mark.parametrize("change", [
+    {"n_r": 16}, {"n_theta": 16}, {"alpha": 0.0}, {"dt": 2.5e-4},
+    {"t_end": 0.1}, {"output_stride": 10},
+])
+def test_ensemble_rejects_configs_differing_beyond_nu(change):
+    with pytest.raises(ValueError, match="differ only in nu"):
+        simulate_ensemble([_ensemble_config(nu=0.01),
+                           _ensemble_config(nu=0.001, **change)])
+
+
+def test_divergence_names_only_the_member_that_diverged():
+    # The stacked Crank-Nicolson solve spreads one member's non-finite
+    # values into its neighbours, which must not be blamed for them.
+    grid = build_grid(16, 16)
+    stepper = _Stepper(grid, boundary_trace(grid, 1.0), [0.1, 0.05, 0.0])
+    omega = np.repeat(initial_vorticity({"const": 2.0}, grid).values[None], 3, axis=0)
+    state = stepper.state(to_modes(omega), omega)
+    state.omega_modes[1, 2, 5] = np.inf
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DivergenceError, match=r"nu=\[0.05\]$"):
+        stepper.advance(state, 1e-3)
+
+
+def test_ensemble_cfl_trip_names_the_member():
+    configs = [_ensemble_config(nu=0.02, dt=0.04), _ensemble_config(nu=0.0, dt=0.04)]
+    with pytest.raises(CflError, match=r"step 1 at t=0: nu=0.02: dt=0.04 exceeds") as exc:
+        simulate_ensemble(configs)
+    assert exc.value.nu == 0.02
+    assert exc.value.bound < 0.04
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,20 @@ def test_singular_row_raises():
     lower[3], diag[3], upper[3] = 0.0, 0.0, 0.0
     with pytest.raises(ZeroDivisionError):
         TridiagonalBatch(lower, diag, upper)
+
+
+def test_stacked_bands_and_extra_rhs_axes_solve_each_system():
+    # Bands with two batch axes, and a right-hand side with one more
+    # leading axis that is solved against the same factorization.
+    lower, diag, upper = (b.reshape(2, 3, 9) for b in _bands(seed=8, n_batch=6))
+    rng = np.random.default_rng(9)
+    shape = (4,) + diag.shape
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = TridiagonalBatch(lower, diag, upper).solve(rhs)
+    assert x.shape == rhs.shape
+    for e in range(4):
+        for i in range(2):
+            for j in range(3):
+                dense = _dense(lower[i], diag[i], upper[i], j)
+                assert np.allclose(x[e, i, j], np.linalg.solve(dense, rhs[e, i, j]),
+                                   rtol=1e-13, atol=1e-13)
