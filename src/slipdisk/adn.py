@@ -13,9 +13,15 @@ cotangent directions are replaced by finite deterministic sample sets,
 and each verdict records the samples used. Failures always carry a
 witness (the sample and the vanishing combination).
 
-Polynomials in the pencil variable live in PolyC (ascending complex
-coefficients); matrices of them in MatPolyC, which supports products,
-determinants, and adjugates by cofactor expansion.
+A polynomial in the pencil variable is its complex coefficient vector in
+ascending order, and a matrix of such polynomials is one array of shape
+(rows, cols, K). Any axes in front of those are sample axes: the kernels
+below (product, cofactor determinant and adjugate, matrix product,
+division by a monic M+, roots) broadcast over them, so check_all builds
+the pencils of every boundary point and tangential frequency as one
+(samples, rows, cols, K) array and evaluates all samples in one pass.
+PolyC and MatPolyC wrap a single polynomial and a single matrix for the
+per-sample entry points; they call the same kernels with one sample.
 """
 
 from __future__ import annotations
@@ -41,8 +47,104 @@ class DegenerateConfigurationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic
+# polynomial kernels: coefficients ascending along the last axis, leading
+# axes broadcast
 # ---------------------------------------------------------------------------
+
+def _degrees(c: np.ndarray) -> np.ndarray:
+    """Degree of each polynomial once its leading coefficients within
+    TRIM_TOL of zero, relative to its largest magnitude, are dropped;
+    -1 for the zero polynomial."""
+    mag = np.abs(c)
+    keep = mag > TRIM_TOL * mag.max(axis=-1, keepdims=True)
+    top = c.shape[-1] - 1 - np.argmax(keep[..., ::-1], axis=-1)
+    return np.where(keep.any(axis=-1), top, -1)
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    kb = b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (a.shape[-1] + kb - 1,), dtype=complex)
+    for k in range(a.shape[-1]):
+        out[..., k:k + kb] += a[..., k:k + 1] * b
+    return out
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinant of (..., n, n, K) polynomial matrices by cofactor
+    expansion along the first row."""
+    if a.shape[-3] == 1:
+        return a[..., 0, 0, :]
+    return _polymul(a[..., 0, :, :], _adjugate(a)[..., :, 0, :]).sum(axis=-2)
+
+
+def _adjugate(a: np.ndarray) -> np.ndarray:
+    """Cofactor transpose of (..., n, n, K); A @ adj(A) = det(A) I."""
+    n, k = a.shape[-3], a.shape[-1]
+    if n == 1:
+        return np.ones(a.shape[:-3] + (1, 1, 1), dtype=complex)
+    out = np.empty(a.shape[:-3] + (n, n, (n - 1) * (k - 1) + 1), dtype=complex)
+    for i in range(n):
+        rows = np.delete(a, i, axis=-3)
+        for j in range(n):
+            c = _det(np.delete(rows, j, axis=-2))
+            out[..., j, i, :] = c if (i + j) % 2 == 0 else -c
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., n, k, Ka) @ (..., k, m, Kb) -> (..., n, m, Ka + Kb - 1)."""
+    if a.shape[-2] != b.shape[-3]:
+        raise ValueError(f"shape mismatch {a.shape[-3:-1]} @ {b.shape[-3:-1]}")
+    return _polymul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+
+
+def _polydiv(p: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean division by d, whose last coefficient must be nonzero;
+    stable for the monic divisors built from root lists. Returns the
+    quotient and the remainder, which has deg d coefficients."""
+    dd, n = d.shape[-1] - 1, p.shape[-1]
+    shape = np.broadcast_shapes(p.shape[:-1], d.shape[:-1])
+    rem = np.zeros(shape + (max(n, dd),), dtype=complex)
+    rem[..., :n] = p
+    quot = np.zeros(shape + (max(n - dd, 0),), dtype=complex)
+    lead = d[..., -1]
+    for k in range(n - 1, dd - 1, -1):
+        q = rem[..., k] / lead
+        quot[..., k - dd] = q
+        rem[..., k - dd:k + 1] -= q[..., None] * d
+    return quot, rem[..., :dd]
+
+
+def _monic(roots: np.ndarray) -> np.ndarray:
+    """prod_k (sigma - roots[..., k])."""
+    out = np.ones(roots.shape[:-1] + (1,), dtype=complex)
+    for k in range(roots.shape[-1]):
+        r = roots[..., k]
+        out = _polymul(out, np.stack([-r, np.ones_like(r)], axis=-1))
+    return out
+
+
+def _roots(c: np.ndarray) -> list:
+    """Roots of each row of c (samples, K) after the TRIM_TOL rule,
+    exactly as np.roots finds them: companion-matrix eigenvalues, one
+    np.linalg.eigvals call per core size, followed by one exact zero per
+    vanishing low-order coefficient."""
+    deg = _degrees(c)
+    low = np.argmax(c != 0, axis=-1)
+    size = np.where(deg >= 0, deg - low + 1, 0)
+    out = [np.zeros(low[s] if deg[s] >= 0 else 0) for s in range(len(c))]
+    for n in np.unique(size[size > 1]):
+        idx = np.nonzero(size == n)[0]
+        p = c[idx[:, None], low[idx, None] + np.arange(n - 1, -1, -1)]
+        companion = np.zeros((idx.size, n - 1, n - 1), dtype=complex)
+        sub = np.arange(n - 2)
+        companion[:, sub + 1, sub] = 1
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        for s, eig in zip(idx, np.linalg.eigvals(companion)):
+            out[s] = np.concatenate([eig, out[s]])
+    return out
+
 
 class PolyC:
     """Polynomial in one variable with complex coefficients, ascending
@@ -53,13 +155,8 @@ class PolyC:
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        scale = np.abs(c).max() if c.size else 0.0
-        if scale == 0.0:
-            c = np.zeros(1, dtype=complex)
-        else:
-            keep = np.nonzero(np.abs(c) > TRIM_TOL * scale)[0]
-            c = c[: keep[-1] + 1] if keep.size else np.zeros(1, dtype=complex)
-        self.coeffs = c
+        deg = int(_degrees(c)) if c.size else -1
+        self.coeffs = c[:deg + 1] if deg >= 0 else np.zeros(1, dtype=complex)
 
     @classmethod
     def zero(cls) -> "PolyC":
@@ -71,10 +168,7 @@ class PolyC:
 
     @classmethod
     def from_roots(cls, roots) -> "PolyC":
-        out = cls.one()
-        for r in roots:
-            out = out * cls([-r, 1.0])
-        return out
+        return cls(_monic(np.asarray(roots, dtype=complex).reshape(-1)))
 
     @property
     def degree(self) -> int:
@@ -106,9 +200,7 @@ class PolyC:
 
     def __mul__(self, other) -> "PolyC":
         if isinstance(other, PolyC):
-            if self.is_zero or other.is_zero:
-                return PolyC.zero()
-            return PolyC(np.convolve(self.coeffs, other.coeffs))
+            return PolyC(_polymul(self.coeffs, other.coeffs))
         return PolyC(self.coeffs * complex(other))
 
     __rmul__ = __mul__
@@ -117,22 +209,11 @@ class PolyC:
         return PolyC(-self.coeffs)
 
     def divmod(self, divisor: "PolyC") -> tuple["PolyC", "PolyC"]:
-        """Euclidean division, stable for the monic divisors built from
-        root lists; returns (quotient, remainder)."""
+        """Euclidean division; returns (quotient, remainder)."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = self.coeffs.astype(complex).copy()
-        d = divisor.coeffs
-        dd = divisor.degree
-        lead = d[-1]
-        if rem.size - 1 < dd:
-            return PolyC.zero(), PolyC(rem)
-        quot = np.zeros(rem.size - dd, dtype=complex)
-        for k in range(rem.size - 1, dd - 1, -1):
-            q = rem[k] / lead
-            quot[k - dd] = q
-            rem[k - dd: k + 1] -= q * d
-        return PolyC(quot), PolyC(rem[:dd] if dd > 0 else [0.0])
+        quot, rem = _polydiv(self.coeffs, divisor.coeffs)
+        return PolyC(quot), PolyC(rem)
 
     def max_abs_coeff(self) -> float:
         return float(np.abs(self.coeffs).max())
@@ -142,69 +223,47 @@ class PolyC:
 
 
 class MatPolyC:
-    """Rectangular matrix of PolyC entries."""
+    """Rectangular matrix of polynomials: one complex coefficient array
+    of shape (rows, cols, K). Built from that array or from rows of
+    PolyC entries."""
 
     def __init__(self, entries):
-        self.entries = [list(row) for row in entries]
-        self.shape = (len(self.entries), len(self.entries[0]) if self.entries else 0)
-        for row in self.entries:
-            if len(row) != self.shape[1]:
-                raise ValueError("ragged polynomial matrix")
+        if isinstance(entries, np.ndarray):
+            self.coeffs = entries
+            return
+        rows = [list(row) for row in entries]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged polynomial matrix")
+        k = max((p.coeffs.size for row in rows for p in row), default=1)
+        self.coeffs = np.zeros((len(rows), len(rows[0]) if rows else 0, k), dtype=complex)
+        for i, row in enumerate(rows):
+            for j, p in enumerate(row):
+                self.coeffs[i, j, :p.coeffs.size] = p.coeffs
+
+    @property
+    def shape(self) -> tuple:
+        return self.coeffs.shape[:2]
 
     def __getitem__(self, idx) -> PolyC:
         i, j = idx
-        return self.entries[i][j]
+        return PolyC(self.coeffs[i, j])
 
     def __matmul__(self, other: "MatPolyC") -> "MatPolyC":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = [[PolyC.zero() for _ in range(m)] for _ in range(n)]
-        for i in range(n):
-            for j in range(m):
-                acc = PolyC.zero()
-                for l in range(k):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                out[i][j] = acc
-        return MatPolyC(out)
+        return MatPolyC(_matmul(self.coeffs, other.coeffs))
 
     def det(self) -> PolyC:
-        n, m = self.shape
-        if n != m:
+        if self.shape[0] != self.shape[1]:
             raise ValueError("determinant of a non-square matrix")
-        if n == 1:
-            return self.entries[0][0]
-        acc = PolyC.zero()
-        for j in range(n):
-            minor = MatPolyC([row[:j] + row[j + 1:] for row in self.entries[1:]])
-            term = self.entries[0][j] * minor.det()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
+        return PolyC(_det(self.coeffs))
 
     def adjugate(self) -> "MatPolyC":
         """Cofactor transpose; satisfies A @ adj(A) = det(A) I."""
-        n, m = self.shape
-        if n != m:
+        if self.shape[0] != self.shape[1]:
             raise ValueError("adjugate of a non-square matrix")
-        if n == 1:
-            return MatPolyC([[PolyC.one()]])
-        out = [[PolyC.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rows = [r for k, r in enumerate(self.entries) if k != i]
-                minor = MatPolyC([row[:j] + row[j + 1:] for row in rows])
-                c = minor.det()
-                out[j][i] = c if (i + j) % 2 == 0 else -c
-        return MatPolyC(out)
+        return MatPolyC(_adjugate(self.coeffs))
 
     def evaluate(self, sigma: complex) -> np.ndarray:
-        n, m = self.shape
-        out = np.empty((n, m), dtype=complex)
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = self.entries[i][j](sigma)
-        return out
+        return np.polynomial.polynomial.polyval(sigma, np.moveaxis(self.coeffs, -1, 0))
 
 
 def adjugate(a: MatPolyC) -> MatPolyC:
@@ -239,6 +298,10 @@ def _as_coeff(c) -> Callable[[BoundaryPoint], complex]:
     return c if callable(c) else _const(c)
 
 
+def _is_order(p) -> bool:
+    return isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0
+
+
 @dataclass(frozen=True)
 class AdnProblem:
     """A weighted boundary value system.
@@ -248,6 +311,10 @@ class AdnProblem:
     B_coeffs likewise with boundary row l. Weights follow the usual
     bookkeeping: deg L_ij <= s_i + t_j, deg B_lj <= r_l + t_j, and the
     number of boundary rows equals the half-order m.
+
+    Construction rejects weight lists that do not match M, rows and
+    columns out of range, and multi-indices that are not two
+    non-negative integers; messages count entries and indices from 1.
     """
     M: int
     L_coeffs: tuple
@@ -258,18 +325,55 @@ class AdnProblem:
     boundary: Callable[[float], BoundaryPoint] = disk_boundary
     name: str = ""
 
+    def __post_init__(self):
+        if not _is_order(self.M) or self.M < 1:
+            raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        if len(self.s) != self.M or len(self.t) != self.M:
+            raise ValueError(f"s and t need M={self.M} weights each, "
+                             f"got {len(self.s)} and {len(self.t)}")
+        for label, entries, n_rows in (("L", self.L_coeffs, self.M),
+                                       ("B", self.B_coeffs, len(self.r))):
+            for k, (i, j, mi, _) in enumerate(entries):
+                entry = f"{label} entry {k + 1} ({i + 1},{j + 1})"
+                if not 0 <= i < n_rows:
+                    raise ValueError(f"{entry}: row {i + 1} is outside 1..{n_rows}")
+                if not 0 <= j < self.M:
+                    raise ValueError(f"{entry}: column {j + 1} is outside 1..{self.M}")
+                if len(mi) != 2 or not all(_is_order(p) for p in mi):
+                    raise ValueError(f"{entry}: multi-index {tuple(mi)} must be two "
+                                     f"non-negative integers")
+
     @property
     def n_boundary_rows(self) -> int:
         return len(self.r)
 
 
-def _pencil_monomial(mi, xi, xi_prime) -> PolyC:
-    out = PolyC.one()
-    for d, power in enumerate(mi):
-        lin = PolyC([xi[d], xi_prime[d]]) if xi_prime is not None else PolyC([xi[d]])
-        for _ in range(int(power)):
-            out = out * lin
-    return out
+def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
+                     xi_prime=None) -> np.ndarray:
+    """Principal part of L (boundary=False) or B (boundary=True) as one
+    coefficient array of shape (P X, rows, M, K).
+
+    points has length P and xi, xi_prime have shape (P, X, 2): sample
+    p X + x sits at points[p] with direction xi[p, x]. The array holds the
+    pencil along xi + sigma xi_prime; without xi_prime K = 1 and it holds
+    the numeric symbol at xi. Only terms of exact weighted degree survive.
+    """
+    entries, weights = ((problem.B_coeffs, problem.r) if boundary
+                        else (problem.L_coeffs, problem.s))
+    terms = [(i, j, mi, c) for (i, j, mi, c) in entries
+             if sum(mi) == weights[i] + problem.t[j]]
+    lin = xi[..., None] if xi_prime is None else np.stack([xi, xi_prime], axis=-1)
+    order = max((sum(mi) for (_, _, mi, _) in terms), default=0)
+    out = np.zeros(xi.shape[:2] + (len(weights), problem.M,
+                                   order * (lin.shape[-1] - 1) + 1), dtype=complex)
+    for (i, j, mi, coeff) in terms:
+        values = np.array([_as_coeff(coeff)(p) for p in points], dtype=complex)
+        mono = np.ones(xi.shape[:2] + (1,))
+        for d, power in enumerate(mi):
+            for _ in range(power):
+                mono = _polymul(mono, lin[..., d, :])
+        out[..., i, j, :mono.shape[-1]] += values[:, None, None] * mono
+    return out.reshape((-1,) + out.shape[2:])
 
 
 def principal_parts(problem: AdnProblem):
@@ -296,27 +400,16 @@ def principal_parts(problem: AdnProblem):
             raise ValueError(f"B entry ({l + 1},{j + 1}) multi-index {tuple(mi)} has "
                              f"order {order} > r_l + t_j = {limit}")
 
-    def build(entries, n_rows, row_weight):
+    def build(boundary):
         def evaluate(point, xi, xi_prime=None):
+            xi = np.asarray(xi, dtype=float)[None, None]
             if xi_prime is None:
-                out = np.zeros((n_rows, problem.M), dtype=complex)
-            else:
-                out = [[PolyC.zero() for _ in range(problem.M)] for _ in range(n_rows)]
-            for (i, j, mi, coeff) in entries:
-                if int(sum(mi)) != row_weight(i) + problem.t[j]:
-                    continue
-                c = _as_coeff(coeff)(point)
-                if xi_prime is None:
-                    out[i, j] += c * np.prod([complex(xi[d]) ** int(p)
-                                              for d, p in enumerate(mi)])
-                else:
-                    out[i][j] = out[i][j] + c * _pencil_monomial(mi, xi, xi_prime)
-            return out if xi_prime is None else MatPolyC(out)
+                return _principal_array(problem, boundary, [point], xi)[0, ..., 0]
+            xp = np.asarray(xi_prime, dtype=float)[None, None]
+            return MatPolyC(_principal_array(problem, boundary, [point], xi, xp)[0])
         return evaluate
 
-    lp = build(problem.L_coeffs, problem.M, lambda i: problem.s[i])
-    bp = build(problem.B_coeffs, problem.n_boundary_rows, lambda l: problem.r[l])
-    return lp, bp
+    return build(False), build(True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,64 +452,76 @@ class AdnReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _directions(points) -> tuple[np.ndarray, np.ndarray]:
+    """Tangents and normals of the points, shape (P, 2) each."""
+    return (np.array([p.tau for p in points], dtype=float),
+            np.array([p.n for p in points], dtype=float))
+
+
 def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
     """Conditions on the determinant alone: nonvanishing on the unit
     sphere (tolerance DET_TOL) and the measured two-sided constants.
     The half-order m comes from the pencil determinant degree."""
     if not len(x_samples) or not len(xi_samples):
         raise ValueError("need at least one x sample and one xi sample")
-    lp, _ = principal_parts(problem)
+    principal_parts(problem)  # validates the weights
+    points = list(x_samples)
+    tau, normal = _directions(points)
 
     # Degenerate directions can drop the pencil degree, so the half-order
     # is the max over samples; for elliptic systems every sample agrees.
-    deg = max(lp(p, np.asarray(p.tau, dtype=float), p.n).det().degree
-              for p in x_samples)
-    if deg < 0 or deg % 2:
+    pencils = _principal_array(problem, False, points, tau[:, None], normal[:, None])
+    deg = int(_degrees(_det(pencils)).max())
+    if deg <= 0 or deg % 2:
         raise ValueError(f"pencil determinant degree {deg} is not an even "
                          f"positive integer")
     m = deg // 2
 
-    det_min, det_max = np.inf, 0.0
-    witness = None
-    for point in x_samples:
-        for xi in xi_samples:
-            xi = np.asarray(xi, dtype=float)
-            d = abs(np.linalg.det(lp(point, xi / np.linalg.norm(xi))))
-            if d < det_min:
-                det_min = d
-                if d < DET_TOL:
-                    witness = {"x": point.x, "theta": point.theta,
-                               "xi": tuple((xi / np.linalg.norm(xi)).tolist()),
-                               "det": d}
-            det_max = max(det_max, d)
+    xi = np.asarray(xi_samples, dtype=float)
+    unit = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+    symbols = _principal_array(problem, False, points,
+                               np.broadcast_to(unit, (len(points),) + unit.shape))
+    dets = np.abs(np.linalg.det(symbols[..., 0]))
+    det_min, det_max = float(dets.min()), float(dets.max())
+    witnesses = {}
+    if det_min < DET_TOL:
+        p, x = divmod(int(np.argmin(dets)), len(unit))
+        witnesses["ellipticity"] = {"x": points[p].x, "theta": points[p].theta,
+                                    "xi": tuple(unit[x].tolist()), "det": det_min}
     verdicts = {"ellipticity": bool(det_min >= DET_TOL),
                 "uniform_ellipticity": bool(det_min >= DET_TOL and np.isfinite(det_max))}
-    witnesses = {} if witness is None else {"ellipticity": witness}
-    return AdnReport(verdicts=verdicts, ellipticity_min=float(det_min),
-                     ellipticity_max=float(det_max), m=m, witnesses=witnesses,
+    return AdnReport(verdicts=verdicts, ellipticity_min=det_min,
+                     ellipticity_max=det_max, m=m, witnesses=witnesses,
                      sample_counts={"x": len(x_samples), "xi": len(xi_samples)},
                      name=problem.name)
 
 
-def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
-    """Roots of sigma -> det L(point, xi + sigma xi_prime) in the upper
-    half plane, with multiplicity recovered by clustering (tolerance
-    CLUSTER_TOL) and each cluster averaged.
-
-    A root within REAL_AXIS_TOL of the real axis means the pencil does
-    not split into stable and unstable factors and raises
-    DegenerateConfigurationError.
-    """
-    xi = np.asarray(xi, dtype=float)
-    xip = np.asarray(xi_prime, dtype=float)
-    if abs(xi[0] * xip[1] - xi[1] * xip[0]) < 1e-12 * max(1.0, np.linalg.norm(xi) * np.linalg.norm(xip)):
+def _require_independent(xi: np.ndarray, xi_prime: np.ndarray) -> None:
+    cross = xi[..., 0] * xi_prime[..., 1] - xi[..., 1] * xi_prime[..., 0]
+    scale = np.maximum(1.0, np.linalg.norm(xi, axis=-1) * np.linalg.norm(xi_prime, axis=-1))
+    if np.any(np.abs(cross) < 1e-12 * scale):
         raise ValueError("xi and xi_prime must be linearly independent")
-    det = lp_eval(point, xi, xip).det()
-    roots = np.roots(det.coeffs[::-1])
+
+
+def _require_tangential(xi: np.ndarray, normal: np.ndarray) -> None:
+    norm = np.linalg.norm(xi, axis=-1)
+    if np.any(norm < 1e-14):
+        raise ValueError("xi must be nonzero")
+    dot = np.sum(xi * normal, axis=-1)
+    bad = np.abs(dot) > 1e-12 * norm
+    if np.any(bad):
+        raise ValueError(f"xi must be orthogonal to the normal at the sample: "
+                         f"xi.n = {dot[bad][0]:.3e}")
+
+
+def _upper_roots(roots: np.ndarray, theta: float, xi: np.ndarray) -> list:
+    """The roots in the upper half plane, clustered (tolerance
+    CLUSTER_TOL) with each cluster averaged; a root within REAL_AXIS_TOL
+    of the real axis raises DegenerateConfigurationError."""
     on_axis = roots[np.abs(roots.imag) <= REAL_AXIS_TOL]
     if on_axis.size:
         raise DegenerateConfigurationError(
-            f"pencil root {on_axis[0]:.3e} on the real axis at theta={point.theta:.4f}, "
+            f"pencil root {on_axis[0]:.3e} on the real axis at theta={theta:.4f}, "
             f"xi={tuple(xi.tolist())}")
     upper = sorted(roots[roots.imag > REAL_AXIS_TOL],
                    key=lambda z: (z.real, z.imag))
@@ -433,6 +538,22 @@ def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
     return out
 
 
+def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
+    """Roots of sigma -> det L(point, xi + sigma xi_prime) in the upper
+    half plane, with multiplicity recovered by clustering (tolerance
+    CLUSTER_TOL) and each cluster averaged.
+
+    A root within REAL_AXIS_TOL of the real axis means the pencil does
+    not split into stable and unstable factors and raises
+    DegenerateConfigurationError.
+    """
+    xi = np.asarray(xi, dtype=float)
+    xip = np.asarray(xi_prime, dtype=float)
+    _require_independent(xi, xip)
+    det = lp_eval(point, xi, xip).det()
+    return _upper_roots(_roots(det.coeffs[None])[0], point.theta, xi)
+
+
 @dataclass(frozen=True)
 class ComplementingVerdict:
     passed: bool
@@ -440,6 +561,41 @@ class ComplementingVerdict:
     witness: tuple | None
     point: BoundaryPoint
     xi: tuple
+
+
+def _remainder_rows(lpen: np.ndarray, bpen: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """B adj(L) of each sample reduced modulo M+ = prod (sigma - root),
+    the remainder coefficients of row l laid out column by column:
+    (samples, rows, M m) from pencils (samples, ., M, K) and roots
+    (samples, m)."""
+    product = _matmul(bpen, _adjugate(lpen))
+    _, rem = _polydiv(product, _monic(roots)[:, None, None, :])
+    return rem.reshape(rem.shape[:-2] + (-1,))
+
+
+def _rank_test(stacked: np.ndarray):
+    """Full row rank of each (rows, cols) stack by the singular value
+    ratio (threshold RANK_RATIO_TOL) after per-row max normalization.
+    Returns the pass flags, the ratios (0 for a vanishing row) and a
+    function giving sample s's vanishing row combination."""
+    n_rows = stacked.shape[-2]
+    scales = np.abs(stacked).max(axis=-1)
+    zero = scales < 1e-300
+    normalized = stacked / np.where(zero, 1.0, scales)[..., None]
+    u, sing, _ = np.linalg.svd(normalized)
+    ratio = sing[:, -1] / sing[:, 0] if n_rows > 1 else np.ones(len(stacked))
+    ratio = np.where(zero.any(axis=-1), 0.0, ratio)
+    passed = ~zero.any(axis=-1) & (ratio >= RANK_RATIO_TOL) & (sing.shape[-1] == n_rows)
+
+    def combination(s: int) -> tuple:
+        if zero[s].any():
+            l = int(np.argmin(scales[s]))
+            return tuple(1.0 + 0.0j if k == l else 0.0j for k in range(n_rows))
+        c = np.conj(u[s, :, -1])
+        first = int(np.nonzero(np.abs(c) >= 0.5 * np.abs(c).max())[0][0])
+        return tuple((c / c[first]).tolist())
+
+    return passed, ratio, combination
 
 
 def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> ComplementingVerdict:
@@ -454,38 +610,15 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
     combination as witness.
     """
     xi = np.asarray(xi, dtype=float)
-    norm = np.linalg.norm(xi)
-    if norm < 1e-14:
-        raise ValueError("xi must be nonzero")
-    if abs(float(np.dot(xi, point.n))) > 1e-12 * norm:
-        raise ValueError(f"xi must be orthogonal to the normal at the sample: "
-                         f"xi.n = {float(np.dot(xi, point.n)):.3e}")
+    _require_tangential(xi, np.asarray(point.n, dtype=float))
     lp, bp = principal_parts(problem)
-    roots = roots_positive_imag(lp, point, xi, point.n)
-    m = len(roots)
-    m_plus = PolyC.from_roots(roots)
-    product = bp(point, xi, point.n) @ lp(point, xi, point.n).adjugate()
-    n_rows = problem.n_boundary_rows
-    stacked = np.zeros((n_rows, problem.M * m), dtype=complex)
-    for l in range(n_rows):
-        for j in range(problem.M):
-            _, rem = product[l, j].divmod(m_plus)
-            c = rem.coeffs
-            stacked[l, j * m: j * m + c.size] = c
-    scales = np.abs(stacked).max(axis=1)
-    if np.any(scales < 1e-300):
-        l = int(np.argmin(scales))
-        witness = tuple(1.0 + 0.0j if k == l else 0.0j for k in range(n_rows))
-        return ComplementingVerdict(False, 0.0, witness, point, tuple(xi.tolist()))
-    normalized = stacked / scales[:, None]
-    u, sing, _ = np.linalg.svd(normalized)
-    ratio = float(sing[-1] / sing[0]) if n_rows > 1 else 1.0
-    if ratio >= RANK_RATIO_TOL and sing.size == n_rows:
-        return ComplementingVerdict(True, ratio, None, point, tuple(xi.tolist()))
-    c = np.conj(u[:, -1])
-    first = int(np.nonzero(np.abs(c) >= 0.5 * np.abs(c).max())[0][0])
-    c = c / c[first]
-    return ComplementingVerdict(False, ratio, tuple(c.tolist()), point, tuple(xi.tolist()))
+    roots = np.array(roots_positive_imag(lp, point, xi, point.n), dtype=complex)
+    stacked = _remainder_rows(lp(point, xi, point.n).coeffs[None],
+                              bp(point, xi, point.n).coeffs[None], roots[None])
+    passed, ratio, combination = _rank_test(stacked)
+    return ComplementingVerdict(bool(passed[0]), float(ratio[0]),
+                                None if passed[0] else combination(0),
+                                point, tuple(xi.tolist()))
 
 
 def _xi_scalings(count: int) -> np.ndarray:
@@ -501,7 +634,12 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     """All four conditions on the deterministic sample set: boundary
     angles uniform on the circle, unit-sphere directions for the
     determinant, and tangential xi = c tau over both-sign scalings c for
-    the root and complementing conditions."""
+    the root and complementing conditions.
+
+    The n_boundary_samples x n_xi_samples pencils are evaluated as one
+    batch; each sample's roots serve both the root-count and the
+    complementing condition, and witnesses belong to the first failing
+    sample in (point, scaling) order."""
     if n_boundary_samples < 8 or n_xi_samples < 8:
         raise ValueError("need at least 8 boundary and 8 xi samples")
     angles = np.linspace(0.0, 2.0 * np.pi, n_boundary_samples, endpoint=False)
@@ -516,40 +654,51 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
         raise ValueError(f"{problem.n_boundary_rows} boundary rows for half-order "
                          f"m={m}: the counts must agree")
 
-    lp, _ = principal_parts(problem)
-    scalings = _xi_scalings(n_xi_samples)
-    root_ok, comp_ok = True, True
-    for point in points:
-        tau = np.asarray(point.tau, dtype=float)
-        for c in scalings:
-            xi = c * tau
-            try:
-                roots = roots_positive_imag(lp, point, xi, point.n)
-            except DegenerateConfigurationError as err:
-                if root_ok:
-                    witnesses["supplementary"] = {"theta": point.theta,
-                                                  "xi": tuple(xi.tolist()),
-                                                  "error": str(err)}
-                root_ok = False
-                continue
-            if len(roots) != m:
-                if root_ok:
-                    witnesses["supplementary"] = {"theta": point.theta,
-                                                  "xi": tuple(xi.tolist()),
-                                                  "roots": roots}
-                root_ok = False
-                continue
-            verdict = complementing_check(problem, point, xi)
-            if not verdict.passed and comp_ok:
-                witnesses["complementing"] = {"theta": point.theta,
-                                              "xi": verdict.xi,
-                                              "combination": verdict.witness,
-                                              "singular_ratio": verdict.singular_ratio}
-                comp_ok = False
+    tau, normal = _directions(points)
+    xi = _xi_scalings(n_xi_samples)[None, :, None] * tau[:, None, :]
+    normal = np.broadcast_to(normal[:, None, :], xi.shape)
+    _require_independent(xi, normal)
+    _require_tangential(xi, normal)
+    lpen = _principal_array(problem, False, points, xi, normal)
+    bpen = _principal_array(problem, True, points, xi, normal)
+    xi = xi.reshape(-1, 2)
+
+    root_ok, valid, stable = True, [], []
+    for s, roots in enumerate(_roots(_det(lpen))):
+        theta = points[s // n_xi_samples].theta
+        try:
+            upper = _upper_roots(roots, theta, xi[s])
+        except DegenerateConfigurationError as err:
+            if root_ok:
+                witnesses["supplementary"] = {"theta": theta, "xi": tuple(xi[s].tolist()),
+                                              "error": str(err)}
+            root_ok = False
+            continue
+        if len(upper) != m:
+            if root_ok:
+                witnesses["supplementary"] = {"theta": theta, "xi": tuple(xi[s].tolist()),
+                                              "roots": upper}
+            root_ok = False
+            continue
+        valid.append(s)
+        stable.append(upper)
+
+    comp_ok = True
+    if valid:
+        passed, ratio, combination = _rank_test(_remainder_rows(
+            lpen[valid], bpen[valid], np.array(stable, dtype=complex)))
+        failing = np.nonzero(~passed)[0]
+        if failing.size:
+            k, s = failing[0], valid[failing[0]]
+            witnesses["complementing"] = {"theta": points[s // n_xi_samples].theta,
+                                          "xi": tuple(xi[s].tolist()),
+                                          "combination": combination(k),
+                                          "singular_ratio": float(ratio[k])}
+            comp_ok = False
     verdicts["supplementary"] = root_ok
     verdicts["complementing"] = comp_ok and root_ok
     counts = dict(report.sample_counts)
-    counts["pencil"] = n_boundary_samples * n_xi_samples
+    counts["pencil"] = len(xi)
     return AdnReport(verdicts=verdicts, ellipticity_min=report.ellipticity_min,
                      ellipticity_max=report.ellipticity_max, m=m,
                      witnesses=witnesses, sample_counts=counts, name=problem.name)

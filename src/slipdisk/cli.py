@@ -5,7 +5,7 @@ Verbs:
 
     slipdisk simulate <config.json> [--out DIR]
     slipdisk sweep    <config.json> [--out DIR]
-    slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 parse error)
+    slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 unusable problem)
     slipdisk diagnose <trajectory-dir> [--out FILE]
 
 Run directories hold config-resolved.json, series.csv, and (simulate)
@@ -299,7 +299,11 @@ def _cmd_adn(args) -> int:
     except (json.JSONDecodeError, KeyError, ValueError, OSError, TypeError) as err:
         print(f"cannot parse problem file {args.problem}: {err}", file=sys.stderr)
         return 2
-    report = adn_mod.check_all(problem, args.boundary_samples, args.xi_samples)
+    try:
+        report = adn_mod.check_all(problem, args.boundary_samples, args.xi_samples)
+    except ValueError as err:
+        print(f"cannot check problem {args.problem}: {err}", file=sys.stderr)
+        return 2
     out = args.out or os.path.splitext(args.problem)[0] + ".report.json"
     with open(out, "w") as fh:
         fh.write(report.to_json())
@@ -354,6 +358,17 @@ def _cmd_diagnose(args) -> int:
     return 1 if False in verdicts else 0
 
 
+def _sample_count(text: str) -> int:
+    """argparse type of the adn sample counts: an integer of at least 8."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if count < 8:
+        raise argparse.ArgumentTypeError(f"need at least 8 samples, got {count}")
+    return count
+
+
 def _stem(path) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -376,8 +391,8 @@ def main(argv=None) -> int:
     p_adn = sub.add_parser("adn", help="check ellipticity conditions")
     p_adn.add_argument("problem")
     p_adn.add_argument("--out", default=None)
-    p_adn.add_argument("--boundary-samples", type=int, default=32)
-    p_adn.add_argument("--xi-samples", type=int, default=8)
+    p_adn.add_argument("--boundary-samples", type=_sample_count, default=32)
+    p_adn.add_argument("--xi-samples", type=_sample_count, default=8)
     p_adn.set_defaults(func=_cmd_adn)
 
     p_diag = sub.add_parser("diagnose", help="evaluate residuals on a saved run")

@@ -11,6 +11,7 @@ must fail with meaningful witnesses.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ from slipdisk import (
     principal_parts,
     roots_positive_imag,
 )
-from slipdisk.adn import DegenerateConfigurationError
+from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _det, _matmul,
+                          _roots)
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,41 @@ def test_matpolyc_det_and_adjugate_identity():
             scale = max(det.max_abs_coeff(), 1.0)
             assert (diff.is_zero
                     or diff.max_abs_coeff() < 1e-12 * scale), (i, j)
+
+
+def test_batched_det_and_adjugate_hold_for_every_sample():
+    # A adj(A) = det(A) I per sample, and det agrees with the numeric
+    # determinant of A(sigma) at sample points of sigma
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 3, 3, 3)) + 1j * rng.standard_normal((6, 3, 3, 3))
+    det, adj = _det(a), _adjugate(a)
+    prod = _matmul(a, adj)
+    for s in range(6):
+        scale = np.abs(det[s]).max()
+        want = np.eye(3)[:, :, None] * det[s]
+        assert np.abs(prod[s] - want).max() < 1e-12 * scale, s
+        for sigma in (0.3, -1.1 + 0.5j):
+            numeric = np.linalg.det(np.polynomial.polynomial.polyval(
+                sigma, np.moveaxis(a[s], -1, 0)))
+            got = np.polynomial.polynomial.polyval(sigma, det[s])
+            assert abs(got - numeric) < 1e-12 * max(1.0, abs(numeric)), s
+
+
+def test_batched_roots_equal_np_roots_per_sample():
+    rng = np.random.default_rng(9)
+    polys = np.zeros((7, 6), dtype=complex)
+    polys[0, :4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    polys[1] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    polys[2, 1:5] = rng.standard_normal(4)            # zero constant term
+    polys[3, 2:4] = [2.0, 1.0j]                       # two zero low-order terms
+    polys[4, :3] = [1.0, 0.5, 2.0]
+    polys[4, 5] = 1e-16                               # trimmed leading term
+    polys[5, 0] = 3.0                                 # constant
+    # polys[6] is the zero polynomial
+    got = _roots(polys)
+    for s in range(len(polys)):
+        want = np.roots(PolyC(polys[s]).coeffs[::-1])
+        assert got[s].dtype == want.dtype and np.array_equal(got[s], want), s
 
 
 def test_matpolyc_adjugate_one_by_one():
@@ -352,6 +391,67 @@ def test_check_all_passes_slip_problem_for_each_alpha():
         assert report.sample_counts["pencil"] == 32 * 8
 
 
+_LAPLACE_ROWS = [{"i": i, "j": i, "mi": mi, "c": 1}
+                 for i in (1, 2) for mi in ([2, 0], [0, 2])]
+_RECORDED = {
+    "navier_laplacian_alpha1": navier_laplacian_problem(1.0),
+    "wave": {"M": 1, "s": [0], "t": [2], "r": [-2],
+             "L": [{"i": 1, "j": 1, "mi": [2, 0], "c": 1},
+                   {"i": 1, "j": 1, "mi": [0, 2], "c": -1}],
+             "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}], "name": "wave"},
+    "duplicated_rows": {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
+                        "L": _LAPLACE_ROWS,
+                        "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": "n1"},
+                              {"i": 1, "j": 2, "mi": [0, 0], "c": "n2"},
+                              {"i": 2, "j": 1, "mi": [0, 0], "c": "n1"},
+                              {"i": 2, "j": 2, "mi": [0, 0], "c": "n2"}],
+                        "name": "duplicated_rows"},
+    "degenerate_diagonal": {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
+                            "L": [{"i": 1, "j": 1, "mi": [2, 0], "c": 1},
+                                  {"i": 2, "j": 2, "mi": [0, 2], "c": 1}],
+                            "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                                  {"i": 2, "j": 2, "mi": [0, 0], "c": 1}],
+                            "name": "degenerate_diagonal"},
+}
+
+
+def _assert_close(got, want, path):
+    # floats to 1e-12 relative; values below 1e-15 are roundoff of an
+    # exact zero (the duplicated rows' singular ratio, the wave's det)
+    if isinstance(want, dict) and set(want) == {"re", "im"}:
+        got, want = complex(got["re"], got["im"]), complex(want["re"], want["im"])
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{k}]")
+    elif isinstance(want, (float, complex)) and not isinstance(want, bool):
+        assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("key", sorted(_RECORDED))
+def test_check_all_matches_reports_recorded_before_batching(key):
+    # reports of the per-sample PolyC checker at 64 x 16 samples; the
+    # witnesses must name the same sample with the same content
+    recorded = json.loads((DATA / "adn_reports.json").read_text())[key]
+    problem = _RECORDED[key]
+    if isinstance(problem, dict):
+        problem = load_problem(problem)
+    report = json.loads(check_all(problem, 64, 16).to_json())
+    for field in ("name", "passed", "verdicts", "m", "sample_counts"):
+        assert report[field] == recorded[field], field
+    for name, witness in recorded["witnesses"].items():
+        assert report["witnesses"][name].keys() == witness.keys(), name
+        assert report["witnesses"][name]["theta"] == witness["theta"], name
+        assert report["witnesses"][name]["xi"] == witness["xi"], name
+    _assert_close(report, recorded, key)
+
+
 def test_check_all_row_scaling_invariance():
     # scaling a boundary row must not change any verdict (rows are
     # normalized before the rank test)
@@ -418,6 +518,47 @@ def test_load_problem_from_file(tmp_path):
 def test_load_problem_unknown_builtin():
     with pytest.raises(ValueError, match="unknown builtin"):
         load_problem({"builtin": "stokes"})
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d["L"].append({"i": 0, "j": 0, "mi": [2, 0], "c": 1}),
+                 r"L entry 5 \(0,0\): row 0 is outside 1..2", id="L-row-0"),
+    pytest.param(lambda d: d["L"].append({"i": 1, "j": 3, "mi": [2, 0], "c": 1}),
+                 r"L entry 5 \(1,3\): column 3 is outside 1..2", id="L-column-3"),
+    pytest.param(lambda d: d["B"].append({"i": 3, "j": 1, "mi": [0, 0], "c": 1}),
+                 r"B entry 3 \(3,1\): row 3 is outside 1..2", id="B-row-3"),
+    pytest.param(lambda d: d["B"].append({"i": 1, "j": 0, "mi": [0, 0], "c": 1}),
+                 r"B entry 3 \(1,0\): column 0 is outside 1..2", id="B-column-0"),
+    pytest.param(lambda d: d.update(s=[0]),
+                 r"s and t need M=2 weights each, got 1 and 2", id="short-s"),
+    pytest.param(lambda d: d.update(t=[2, 2, 2]),
+                 r"s and t need M=2 weights each, got 2 and 3", id="long-t"),
+    pytest.param(lambda d: d["L"][0].update(mi=[2, 0, 0]),
+                 r"L entry 1 \(1,1\): multi-index", id="three-axes"),
+    pytest.param(lambda d: d["L"][0].update(mi=[-1, 3]),
+                 r"multi-index \(-1, 3\) must be two", id="negative-order"),
+    pytest.param(lambda d: d["B"][1].update(mi=[0.5, 0]),
+                 r"B entry 2 \(2,2\): multi-index", id="fractional-order"),
+])
+def test_load_problem_rejects_malformed_entries(edit, message):
+    # 1-indexed entries outside the weights' range used to wrap around
+    # (row 0 became the last row) or fail deep inside check_all
+    data = {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
+            "L": [dict(e) for e in _LAPLACE_ROWS],
+            "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                  {"i": 2, "j": 2, "mi": [0, 0], "c": 1}]}
+    assert check_all(load_problem(data)).passed
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        load_problem(data)
+
+
+def test_check_all_rejects_zero_order_systems():
+    # a zeroth-order L has half-order 0 and no boundary rows to check
+    data = {"M": 1, "s": [0], "t": [0], "r": [],
+            "L": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}], "B": []}
+    with pytest.raises(ValueError, match="not an even positive integer"):
+        check_all(load_problem(data))
 
 
 def test_load_problem_symbol_products():

@@ -218,7 +218,7 @@ def test_sweep_verb(tmp_path):
     assert (out / "series.csv").exists()
 
 
-def test_adn_verb_exit_codes(tmp_path):
+def test_adn_verb_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"builtin": "navier_laplacian", "alpha": 1.0}))
     assert main(["adn", str(good)]) == 0
@@ -239,6 +239,35 @@ def test_adn_verb_exit_codes(tmp_path):
 
     missing = tmp_path / "missing.json"
     assert main(["adn", str(missing)]) == 2
+
+    # unusable problems and sample counts: exit 2 with a one-line message
+    laplace = [{"i": i, "j": i, "mi": mi, "c": 1}
+               for i in (1, 2) for mi in ([2, 0], [0, 2])]
+    unusable = {
+        "one_row": {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2], "L": laplace,
+                    "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}]},
+        "overweight": {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
+                       "L": laplace + [{"i": 1, "j": 2, "mi": [3, 0], "c": 1}],
+                       "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                             {"i": 2, "j": 2, "mi": [0, 0], "c": 1}]},
+        "row_zero": {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
+                     "L": laplace + [{"i": 0, "j": 0, "mi": [2, 0], "c": 1}],
+                     "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                           {"i": 2, "j": 2, "mi": [0, 0], "c": 1}]},
+    }
+    for stem, data in unusable.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["adn", str(path)]) == 2, stem
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err, (stem, err)
+        assert not (tmp_path / f"{stem}.report.json").exists()
+    for flag in ("--boundary-samples", "--xi-samples"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["adn", str(good), flag, "4"])
+        assert exit_info.value.code == 2
+        assert "at least 8" in capsys.readouterr().err
 
 
 def test_adn_verb_custom_out(tmp_path):
