@@ -18,12 +18,33 @@ which keeps quadratics exact through the Dirichlet solve as well.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
-from .field import (ScalarField, VectorField, from_modes, perp_grad,
-                    radial_derivative, to_modes)
-from .geometry import BoundaryTrace, PolarGrid
+from .field import (ScalarField, VectorField, boundary_values, from_modes, perp_grad,
+                    radial_derivative, to_modes, wall_derivative)
+from .geometry import BoundaryTrace, PolarGrid, build_grid
+
+
+def flux_laplacian_bands(grid: PolarGrid):
+    """Tridiagonal bands of L_k for every rfft mode, shape (n_theta//2 + 1,
+    n_r), with the interior flux-form stencil in every row and no upper
+    entry in the last; a boundary closure overwrites the last row's lower
+    and diagonal entries.
+
+    Returns (lower, diag, upper, k2), k2 the squared mode numbers.
+    """
+    dr, r, faces = grid.dr, grid.r, grid.r_face
+    k2 = np.arange(grid.n_theta // 2 + 1, dtype=float) ** 2
+    shape = (k2.size, grid.n_r)
+    lower = np.broadcast_to(faces[:-1] / (r * dr ** 2), shape).copy()
+    upper = np.broadcast_to(faces[1:] / (r * dr ** 2), shape).copy()
+    diag = np.broadcast_to(-(faces[:-1] + faces[1:]) / (r * dr ** 2), shape).copy()
+    diag -= k2[:, None] / r[None, :] ** 2
+    upper[:, -1] = 0.0
+    return lower, diag, upper, k2
 
 
 def dirichlet_laplacian_bands(grid: PolarGrid):
@@ -34,28 +55,19 @@ def dirichlet_laplacian_bands(grid: PolarGrid):
     (n_theta//2 + 1, n_r); the full operator action on mode k is
     L_k psi = T_k psi + data_coeff * g_k with g_k the boundary value.
     """
-    n_r, dr = grid.n_r, grid.dr
-    r = grid.r
-    faces = grid.r_face
-    k = np.arange(grid.n_theta // 2 + 1, dtype=float)
-    k2 = (k ** 2)[:, None]
-
-    lower_r = faces[:-1] / (r * dr ** 2)
-    upper_r = faces[1:] / (r * dr ** 2)
-    diag_r = -(faces[:-1] + faces[1:]) / (r * dr ** 2)
-
-    lower = np.broadcast_to(lower_r, (k.size, n_r)).copy()
-    upper = np.broadcast_to(upper_r, (k.size, n_r)).copy()
-    diag = np.broadcast_to(diag_r, (k.size, n_r)).copy()
-    diag -= k2 / r[None, :] ** 2
-
+    lower, diag, upper, k2 = flux_laplacian_bands(grid)
+    dr, rn, face = grid.dr, grid.r[-1], grid.r_face[-2]
     # ghost elimination at the outer node: psi_ghost = (8/3) g - 2 psi_{n-1} + (1/3) psi_{n-2}
-    rn = r[-1]
-    lower[:, -1] = (faces[-2] + 1.0 / 3.0) / (rn * dr ** 2)
-    diag[:, -1] = -(faces[-2] + 3.0) / (rn * dr ** 2) - k2[:, 0] / rn ** 2
-    upper[:, -1] = 0.0
-    data_coeff = (8.0 / 3.0) / (rn * dr ** 2)
-    return lower, diag, upper, data_coeff
+    lower[:, -1] = (face + 1.0 / 3.0) / (rn * dr ** 2)
+    diag[:, -1] = -(face + 3.0) / (rn * dr ** 2) - k2 / rn ** 2
+    return lower, diag, upper, (8.0 / 3.0) / (rn * dr ** 2)
+
+
+@functools.cache
+def cached_solver(solver_cls, n_r: int, n_theta: int):
+    """The one solver_cls instance, built on build_grid(n_r, n_theta), that
+    every caller on that grid shares; solvers are immutable."""
+    return solver_cls(build_grid(n_r, n_theta))
 
 
 class PoissonDirichletSolver:
@@ -85,7 +97,8 @@ class PoissonDirichletSolver:
         n_modes = grid.n_theta // 2 + 1
         parity = np.arange(n_modes) % 2
         self._lift = np.where(parity[:, None] == 0, r ** 2, r ** 3)
-        self._lift_trace = np.where(parity == 0, _trace_1d(r), _trace_1d(r ** 2))
+        self._lift_trace = np.where(parity == 0, *boundary_values(
+            np.column_stack((r, r ** 2)), grid))
 
     def solve_modes(self, rhs_modes: np.ndarray,
                     boundary_modes: np.ndarray | None = None) -> np.ndarray:
@@ -99,6 +112,8 @@ class PoissonDirichletSolver:
         if boundary_modes is not None:
             rhs[..., -1] -= self._data_coeff * boundary_modes
         psi = self._lu.solve(rhs)
+        # boundary_values of psi / r, written out: dividing after the
+        # weights is the rounding every stored trajectory was computed with
         r = self.grid.r
         trace = (15.0 * psi[..., -1] / r[-1] - 10.0 * psi[..., -2] / r[-2]
                  + 3.0 * psi[..., -3] / r[-3]) / 8.0
@@ -125,19 +140,8 @@ class PoissonDirichletSolver:
         return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
 
 
-_solver_cache: dict[tuple[int, int], PoissonDirichletSolver] = {}
-
-
-def _cached_solver(grid: PolarGrid) -> PoissonDirichletSolver:
-    key = (grid.n_r, grid.n_theta)
-    solver = _solver_cache.get(key)
-    if solver is None:
-        solver = _solver_cache[key] = PoissonDirichletSolver(grid)
-    return solver
-
-
 def solve_poisson_dirichlet(omega: ScalarField) -> ScalarField:
-    return _cached_solver(omega.grid).solve(omega)
+    return cached_solver(PoissonDirichletSolver, *omega.grid.shape).solve(omega)
 
 
 def biot_savart(omega: ScalarField) -> VectorField:
@@ -148,17 +152,6 @@ def biot_savart(omega: ScalarField) -> VectorField:
 # ---------------------------------------------------------------------------
 # sampler for the slip-compatible space W
 # ---------------------------------------------------------------------------
-
-def _trace_1d(prof: np.ndarray) -> float:
-    """Quadratic extrapolation of a radial profile to r = 1 (matches the
-    field-module boundary trace)."""
-    return (15.0 * prof[-1] - 10.0 * prof[-2] + 3.0 * prof[-3]) / 8.0
-
-
-def _deriv_1d(prof: np.ndarray, dr: float) -> float:
-    """One-sided second-order d/dr at r = 1 (matches boundary_tangential_velocity)."""
-    return (2.0 * prof[-1] - 3.0 * prof[-2] + prof[-3]) / dr
-
 
 def _deriv_profile(prof: np.ndarray, grid: PolarGrid, pole_sign: float) -> np.ndarray:
     """radial_derivative of a single-mode radial profile; pole_sign is the
@@ -182,18 +175,15 @@ def navier_mode_basis(grid: PolarGrid, alpha_const: float, k: int) -> np.ndarray
     row reproduces psi_k(1) = 0, so the system tends to the analytic one
     with determinant 2 (2k + 4 + alpha).
     """
-    r, dr = grid.r, grid.dr
+    r = grid.r
     exps = (k, k + 2, k + 4)
     pole_sign = 1.0 if k % 2 == 0 else -1.0
-    trace_row = np.empty(3)
-    slip_row = np.empty(3)
-    for col, m in enumerate(exps):
-        utheta_prof = _deriv_profile(r ** m, grid, pole_sign)
-        psi_over_r = r ** (m - 1)
-        trace_row[col] = _trace_1d(psi_over_r)
-        slip_row[col] = (_deriv_1d(utheta_prof, dr)
-                         + (alpha_const - 1.0) * _trace_1d(utheta_prof)
-                         + k ** 2 * _trace_1d(psi_over_r))
+    # radial profiles as (n_r, 3) columns, one per exponent
+    utheta_prof = np.column_stack([_deriv_profile(r ** m, grid, pole_sign) for m in exps])
+    trace_row = boundary_values(np.column_stack([r ** (m - 1) for m in exps]), grid)
+    slip_row = (wall_derivative(utheta_prof, grid)
+                + (alpha_const - 1.0) * boundary_values(utheta_prof, grid)
+                + k ** 2 * trace_row)
     mat = np.array([[trace_row[1], trace_row[2]],
                     [slip_row[1], slip_row[2]]])
     rhs = -np.array([trace_row[0], slip_row[0]])

@@ -1,16 +1,17 @@
 """Command line entry points: single simulations, the vanishing viscosity
 sweep, ellipticity checks, and trajectory diagnostics.
 
-Verbs:
+Verbs (also as python -m slipdisk <verb> ...):
 
     slipdisk simulate <config.json> [--out DIR]
     slipdisk sweep    <config.json> [--out DIR]
     slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 unusable problem)
-    slipdisk diagnose <trajectory-dir> [--out FILE]
+    slipdisk diagnose <trajectory-dir> [--out FILE] (exit 2 unreadable run directory)
 
 Run directories hold config-resolved.json, series.csv, and (simulate)
-snapshots.npz. Identical configs reproduce identical outputs except the
-wall_ms column, which reports measured wall time.
+snapshots.npz with the vorticity snapshots. Identical configs reproduce
+identical outputs except the wall_ms column, which reports measured wall
+time.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import adn as adn_mod
-from .biot_savart import solve_poisson_dirichlet
+from .biot_savart import biot_savart
 from .diagnostics import (enstrophy_balance_residual, extended_tangent,
                           navier_residuals, renormalized_slack,
                           weak_form_residual)
-from .field import ScalarField, VectorField, lp_norm, perp_grad
+from .field import ScalarField, VectorField, lp_norm
 from .geometry import build_grid
 from .ns_solver import (CflError, SimConfig, Trajectory, cfl_bound,
                         initial_vorticity, simulate, simulate_ensemble)
@@ -180,8 +181,7 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
 
     if base.dt == "auto":
         omega0 = initial_vorticity(base.initial_condition, fine_grid)
-        u0 = perp_grad(solve_poisson_dirichlet(omega0))
-        bound = cfl_bound(u0)
+        bound = cfl_bound(biot_savart(omega0))
         if not np.isfinite(bound):
             bound = base.t_end
         # The velocity maximum can grow during the run, so the initial
@@ -316,7 +316,11 @@ def _cmd_adn(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    traj = Trajectory.load(args.run_dir)
+    try:
+        traj = Trajectory.load(args.run_dir)
+    except (KeyError, ValueError, OSError, TypeError) as err:
+        print(f"cannot load run directory {args.run_dir}: {err}", file=sys.stderr)
+        return 2
     config = traj.config
     nu = config.nu
     tol = config.tol or {}

@@ -22,6 +22,7 @@ from .field import (ScalarField, VectorField, boundary_values, curl, divergence,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
+from .ns_solver import bump_values
 from .pressure import PressureSolve, advective_acceleration
 
 MEMBERSHIP_TOL = 1e-6
@@ -286,13 +287,12 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent, nu: float,
 # ---------------------------------------------------------------------------
 
 def _bump_profile(grid: PolarGrid, center, radius: float, amplitude: float):
-    """Compactly supported bump and its analytic cartesian gradient."""
+    """bump_values and its analytic cartesian gradient."""
+    vals = bump_values(grid, center, radius, amplitude)
     x = grid.r_col * np.cos(grid.theta)[None, :]
     y = grid.r_col * np.sin(grid.theta)[None, :]
     q = ((x - center[0]) ** 2 + (y - center[1]) ** 2) / radius ** 2
     inside = q < 1.0
-    vals = np.zeros(grid.shape)
-    vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - q[inside]))
     dfdq = np.zeros(grid.shape)
     dfdq[inside] = -vals[inside] / (1.0 - q[inside]) ** 2
     gx = dfdq * 2.0 * (x - center[0]) / radius ** 2

@@ -29,6 +29,10 @@ identity solve). Fields are built per member only at snapshots, and the
 per-step record is computed for all members at once. simulate() is the
 ensemble of one.
 
+A trajectory keeps each snapshot's vorticity and nothing else: the
+stream function and the velocity follow from it by the Biot-Savart law,
+and the Trajectory derives them on first use (see Trajectory).
+
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
 is a precondition of step(), checked per member; simulate_ensemble()
 re-evaluates an automatic dt against the smallest member bound every 10
@@ -38,13 +42,16 @@ steps.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
-from .biot_savart import _cached_solver, dirichlet_laplacian_bands
-from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
+from .biot_savart import (PoissonDirichletSolver, cached_solver, dirichlet_laplacian_bands,
+                          solve_poisson_dirichlet)
+from .field import (ScalarField, boundary_values, dealias_modes,
                     from_modes, lp_norms, perp_grad, perp_grad_values,
                     radial_derivative, theta_derivative, to_modes, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, boundary_trace, build_grid
@@ -272,7 +279,7 @@ class _Stepper:
         self.trace = trace
         self.nus = np.array(nus, dtype=float)
         self.viscous = bool(np.any(self.nus > 0.0))
-        self.poisson = _cached_solver(grid)
+        self.poisson = cached_solver(PoissonDirichletSolver, *grid.shape)
         self._diffusion: _DiffusionCN | None = None
 
     def diffusion(self, dt: float) -> _DiffusionCN:
@@ -343,27 +350,37 @@ def step(omega: ScalarField, psi: ScalarField, config: SimConfig,
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step scalar series of one simulation."""
+    """Vorticity snapshots plus per-step scalar series of one simulation.
+
+    A snapshot stores only its vorticity omega: the Biot-Savart law fixes
+    the rest. psis and us are derived on first use, one snapshot at a
+    time, by solve_poisson_dirichlet and perp_grad, and kept; a run in
+    memory and the same run loaded from disk take that one path and give
+    identical fields.
+    """
 
     config: SimConfig
     grid: PolarGrid
     trace: BoundaryTrace
     times: np.ndarray
     omegas: list
-    psis: list
-    us: list
-    u_tau: list
     series: dict
 
-    def snapshot(self, k: int) -> tuple[float, ScalarField, ScalarField, VectorField]:
-        return float(self.times[k]), self.omegas[k], self.psis[k], self.us[k]
+    @cached_property
+    def psis(self) -> list:
+        return [solve_poisson_dirichlet(om) for om in self.omegas]
+
+    @cached_property
+    def us(self) -> list:
+        return [perp_grad(psi) for psi in self.psis]
 
     def series_columns(self) -> list[str]:
         return _series_columns(self.config.lp_exponents)
 
     def save(self, run_dir) -> None:
-        import os
-
+        """Write config-resolved.json, series.csv and snapshots.npz, which
+        holds times, omega (n_snapshots, n_r, n_theta), series_names and
+        series_values."""
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "config-resolved.json"), "w") as fh:
             json.dump(self.config.to_dict(), fh, indent=2, sort_keys=True)
@@ -377,31 +394,35 @@ class Trajectory:
             os.path.join(run_dir, "snapshots.npz"),
             times=self.times,
             omega=np.stack([f.values for f in self.omegas]),
-            psi=np.stack([f.values for f in self.psis]),
-            u_r=np.stack([u.u_r for u in self.us]),
-            u_theta=np.stack([u.u_theta for u in self.us]),
-            u_tau=np.stack(self.u_tau),
             series_names=np.array(cols),
             series_values=np.stack([self.series[c] for c in cols]),
         )
 
     @classmethod
     def load(cls, run_dir) -> "Trajectory":
-        import os
-
+        """Read a run directory written by save. A snapshot file whose
+        omega or series names do not match config-resolved.json raises
+        ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
         grid = build_grid(config.n_r, config.n_theta)
         trace = boundary_trace(grid, config.alpha)
-        with np.load(os.path.join(run_dir, "snapshots.npz")) as data:
+        path = os.path.join(run_dir, "snapshots.npz")
+        with np.load(path) as data:
             times = data["times"]
-            omegas = [ScalarField(grid, v) for v in data["omega"]]
-            psis = [ScalarField(grid, v) for v in data["psi"]]
-            us = [VectorField(grid, a, b) for a, b in zip(data["u_r"], data["u_theta"])]
-            u_tau = list(data["u_tau"])
+            omega = data["omega"]
             names = [str(s) for s in data["series_names"]]
-            series = {name: vals for name, vals in zip(names, data["series_values"])}
+            values = data["series_values"]
+        if omega.shape != (len(times),) + grid.shape:
+            raise ValueError(f"{path}: omega has shape {omega.shape}, expected "
+                             f"{(len(times),) + grid.shape} for {len(times)} times "
+                             f"on the configured grid")
+        columns = _series_columns(config.lp_exponents)
+        if names != columns or len(values) != len(columns):
+            raise ValueError(f"{path}: series_names {names} with {len(values)} rows of "
+                             f"series_values differ from the configured columns {columns}")
         return cls(config=config, grid=grid, trace=trace, times=times,
-                   omegas=omegas, psis=psis, us=us, u_tau=u_tau, series=series)
+                   omegas=[ScalarField(grid, v) for v in omega],
+                   series=dict(zip(names, values)))
 
 
 def _fmt_p(p: float) -> str:
@@ -459,7 +480,7 @@ def simulate_ensemble(configs) -> list[Trajectory]:
 
     def snapshot(t, s: _State):
         times.append(t)
-        snapshots.append((s.omega, s.psi, s.u_r, s.u_theta))
+        snapshots.append(s.omega)
 
     snapshot(0.0, state)
     record(0.0, state)
@@ -488,9 +509,6 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     columns = _series_columns(first.lp_exponents)[1:]
     return [Trajectory(
         config=config, grid=grid, trace=trace, times=np.array(times),
-        omegas=[ScalarField(grid, w[k]) for w, _, _, _ in snapshots],
-        psis=[ScalarField(grid, p[k]) for _, p, _, _ in snapshots],
-        us=[VectorField(grid, ur[k], ut[k]) for _, _, ur, ut in snapshots],
-        u_tau=[wall_derivative(p[k], grid) for _, p, _, _ in snapshots],
+        omegas=[ScalarField(grid, w[k]) for w in snapshots],
         series={"t": np.array(record_times), **dict(zip(columns, series[k]))})
         for k, config in enumerate(configs)]

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
+from .biot_savart import cached_solver, flux_laplacian_bands
 from .field import (VECTOR_PARITY, ScalarField, VectorField, boundary_values,
                     divergence, from_modes, grad, lp_norm, radial_derivative,
-                    theta_derivative, to_modes)
+                    theta_derivative, to_modes, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 
 TANGENCY_TOL = 1e-6
@@ -85,24 +86,11 @@ def neumann_laplacian_bands(grid: PolarGrid):
     data. Returns (lower, diag, upper, data_coeff); the datum g_k enters
     the last row of the right-hand side as -data_coeff * g_k.
     """
-    n_r, dr = grid.n_r, grid.dr
-    r = grid.r
-    faces = grid.r_face
-    k = np.arange(grid.n_theta // 2 + 1, dtype=float)
-    k2 = (k ** 2)[:, None]
-
-    lower = np.broadcast_to(faces[:-1] / (r * dr ** 2), (k.size, n_r)).copy()
-    upper = np.broadcast_to(faces[1:] / (r * dr ** 2), (k.size, n_r)).copy()
-    diag = np.broadcast_to(-(faces[:-1] + faces[1:]) / (r * dr ** 2),
-                           (k.size, n_r)).copy()
-    diag -= k2 / r[None, :] ** 2
-
-    rn = r[-1]
-    lower[:, -1] = faces[-2] / (rn * dr ** 2)
-    diag[:, -1] = -faces[-2] / (rn * dr ** 2) - k2[:, 0] / rn ** 2
-    upper[:, -1] = 0.0
-    data_coeff = 1.0 / (rn * dr)
-    return lower, diag, upper, data_coeff
+    lower, diag, upper, k2 = flux_laplacian_bands(grid)
+    dr, rn, face = grid.dr, grid.r[-1], grid.r_face[-2]
+    lower[:, -1] = face / (rn * dr ** 2)
+    diag[:, -1] = -face / (rn * dr ** 2) - k2 / rn ** 2
+    return lower, diag, upper, 1.0 / (rn * dr)
 
 
 class PoissonNeumannSolver:
@@ -143,17 +131,6 @@ class PoissonNeumannSolver:
                                 to_modes(p.values))
         out[:, -1] += self._data_coeff * np.fft.rfft(neumann)
         return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
-
-
-_solver_cache: dict[tuple[int, int], PoissonNeumannSolver] = {}
-
-
-def _cached_neumann(grid: PolarGrid) -> PoissonNeumannSolver:
-    key = (grid.n_r, grid.n_theta)
-    solver = _solver_cache.get(key)
-    if solver is None:
-        solver = _solver_cache[key] = PoissonNeumannSolver(grid)
-    return solver
 
 
 def project_neumann_data(rhs: ScalarField, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -219,12 +196,11 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
         raise ValueError(f"Neumann data incompatible with the source "
                          f"(defect {defect:.3e}); velocity snapshot inconsistent")
 
-    solver = _cached_neumann(grid)
+    solver = cached_solver(PoissonNeumannSolver, *grid.shape)
     p = solver.solve(rhs, g)
     residual = solver.apply(p, g).values - rhs.values
     pde_residual = float(np.abs(residual).max())
-    dp_wall = (2.0 * p.values[-1] - 3.0 * p.values[-2] + p.values[-3]) / grid.dr
-    bc_residual = float(np.abs(dp_wall - g).max())
+    bc_residual = float(np.abs(wall_derivative(p.values, grid) - g).max())
     return PressureSolve(p=p, pde_residual=pde_residual, bc_residual=bc_residual,
                          compatibility_defect=defect, neumann_data=g,
                          acceleration=a)

@@ -8,6 +8,8 @@ main() with their exit code contract.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +209,42 @@ def test_diagnose_verb_exit_codes(tmp_path):
     out2 = tmp_path / "verdict.json"
     assert main(["diagnose", str(run2), "--out", str(out2)]) == 1
     assert json.loads(out2.read_text())["navier"]["pass"] is False
+
+
+def test_diagnose_verb_rejects_unreadable_run(tmp_path, capsys):
+    config = SimConfig(nu=0.1, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    cpath = tmp_path / "diag.json"
+    cpath.write_text(json.dumps(config.to_dict()))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", str(cpath), "--out", str(run_dir)]) == 0
+    snapshots = run_dir / "snapshots.npz"
+    with np.load(snapshots) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert len(arrays["times"]) == 3
+    arrays["omega"] = arrays["omega"][:2]
+    np.savez_compressed(snapshots, **arrays)
+    capsys.readouterr()
+    assert main(["diagnose", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "snapshots.npz" in err and "omega" in err, err
+    assert not (run_dir / "diagnostics.json").exists()
+
+    snapshots.unlink()
+    assert main(["diagnose", str(run_dir)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_python_m_slipdisk_runs_the_verbs(tmp_path):
+    problem = tmp_path / "slip.json"
+    problem.write_text(json.dumps({"builtin": "navier_laplacian", "alpha": 1.0}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "slipdisk", "adn", str(problem)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "slip.report.json").exists()
 
 
 def test_sweep_verb(tmp_path):

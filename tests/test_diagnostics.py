@@ -236,8 +236,7 @@ def _subset(traj, sl):
     from slipdisk import Trajectory
     return Trajectory(config=traj.config, grid=traj.grid, trace=traj.trace,
                       times=traj.times[sl], omegas=traj.omegas[sl],
-                      psis=traj.psis[sl], us=traj.us[sl],
-                      u_tau=traj.u_tau[sl], series=traj.series)
+                      series=traj.series)
 
 
 def test_enstrophy_balance_viscous(grid48):

@@ -26,6 +26,7 @@ from slipdisk import (
     initial_vorticity,
     lp_norm,
     simulate,
+    solve_poisson_dirichlet,
     step,
 )
 from slipdisk.field import boundary_values, to_modes
@@ -374,14 +375,81 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     assert (run_dir / "series.csv").exists()
     assert (run_dir / "snapshots.npz").exists()
 
+    with np.load(run_dir / "snapshots.npz") as data:
+        assert sorted(data.files) == ["omega", "series_names", "series_values", "times"]
+
     again = Trajectory.load(run_dir)
     assert np.allclose(again.times, traj.times)
     for a, b in zip(again.omegas, traj.omegas):
         assert np.allclose(a.values, b.values)
+    # psi and u are derived from omega by one code path, loaded or not
+    for a, b in zip(again.psis, traj.psis):
+        assert np.array_equal(a.values, b.values)
     for a, b in zip(again.us, traj.us):
-        assert np.allclose(a.u_theta, b.u_theta)
+        assert np.array_equal(a.u_r, b.u_r)
+        assert np.array_equal(a.u_theta, b.u_theta)
     assert np.allclose(again.series["energy"], traj.series["energy"])
     assert again.config.nu == config.nu
+
+    # a run directory of the earlier format, with psi and u stored too, loads
+    _rewrite_snapshots(run_dir, psi=np.stack([f.values for f in traj.psis]),
+                       u_r=np.stack([u.u_r for u in traj.us]),
+                       u_theta=np.stack([u.u_theta for u in traj.us]),
+                       u_tau=np.stack([u.u_theta[-1] for u in traj.us]))
+    older = Trajectory.load(run_dir)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(older.psis, traj.psis))
+
+    # the stepper's own psi is the Biot-Savart stream function of its omega
+    omega, psi = step(traj.omegas[-1], traj.psis[-1], config,
+                      boundary_trace(traj.grid, config.alpha), dt=1e-3)
+    derived = solve_poisson_dirichlet(omega).values
+    assert np.max(np.abs(derived - psi.values)) <= 1e-12 * np.max(np.abs(psi.values))
+
+
+def test_trajectory_derives_psi_and_u_once_per_snapshot(monkeypatch):
+    from slipdisk import ns_solver
+
+    traj = simulate(SimConfig(nu=0.02, t_end=0.02, initial_condition={"const": 2.0},
+                              dt=0.005, n_r=16, n_theta=16, output_stride=2))
+    calls = []
+
+    def counting(omega):
+        calls.append(omega)
+        return solve_poisson_dirichlet(omega)
+
+    monkeypatch.setattr(ns_solver, "solve_poisson_dirichlet", counting)
+    us = traj.us
+    assert traj.us is us and traj.psis is traj.psis
+    assert [c.values.shape for c in calls] == [traj.grid.shape] * len(traj.omegas)
+
+
+def _rewrite_snapshots(run_dir, **replace):
+    path = run_dir / "snapshots.npz"
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays.update(replace)
+    np.savez_compressed(path, **arrays)
+
+
+def test_trajectory_load_rejects_inconsistent_snapshots(tmp_path):
+    config = SimConfig(nu=0.02, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    traj = simulate(config)
+    assert len(traj.times) == 3
+    omega = np.stack([f.values for f in traj.omegas])
+    cases = {
+        "missing snapshot": (dict(omega=omega[:2]), r"omega has shape \(2, 16, 16\)"),
+        "wrong grid": (dict(omega=omega[:, :8]), r"omega has shape \(3, 8, 16\)"),
+        "series names": (dict(series_names=np.array(["t", "energy"])), "series_names"),
+        "series rows": (dict(series_values=np.zeros((2, 5))), "with 2 rows"),
+    }
+    for name, (replace, match) in cases.items():
+        run_dir = tmp_path / name.replace(" ", "_")
+        traj.save(run_dir)
+        _rewrite_snapshots(run_dir, **replace)
+        with pytest.raises(ValueError, match=match) as info:
+            Trajectory.load(run_dir)
+        assert "snapshots.npz" in str(info.value), name
 
 
 def test_bump_values_signature(grid32):
