@@ -5,10 +5,9 @@ estimates the scheme is supposed to satisfy, and an ellipticity checker
 for boundary value systems with weights.
 """
 
-from .adn import (AdnProblem, AdnReport, MatPolyC, PolyC, adjugate, check_all,
-                  check_ellipticity, complementing_check, disk_boundary,
-                  load_problem, navier_laplacian_problem, principal_parts,
-                  roots_positive_imag)
+from .adn import (AdnProblem, AdnReport, check_all, check_ellipticity,
+                  complementing_check, disk_boundary, load_problem,
+                  navier_laplacian_problem, principal_parts, roots_positive_imag)
 from .biot_savart import biot_savart, sample_navier_field, solve_poisson_dirichlet
 from .cli import ConvergenceReport, SweepConfig, main, run_sweep
 from .diagnostics import (ExtendedTangent, ResidualReport, TimeSeriesReport,
@@ -24,9 +23,9 @@ from .pressure import PressureSolve, pressure_estimate_slack, recover_pressure
 
 __all__ = [
     "AdnProblem", "AdnReport", "BoundaryTrace", "CflError", "ConvergenceReport",
-    "DivergenceError", "ExtendedTangent", "MatPolyC", "PolarGrid", "PolyC",
+    "DivergenceError", "ExtendedTangent", "PolarGrid",
     "PressureSolve", "ResidualReport", "ScalarField", "SimConfig", "SweepConfig",
-    "TimeSeriesReport", "Trajectory", "VectorField", "adjugate", "biot_savart",
+    "TimeSeriesReport", "Trajectory", "VectorField", "biot_savart",
     "boundary_trace", "build_grid", "check_all", "check_ellipticity",
     "complementing_check", "curl", "cz_ratio", "disk_boundary", "divergence",
     "enstrophy_balance_residual", "extended_tangent", "grad", "h2_ratio",

@@ -19,9 +19,9 @@ ascending order, and a matrix of such polynomials is one array of shape
 below (product, cofactor determinant and adjugate, matrix product,
 division by a monic M+, roots) broadcast over them, so check_all builds
 the pencils of every boundary point and tangential frequency as one
-(samples, rows, cols, K) array and evaluates all samples in one pass.
-PolyC and MatPolyC wrap a single polynomial and a single matrix for the
-per-sample entry points; they call the same kernels with one sample.
+(samples, rows, cols, K) array and evaluates all samples in one pass;
+the per-sample entry points call the same kernels on one (rows, cols, K)
+array.
 """
 
 from __future__ import annotations
@@ -146,130 +146,6 @@ def _roots(c: np.ndarray) -> list:
     return out
 
 
-class PolyC:
-    """Polynomial in one variable with complex coefficients, ascending
-    degree. Coefficients within TRIM_TOL of zero relative to the largest
-    magnitude are trimmed so the recorded degree is meaningful."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        deg = int(_degrees(c)) if c.size else -1
-        self.coeffs = c[:deg + 1] if deg >= 0 else np.zeros(1, dtype=complex)
-
-    @classmethod
-    def zero(cls) -> "PolyC":
-        return cls([0.0])
-
-    @classmethod
-    def one(cls) -> "PolyC":
-        return cls([1.0])
-
-    @classmethod
-    def from_roots(cls, roots) -> "PolyC":
-        return cls(_monic(np.asarray(roots, dtype=complex).reshape(-1)))
-
-    @property
-    def degree(self) -> int:
-        return -1 if self.is_zero else self.coeffs.size - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 1 and self.coeffs[0] == 0.0
-
-    def __call__(self, sigma: complex) -> complex:
-        out = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            out = out * sigma + c
-        return out
-
-    def __add__(self, other: "PolyC") -> "PolyC":
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n, dtype=complex)
-        a[: self.coeffs.size] = self.coeffs
-        a[: other.coeffs.size] += other.coeffs
-        return PolyC(a)
-
-    def __sub__(self, other: "PolyC") -> "PolyC":
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n, dtype=complex)
-        a[: self.coeffs.size] = self.coeffs
-        a[: other.coeffs.size] -= other.coeffs
-        return PolyC(a)
-
-    def __mul__(self, other) -> "PolyC":
-        if isinstance(other, PolyC):
-            return PolyC(_polymul(self.coeffs, other.coeffs))
-        return PolyC(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PolyC":
-        return PolyC(-self.coeffs)
-
-    def divmod(self, divisor: "PolyC") -> tuple["PolyC", "PolyC"]:
-        """Euclidean division; returns (quotient, remainder)."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem = _polydiv(self.coeffs, divisor.coeffs)
-        return PolyC(quot), PolyC(rem)
-
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    def __repr__(self) -> str:
-        return f"PolyC({self.coeffs.tolist()})"
-
-
-class MatPolyC:
-    """Rectangular matrix of polynomials: one complex coefficient array
-    of shape (rows, cols, K). Built from that array or from rows of
-    PolyC entries."""
-
-    def __init__(self, entries):
-        if isinstance(entries, np.ndarray):
-            self.coeffs = entries
-            return
-        rows = [list(row) for row in entries]
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged polynomial matrix")
-        k = max((p.coeffs.size for row in rows for p in row), default=1)
-        self.coeffs = np.zeros((len(rows), len(rows[0]) if rows else 0, k), dtype=complex)
-        for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                self.coeffs[i, j, :p.coeffs.size] = p.coeffs
-
-    @property
-    def shape(self) -> tuple:
-        return self.coeffs.shape[:2]
-
-    def __getitem__(self, idx) -> PolyC:
-        i, j = idx
-        return PolyC(self.coeffs[i, j])
-
-    def __matmul__(self, other: "MatPolyC") -> "MatPolyC":
-        return MatPolyC(_matmul(self.coeffs, other.coeffs))
-
-    def det(self) -> PolyC:
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("determinant of a non-square matrix")
-        return PolyC(_det(self.coeffs))
-
-    def adjugate(self) -> "MatPolyC":
-        """Cofactor transpose; satisfies A @ adj(A) = det(A) I."""
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("adjugate of a non-square matrix")
-        return MatPolyC(_adjugate(self.coeffs))
-
-    def evaluate(self, sigma: complex) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(sigma, np.moveaxis(self.coeffs, -1, 0))
-
-
-def adjugate(a: MatPolyC) -> MatPolyC:
-    return a.adjugate()
-
-
 # ---------------------------------------------------------------------------
 # problems
 # ---------------------------------------------------------------------------
@@ -381,8 +257,9 @@ def principal_parts(problem: AdnProblem):
     evaluators.
 
     Each evaluator maps (point, xi) to a numeric complex matrix, or
-    (point, xi, xi_prime) to a MatPolyC in the pencil variable along
-    xi + sigma xi_prime. Only terms of exact weighted degree survive.
+    (point, xi, xi_prime) to the (rows, M, K) coefficient array of the
+    pencil along xi + sigma xi_prime. Only terms of exact weighted degree
+    survive.
     """
     for (i, j, mi, _) in problem.L_coeffs:
         order = int(sum(mi))
@@ -406,7 +283,7 @@ def principal_parts(problem: AdnProblem):
             if xi_prime is None:
                 return _principal_array(problem, boundary, [point], xi)[0, ..., 0]
             xp = np.asarray(xi_prime, dtype=float)[None, None]
-            return MatPolyC(_principal_array(problem, boundary, [point], xi, xp)[0])
+            return _principal_array(problem, boundary, [point], xi, xp)[0]
         return evaluate
 
     return build(False), build(True)
@@ -550,8 +427,8 @@ def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
     xi = np.asarray(xi, dtype=float)
     xip = np.asarray(xi_prime, dtype=float)
     _require_independent(xi, xip)
-    det = lp_eval(point, xi, xip).det()
-    return _upper_roots(_roots(det.coeffs[None])[0], point.theta, xi)
+    det = _det(lp_eval(point, xi, xip))
+    return _upper_roots(_roots(det[None])[0], point.theta, xi)
 
 
 @dataclass(frozen=True)
@@ -613,8 +490,8 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
     _require_tangential(xi, np.asarray(point.n, dtype=float))
     lp, bp = principal_parts(problem)
     roots = np.array(roots_positive_imag(lp, point, xi, point.n), dtype=complex)
-    stacked = _remainder_rows(lp(point, xi, point.n).coeffs[None],
-                              bp(point, xi, point.n).coeffs[None], roots[None])
+    stacked = _remainder_rows(lp(point, xi, point.n)[None],
+                              bp(point, xi, point.n)[None], roots[None])
     passed, ratio, combination = _rank_test(stacked)
     return ComplementingVerdict(bool(passed[0]), float(ratio[0]),
                                 None if passed[0] else combination(0),

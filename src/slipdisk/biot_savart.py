@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from ._tridiag import TridiagonalBatch, apply_tridiagonal
+from ._tridiag import TridiagonalBatch
 from .field import (ScalarField, VectorField, boundary_values, from_modes, perp_grad,
                     radial_derivative, to_modes, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, build_grid
@@ -75,7 +75,7 @@ class PoissonDirichletSolver:
 
     After the tridiagonal solve, each mode k >= 1 receives a small radial
     lift delta_k * r^(2 + k mod 2) sized so that the quadratically
-    extrapolated trace of psi_k / r matches the boundary data exactly.
+    extrapolated trace of psi_k / r vanishes exactly.
     That trace is (i/k times) the wall-normal velocity of the recovered
     field, so every velocity reconstructed from this solver satisfies the
     discrete impermeability condition to roundoff rather than to the
@@ -90,9 +90,8 @@ class PoissonDirichletSolver:
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        bands = dirichlet_laplacian_bands(grid)
-        self._lower, self._diag, self._upper, self._data_coeff = bands
-        self._lu = TridiagonalBatch(self._lower, self._diag, self._upper)
+        lower, diag, upper, _ = dirichlet_laplacian_bands(grid)
+        self._lu = TridiagonalBatch(lower, diag, upper)
         r = grid.r
         n_modes = grid.n_theta // 2 + 1
         parity = np.arange(n_modes) % 2
@@ -100,27 +99,20 @@ class PoissonDirichletSolver:
         self._lift_trace = np.where(parity == 0, *boundary_values(
             np.column_stack((r, r ** 2)), grid))
 
-    def solve_modes(self, rhs_modes: np.ndarray,
-                    boundary_modes: np.ndarray | None = None) -> np.ndarray:
-        """Solve T_k psi_k = rhs_k - data_coeff * g_k for all modes at once,
-        then lift so the trace of psi_k / r equals g_k exactly for k >= 1.
+    def solve_modes(self, rhs_modes: np.ndarray) -> np.ndarray:
+        """Solve T_k psi_k = rhs_k for all modes at once, then lift so the
+        trace of psi_k / r vanishes exactly for k >= 1.
 
         rhs_modes has shape (..., n_modes, n_r), leading axes solved as
         further right-hand sides; returns the same layout.
         """
-        rhs = np.array(rhs_modes, dtype=complex)
-        if boundary_modes is not None:
-            rhs[..., -1] -= self._data_coeff * boundary_modes
-        psi = self._lu.solve(rhs)
+        psi = self._lu.solve(np.asarray(rhs_modes, dtype=complex))
         # boundary_values of psi / r, written out: dividing after the
         # weights is the rounding every stored trajectory was computed with
         r = self.grid.r
         trace = (15.0 * psi[..., -1] / r[-1] - 10.0 * psi[..., -2] / r[-2]
                  + 3.0 * psi[..., -3] / r[-3]) / 8.0
-        target = np.zeros_like(trace)
-        if boundary_modes is not None:
-            target += boundary_modes
-        delta = (target - trace) / self._lift_trace
+        delta = -trace / self._lift_trace
         delta[..., 0] = 0.0
         psi += delta[..., None] * self._lift
         return psi
@@ -128,16 +120,6 @@ class PoissonDirichletSolver:
     def solve(self, omega: ScalarField) -> ScalarField:
         psi_modes = self.solve_modes(to_modes(omega.values))
         return ScalarField(self.grid, from_modes(psi_modes, self.grid.n_theta))
-
-    def apply(self, psi: ScalarField,
-              boundary: np.ndarray | None = None) -> ScalarField:
-        """Discrete Laplacian with the solver's boundary closure (boundary
-        value 0 unless given); used for residual checks."""
-        out = apply_tridiagonal(self._lower, self._diag, self._upper,
-                                to_modes(psi.values))
-        if boundary is not None:
-            out[:, -1] += self._data_coeff * np.fft.rfft(boundary)
-        return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
 
 
 def solve_poisson_dirichlet(omega: ScalarField) -> ScalarField:
@@ -152,12 +134,6 @@ def biot_savart(omega: ScalarField) -> VectorField:
 # ---------------------------------------------------------------------------
 # sampler for the slip-compatible space W
 # ---------------------------------------------------------------------------
-
-def _deriv_profile(prof: np.ndarray, grid: PolarGrid, pole_sign: float) -> np.ndarray:
-    """radial_derivative of a single-mode radial profile; pole_sign is the
-    half-turn parity (-1)^k of the mode."""
-    return radial_derivative(prof[:, None], grid, parity=pole_sign)[:, 0]
-
 
 def navier_mode_basis(grid: PolarGrid, alpha_const: float, k: int) -> np.ndarray:
     """Radial coefficients (a, b, c) of psi_k = a r^k + b r^{k+2} + c r^{k+4}
@@ -178,8 +154,11 @@ def navier_mode_basis(grid: PolarGrid, alpha_const: float, k: int) -> np.ndarray
     r = grid.r
     exps = (k, k + 2, k + 4)
     pole_sign = 1.0 if k % 2 == 0 else -1.0
-    # radial profiles as (n_r, 3) columns, one per exponent
-    utheta_prof = np.column_stack([_deriv_profile(r ** m, grid, pole_sign) for m in exps])
+    # radial profiles as (n_r, 3) columns, one per exponent; the derivative
+    # takes each as a one-angle field, whose pole ghost is its own value
+    # times the half-turn parity of mode k
+    utheta_prof = radial_derivative(np.stack([r ** m for m in exps])[..., None],
+                                    grid, pole_sign)[..., 0].T
     trace_row = boundary_values(np.column_stack([r ** (m - 1) for m in exps]), grid)
     slip_row = (wall_derivative(utheta_prof, grid)
                 + (alpha_const - 1.0) * boundary_values(utheta_prof, grid)

@@ -6,7 +6,8 @@ Verbs (also as python -m slipdisk <verb> ...):
     slipdisk simulate <config.json> [--out DIR]
     slipdisk sweep    <config.json> [--out DIR]
     slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 unusable problem)
-    slipdisk diagnose <trajectory-dir> [--out FILE] (exit 2 unreadable run directory)
+    slipdisk diagnose <trajectory-dir> [--out FILE] (exit 2 unreadable run directory
+                                                     or fewer than 2 snapshots)
 
 Run directories hold config-resolved.json, series.csv, and (simulate)
 snapshots.npz with the vorticity snapshots. Identical configs reproduce
@@ -31,7 +32,7 @@ from scipy.interpolate import CubicSpline
 from . import adn as adn_mod
 from .biot_savart import biot_savart
 from .diagnostics import (enstrophy_balance_residual, extended_tangent,
-                          navier_residuals, renormalized_slack,
+                          navier_residuals, phi_bump, renormalized_slack,
                           weak_form_residual)
 from .field import ScalarField, VectorField, lp_norm
 from .geometry import build_grid
@@ -65,8 +66,9 @@ class SweepConfig:
         self.nu_list = tuple(float(v) for v in self.nu_list)
         self.q_list = tuple(float(q) for q in self.q_list)
         self.p = float(self.p)
-        if not self.nu_list or any(v <= 0 for v in self.nu_list):
-            raise ValueError("nu_list must be nonempty positive reals")
+        if not self.nu_list or not all(np.isfinite(v) and v > 0 for v in self.nu_list):
+            raise ValueError(f"nu_list must be nonempty finite positive reals, "
+                             f"got {self.nu_list}")
         if any(a <= b for a, b in zip(self.nu_list, self.nu_list[1:])):
             raise ValueError(f"nu_list must be strictly descending, got {self.nu_list}")
         if self.p <= 2:
@@ -76,6 +78,7 @@ class SweepConfig:
                 raise ValueError(f"exponent q={q} must lie in [1, p={self.p})")
         if self.euler_refinement_factor < 2:
             raise ValueError("euler_refinement_factor must be >= 2")
+        phi_bump(self.phi)
         if self.p not in self.base.lp_exponents:
             self.base = replace(self.base,
                                 lp_exponents=self.base.lp_exponents + (self.p,))
@@ -191,20 +194,12 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
     else:
         candidates = [float(base.dt)]
 
-    def variant(nu, n_r, n_theta, step, stride):
-        return SimConfig(nu=nu, t_end=base.t_end,
-                         initial_condition=base.initial_condition,
-                         alpha=base.alpha, dt=step, n_r=n_r, n_theta=n_theta,
-                         output_stride=stride,
-                         lp_exponents=base.lp_exponents, tol=base.tol)
-
     for attempt, dt_try in enumerate(candidates, start=1):
         n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
         dt = base.t_end / n_steps
-        members = [variant(nu, base.n_r, base.n_theta, dt, base.output_stride)
-                   for nu in config.nu_list + (0.0,)]
-        refined = variant(0.0, m * base.n_r, m * base.n_theta, dt / m,
-                          m * base.output_stride)
+        members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
+        refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
+                          n_theta=m * base.n_theta, output_stride=m * base.output_stride)
         try:
             base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
             euler_fine, euler_fine_ms = _timed_run(simulate, refined)
@@ -320,6 +315,10 @@ def _cmd_diagnose(args) -> int:
         traj = Trajectory.load(args.run_dir)
     except (KeyError, ValueError, OSError, TypeError) as err:
         print(f"cannot load run directory {args.run_dir}: {err}", file=sys.stderr)
+        return 2
+    if len(traj.times) < 2:
+        print(f"cannot diagnose run directory {args.run_dir}: {len(traj.times)} "
+              f"snapshot(s), the balances need at least 2", file=sys.stderr)
         return 2
     config = traj.config
     nu = config.nu

@@ -23,7 +23,7 @@ from .field import (ScalarField, VectorField, boundary_values, curl, divergence,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 from .ns_solver import bump_values
-from .pressure import PressureSolve, advective_acceleration
+from .pressure import advective_acceleration
 
 MEMBERSHIP_TOL = 1e-6
 
@@ -65,13 +65,11 @@ class TimeSeriesReport:
     times: np.ndarray
     values: np.ndarray
     max_value: float
-    mean_value: float
 
 
 def _series_report(name: str, times: np.ndarray, values: np.ndarray) -> TimeSeriesReport:
     return TimeSeriesReport(name=name, times=times, values=values,
-                            max_value=float(np.max(np.abs(values))),
-                            mean_value=float(np.mean(np.abs(values))))
+                            max_value=float(np.max(np.abs(values))))
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +126,7 @@ def _check_test_field(v: VectorField) -> None:
         raise ValueError(f"test field is not tangent: max |v.n| at r=1 is {tang:.3e}")
 
 
-def weak_form_residual(traj, v: VectorField, nu: float,
-                       trace: BoundaryTrace | None = None) -> TimeSeriesReport:
+def weak_form_residual(traj, v: VectorField, nu: float) -> TimeSeriesReport:
     """Residual of the weak momentum balance against a steady test field:
 
         d/dt (u, v) + ((u.grad)u, v) + nu (grad u, grad v)
@@ -139,11 +136,10 @@ def weak_form_residual(traj, v: VectorField, nu: float,
     centered differences on the snapshot times (one-sided at the ends).
     """
     _check_test_field(v)
-    trace = traj.trace if trace is None else trace
     grid = traj.grid
     gv = vector_gradient(v)
     v_tau = boundary_values(v.u_theta, grid)
-    weight = (trace.kappa - trace.alpha) * v_tau
+    weight = (traj.trace.kappa - traj.trace.alpha) * v_tau
 
     times = np.asarray(traj.times)
     mass = np.empty(times.size)
@@ -255,7 +251,7 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent, nu: float,
         1/2 d/dt ||omega_bar||^2 + nu ||grad omega_bar||^2 = (f, omega_bar),
 
     time integrals by the trapezoid rule on the snapshot grid. pressures
-    must hold one recovered pressure per snapshot.
+    must hold one PressureSolve per snapshot.
     """
     times = np.asarray(traj.times)
     if len(pressures) != times.size:
@@ -266,13 +262,11 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent, nu: float,
     dissip = np.empty(times.size)
     source = np.empty(times.size)
     for k, (om, u) in enumerate(zip(traj.omegas, traj.us)):
-        p = pressures[k]
-        p_field = p.p if isinstance(p, PressureSolve) else p
         bar = shifted_vorticity(om, u, tau_bar)
         z[k] = integrate(grid, bar.values ** 2)
         gb = grad(bar)
         dissip[k] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
-        f = balance_source(u, p_field, nu, tau_bar)
+        f = balance_source(u, pressures[k].p, nu, tau_bar)
         source[k] = integrate(grid, f.values * bar.values)
     dt = np.diff(times)
     defect = (0.5 * np.diff(z)
@@ -300,6 +294,26 @@ def _bump_profile(grid: PolarGrid, center, radius: float, amplitude: float):
     return vals, gx, gy
 
 
+def phi_bump(phi_spec: dict) -> tuple | None:
+    """Validated (center, radius, amplitude) of renormalized_slack's test
+    function spec: None for {'zero': {}}; ValueError unless the spec is a
+    nonnegative bump of positive radius supported strictly inside the disk."""
+    if "zero" in phi_spec:
+        return None
+    if "bump" not in phi_spec:
+        raise ValueError("phi_spec must be {'bump': {...}} or {'zero': {}}")
+    spec = phi_spec["bump"]
+    center = tuple(spec.get("center", (0.0, 0.0)))
+    radius = float(spec["radius"])
+    amplitude = float(spec.get("amplitude", 1.0))
+    if not amplitude >= 0.0:
+        raise ValueError(f"phi must be nonnegative: amplitude {amplitude}")
+    if not (radius > 0.0 and np.hypot(*center) + radius < 1.0):
+        raise ValueError(f"phi must be supported strictly inside the disk: center "
+                         f"{center}, radius {radius}")
+    return center, radius, amplitude
+
+
 def renormalized_slack(traj, phi_spec: dict, q: float, nu: float) -> float:
     """Value S(nu) of the renormalized inequality for the built-in test
     function family phi(t, x) = (1 - t/T) * bump(x):
@@ -309,29 +323,20 @@ def renormalized_slack(traj, phi_spec: dict, q: float, nu: float) -> float:
 
     The inequality asserts S >= -nu C; callers report max(0, -S)/nu as the
     measured constant. q must lie in [1, p) for the largest tracked
-    exponent p, phi must be nonnegative with support strictly inside the
-    disk, and nu must be the trajectory's viscosity.
+    exponent p, phi_spec must pass phi_bump, and nu must be the
+    trajectory's viscosity.
     """
     p_max = max(traj.config.lp_exponents)
     if not 1.0 <= q < p_max:
         raise ValueError(f"q must lie in [1, {p_max}), got {q}")
     if nu != traj.config.nu:
         raise ValueError(f"nu={nu} does not match the trajectory ({traj.config.nu})")
-    if "zero" in phi_spec:
+    phi = phi_bump(phi_spec)
+    if phi is None:
         return 0.0
-    if "bump" not in phi_spec:
-        raise ValueError("phi_spec must be {'bump': {...}} or {'zero': {}}")
-    spec = phi_spec["bump"]
-    center = tuple(spec.get("center", (0.0, 0.0)))
-    radius = float(spec["radius"])
-    amplitude = float(spec.get("amplitude", 1.0))
-    if amplitude < 0.0:
-        raise ValueError("phi must be nonnegative: amplitude < 0")
-    if np.hypot(*center) + radius >= 1.0:
-        raise ValueError("phi must be supported strictly inside the disk")
 
     grid = traj.grid
-    bump, gx, gy = _bump_profile(grid, center, radius, amplitude)
+    bump, gx, gy = _bump_profile(grid, *phi)
     if bump.min() < 0.0:
         raise ValueError("phi sampled negative")
     times = np.asarray(traj.times)

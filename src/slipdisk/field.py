@@ -12,7 +12,8 @@ as curl of perp_grad keep second order up to the last ring.
 The stencils act on node arrays (..., n_r, n_theta) and mode arrays
 (..., n_theta//2 + 1, n_r): leading axes, such as the member axis of the
 time stepper's ensemble, pass through untouched. The field classes
-themselves hold one (n_r, n_theta) sample each.
+themselves hold one validated (n_r, n_theta) sample each and carry no
+arithmetic: code that combines fields works on their arrays.
 
 Boundary traces at r = 1 use quadratic extrapolation from the last three
 node rings; it is exact for radial polynomials of degree <= 2, which keeps
@@ -52,20 +53,6 @@ class ScalarField:
     def __post_init__(self):
         self.values = _check_values(self.grid, self.values, "scalar field")
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
 
 @dataclass
 class VectorField:
@@ -78,20 +65,6 @@ class VectorField:
     def __post_init__(self):
         self.u_r = _check_values(self.grid, self.u_r, "u_r")
         self.u_theta = _check_values(self.grid, self.u_theta, "u_theta")
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.u_r + other.u_r, self.u_theta + other.u_theta)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.u_r - other.u_r, self.u_theta - other.u_theta)
-
-    def __mul__(self, c: float) -> "VectorField":
-        return VectorField(self.grid, self.u_r * float(c), self.u_theta * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.u_r, -self.u_theta)
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.u_r, self.u_theta)
@@ -179,12 +152,6 @@ def dealias_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
     with k > n_theta/3."""
     modes[..., n_theta // 3 + 1:, :] = 0.0
     return modes
-
-
-def dealias_theta(values: np.ndarray) -> np.ndarray:
-    """2/3-rule filter in theta: zero modes with k > n_theta/3."""
-    n = values.shape[-1]
-    return from_modes(dealias_modes(to_modes(values), n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +253,8 @@ def lp_norms(mag: np.ndarray, grid: PolarGrid, p: float) -> np.ndarray:
     return np.sum(grid.weights * mag ** p, axis=(-2, -1)) ** (1.0 / p)
 
 
-def boundary_tangential_velocity(psi: ScalarField) -> np.ndarray:
-    """u . tau at r = 1, the one-sided second-order radial derivative of the
-    stream function at the boundary; exact for radial quadratics."""
-    if psi.grid.n_r < 3:
-        raise ValueError("boundary derivative needs n_r >= 3")
-    return wall_derivative(psi.values, psi.grid)
-
-
 def wall_derivative(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
     """One-sided second-order d/dr at r = 1 of node values (..., n_r, n_theta)."""
     return (2.0 * values[..., -1, :] - 3.0 * values[..., -2, :]
             + values[..., -3, :]) / grid.dr
 
-
-def field_to_csv(f: ScalarField | VectorField, path) -> None:
-    """Serialize node samples as CSV rows (r, theta, value...) for plotting."""
-    grid = f.grid
-    rr = np.repeat(grid.r, grid.n_theta)
-    tt = np.tile(grid.theta, grid.n_r)
-    if isinstance(f, ScalarField):
-        data = np.column_stack([rr, tt, f.values.ravel()])
-        header = "r,theta,value"
-    else:
-        data = np.column_stack([rr, tt, f.u_r.ravel(), f.u_theta.ravel()])
-        header = "r,theta,u_r,u_theta"
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

@@ -8,8 +8,10 @@ theta, with weights w = r * dr * dtheta; the weights sum to pi exactly
 (up to roundoff).
 
 The boundary trace carries per-angle samples of the friction coefficient
-alpha, the curvature kappa (identically 1 on the unit circle), and the
-outward normal and counterclockwise tangent as Cartesian unit vectors.
+alpha and the curvature kappa (identically 1 on the unit circle); on the
+circle the outward normal and the counterclockwise tangent are the polar
+unit vectors e_r and e_theta, so fields in polar components need no
+separate frame.
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ class BoundaryTrace:
     theta: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     kappa: np.ndarray = field(repr=False)
-    normal: np.ndarray = field(repr=False)   # (n_theta, 2) outward, Cartesian
-    tangent: np.ndarray = field(repr=False)  # (n_theta, 2) counterclockwise, Cartesian
-
-    @property
-    def n_theta(self) -> int:
-        return self.theta.size
 
 
 def alpha_function(alpha_spec):
@@ -116,15 +112,11 @@ def alpha_function(alpha_spec):
 
 
 def boundary_trace(grid: PolarGrid, alpha_spec) -> BoundaryTrace:
-    """Sample alpha, kappa, normal, and tangent at the grid angles."""
+    """Sample alpha and kappa at the grid angles."""
     theta = grid.theta
     alpha = np.asarray(alpha_function(alpha_spec)(theta), dtype=float)
     if alpha.shape != theta.shape:
         raise ValueError(f"alpha samples have shape {alpha.shape}, expected {theta.shape}")
     if not np.all(np.isfinite(alpha)):
         raise ValueError("alpha samples must be finite")
-    kappa = np.ones_like(theta)
-    normal = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    tangent = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    return BoundaryTrace(theta=theta, alpha=alpha, kappa=kappa,
-                         normal=normal, tangent=tangent)
+    return BoundaryTrace(theta=theta, alpha=alpha, kappa=np.ones_like(theta))

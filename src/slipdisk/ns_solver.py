@@ -91,12 +91,12 @@ class SimConfig:
     tol: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.dt != "auto" and not float(self.dt) > 0:
-            raise ValueError(f"dt must be 'auto' or positive, got {self.dt}")
+        if not (np.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
+        if self.dt != "auto" and not (np.isfinite(float(self.dt)) and float(self.dt) > 0):
+            raise ValueError(f"dt must be 'auto' or finite and positive, got {self.dt}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         for name in ("n_r", "n_theta"):
@@ -215,14 +215,10 @@ def cfl_bound(u) -> float | np.ndarray:
         return 0.5 * h / max_u
 
 
-def vorticity_boundary(psi: ScalarField, trace: BoundaryTrace) -> np.ndarray:
-    """Slip-compatible vorticity boundary value (2 kappa - alpha) u . tau."""
-    return _boundary_vorticity(psi.values, psi.grid, trace)
-
-
 def _boundary_vorticity(psi: np.ndarray, grid: PolarGrid,
                         trace: BoundaryTrace) -> np.ndarray:
-    """vorticity_boundary of stream-function node values (..., n_r, n_theta)."""
+    """Slip-compatible vorticity boundary value (2 kappa - alpha) u . tau of
+    stream-function node values psi (..., n_r, n_theta)."""
     return (2.0 * trace.kappa - trace.alpha) * wall_derivative(psi, grid)
 
 

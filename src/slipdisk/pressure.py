@@ -171,7 +171,9 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     1e-6); fields reconstructed by this package satisfy both to roundoff.
     The compatibility defect of the Neumann data is projected out and
     reported; a defect above 1e-6 signals an inconsistent velocity field
-    and raises.
+    and raises. trace, when given, is only checked against the grid: the
+    Neumann data holds no slip coefficient, so the pressure does not
+    depend on it.
     """
     grid = u.grid
     if omega.grid is not grid and omega.grid.shape != grid.shape:
@@ -206,18 +208,16 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
                          acceleration=a)
 
 
-def pressure_estimate_slack(p: PressureSolve | ScalarField, u: VectorField,
-                            omega: ScalarField, nu: float) -> float:
+def pressure_estimate_slack(p: PressureSolve, omega: ScalarField, nu: float) -> float:
     """Slack of the gradient bound
 
         ||grad p||_2 <= ||(u.grad)u||_2 + nu ||grad omega||_2,
 
     returned as RHS - LHS. The bound is the contraction property of the
     gradient part of the Helmholtz decomposition, so the slack is
-    nonnegative up to discretization error.
+    nonnegative up to discretization error. (u.grad)u is the acceleration
+    p was recovered with.
     """
-    field = p.p if isinstance(p, PressureSolve) else p
-    a = p.acceleration if isinstance(p, PressureSolve) else advective_acceleration(u)
-    rhs = lp_norm(a, 2.0) + nu * lp_norm(grad(omega), 2.0)
-    lhs = lp_norm(grad(field), 2.0)
+    rhs = lp_norm(p.acceleration, 2.0) + nu * lp_norm(grad(omega), 2.0)
+    lhs = lp_norm(grad(p.p), 2.0)
     return rhs - lhs

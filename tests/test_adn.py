@@ -1,13 +1,15 @@
 """Ellipticity checker for weighted boundary value systems.
 
-The polynomial layer is tested against algebraic invariants (division,
-adjugate identity, root recovery); the checker itself against the
-velocity Laplacian with slip rows, whose pencil algebra has closed
-forms: the pencil is (sigma^2 + |xi|^2) I, the stable root i|xi| is
-double, and the boundary remainders modulo the stable factor are
-2k(k + i sigma) n and 2ik^2 (k + i sigma) tau for |xi| = k.  Negative
-controls (a degenerate diagonal operator, duplicated boundary rows)
-must fail with meaningful witnesses.
+The polynomial kernels, which act on complex coefficient arrays (the
+polyc and matpolyc tests: single polynomials and polynomial matrices),
+are tested against algebraic invariants (division, adjugate identity,
+root recovery); the checker itself against the velocity Laplacian with
+slip rows, whose pencil algebra has closed forms: the pencil is
+(sigma^2 + |xi|^2) I, the stable root i|xi| is double, and the boundary
+remainders modulo the stable factor are 2k(k + i sigma) n and
+2ik^2 (k + i sigma) tau for |xi| = k.  Negative controls (a degenerate
+diagonal operator, duplicated boundary rows) must fail with meaningful
+witnesses.
 """
 
 import json
@@ -17,9 +19,6 @@ import numpy as np
 import pytest
 
 from slipdisk import (
-    MatPolyC,
-    PolyC,
-    adjugate,
     check_all,
     check_ellipticity,
     complementing_check,
@@ -29,71 +28,71 @@ from slipdisk import (
     principal_parts,
     roots_positive_imag,
 )
-from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _det, _matmul,
-                          _roots)
+from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _degrees, _det,
+                          _matmul, _monic, _polydiv, _polymul, _roots)
 
 DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
-# polynomial layer
+# polynomial kernels
 # ---------------------------------------------------------------------------
 
 def test_polyc_arithmetic_and_eval():
-    p = PolyC([1.0, 2.0, 1.0])          # (1 + sigma)^2
-    q = PolyC.from_roots([-1.0, -1.0])
-    assert np.allclose(p.coeffs, q.coeffs)
-    assert p.degree == 2
-    assert abs(p(1j) - (1 + 1j) ** 2) < 1e-14
-    assert (p - q).is_zero
-    assert (p * PolyC.zero()).is_zero
-    assert PolyC.one().degree == 0
-    assert PolyC.zero().degree == -1
+    p = np.array([1.0, 2.0, 1.0], dtype=complex)     # (1 + sigma)^2
+    q = _monic(np.array([-1.0, -1.0]))
+    assert np.allclose(p, q)
+    assert _degrees(p) == 2
+    assert _degrees(p - q) == -1
+    assert _degrees(_polymul(p, np.zeros(1))) == -1
+    assert _degrees(np.ones(1)) == 0
+    assert _degrees(np.zeros(1)) == -1
+    # (1 + sigma)^2 (1 - sigma) at sigma = i
+    prod = _polymul(p, np.array([1.0, -1.0]))
+    assert abs(np.polynomial.polynomial.polyval(1j, prod)
+               - (1 + 1j) ** 2 * (1 - 1j)) < 1e-14
 
 
 def test_polyc_trims_relative_noise():
-    p = PolyC([1.0, 1e-15, 1.0])  # tiny middle term stays (it's a real coeff)
-    assert p.degree == 2
-    q = PolyC([1.0, 0.0, 1e-16])  # tiny LEADING term trims away
-    assert q.degree == 0
+    assert _degrees(np.array([1.0, 1e-15, 1.0])) == 2   # tiny middle term stays
+    assert _degrees(np.array([1.0, 0.0, 1e-16])) == 0   # tiny LEADING term trims away
+    # per polynomial along leading axes, each relative to its own scale
+    batch = np.array([[1e-20, 1e-33, 0.0], [0.0, 0.0, 0.0], [3.0, 1e-13, 1e-11]])
+    assert _degrees(batch).tolist() == [0, -1, 2]
 
 
 def test_polyc_divmod_invariant():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        a = PolyC(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        d = PolyC(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        quot, rem = a.divmod(d)
-        recon = quot * d + rem
-        assert rem.degree < d.degree
-        err = np.max(np.abs(recon.coeffs - a.coeffs))
+        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        quot, rem = _polydiv(a, d)
+        recon = _polymul(quot, d)
+        recon[:rem.size] += rem
+        assert _degrees(rem) < _degrees(d)
+        err = np.max(np.abs(recon - a))
         assert err < 1e-11, err
 
 
 def test_polyc_roots_recovered():
     wanted = [1j, 2j, (-1 + 1j) / 2]
-    p = PolyC.from_roots(wanted)
-    got = sorted(np.roots(p.coeffs[::-1]), key=lambda z: (z.real, z.imag))
+    p = _monic(np.array(wanted))
+    (got,) = _roots(p[None])
+    got = sorted(got, key=lambda z: (z.real, z.imag))
     for g, w in zip(got, sorted(wanted, key=lambda z: (z.real, z.imag))):
         assert abs(g - w) < 1e-12
 
 
 def test_matpolyc_det_and_adjugate_identity():
+    # one (3, 3, K) matrix without sample axes, the per-sample layout
     rng = np.random.default_rng(6)
-    entries = [[PolyC(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-                for _ in range(3)] for _ in range(3)]
-    a = MatPolyC(entries)
-    det = a.det()
-    adj = adjugate(a)
-    prod = a @ adj
+    a = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    det = _det(a)
+    prod = _matmul(a, _adjugate(a))
     # A adj(A) = det(A) I
-    for i in range(3):
-        for j in range(3):
-            want = det if i == j else PolyC.zero()
-            diff = prod[i, j] - want
-            scale = max(det.max_abs_coeff(), 1.0)
-            assert (diff.is_zero
-                    or diff.max_abs_coeff() < 1e-12 * scale), (i, j)
+    want = np.eye(3)[:, :, None] * det
+    assert prod.shape == want.shape
+    assert np.abs(prod - want).max() < 1e-12 * max(np.abs(det).max(), 1.0)
 
 
 def test_batched_det_and_adjugate_hold_for_every_sample():
@@ -127,32 +126,25 @@ def test_batched_roots_equal_np_roots_per_sample():
     # polys[6] is the zero polynomial
     got = _roots(polys)
     for s in range(len(polys)):
-        want = np.roots(PolyC(polys[s]).coeffs[::-1])
+        want = np.roots(polys[s, :_degrees(polys[s]) + 1][::-1])
         assert got[s].dtype == want.dtype and np.array_equal(got[s], want), s
 
 
 def test_matpolyc_adjugate_one_by_one():
-    a = MatPolyC([[PolyC([3.0, 1.0])]])
-    adj = a.adjugate()
-    assert np.allclose(adj[0, 0].coeffs, [1.0])
+    adj = _adjugate(np.array([[[3.0, 1.0]]], dtype=complex))
+    assert adj.shape == (1, 1, 1)
+    assert np.allclose(adj[0, 0], [1.0])
 
 
 def test_scalar_pencil_is_self_adjugate():
     # (sigma^2 + k^2) I2 has adjugate (sigma^2 + k^2) I2
     k = 1.5
-    p = PolyC([k ** 2, 0.0, 1.0])
-    a = MatPolyC([[p, PolyC.zero()], [PolyC.zero(), p]])
-    adj = a.adjugate()
-    assert np.allclose(adj[0, 0].coeffs, p.coeffs)
-    assert adj[0, 1].is_zero
-    assert np.allclose(a.det().coeffs, (p * p).coeffs)
-
-
-def test_matpolyc_evaluate():
-    p = PolyC([1.0, 1.0])
-    a = MatPolyC([[p, PolyC.zero()], [PolyC.one(), p * p]])
-    m = a.evaluate(2.0)
-    assert np.allclose(m, [[3.0, 0.0], [1.0, 9.0]])
+    p = np.array([k ** 2, 0.0, 1.0], dtype=complex)
+    a = np.eye(2)[:, :, None] * p
+    adj = _adjugate(a)
+    assert np.allclose(adj[0, 0], p)
+    assert _degrees(adj[0, 1]) == -1
+    assert np.allclose(_det(a), _polymul(p, p))
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +154,15 @@ def test_matpolyc_evaluate():
 def test_pencil_closed_form_every_angle():
     # L(xi + sigma n) = (sigma^2 + |xi|^2) I2 for unit n orthogonal to xi
     problem = navier_laplacian_problem(1.0)
-    lp, bp = principal_parts(problem)
+    lp, _ = principal_parts(problem)
+    k = 1.3
+    want = np.eye(2)[:, :, None] * np.array([k ** 2, 0.0, 1.0])
     for theta in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
         point = disk_boundary(float(theta))
-        k = 1.3
         xi = k * np.asarray(point.tau)
         pencil = lp(point, xi, point.n)
-        want = PolyC([k ** 2, 0.0, 1.0])
-        for i in range(2):
-            for j in range(2):
-                target = want if i == j else PolyC.zero()
-                diff = pencil[i, j] - target
-                assert diff.is_zero or diff.max_abs_coeff() < 1e-14
+        assert pencil.shape == want.shape
+        assert np.abs(pencil - want).max() < 1e-14
 
 
 def test_boundary_pencil_closed_form():
@@ -186,8 +175,8 @@ def test_boundary_pencil_closed_form():
         xi = 2.0 * np.asarray(point.tau)
         b = bp(point, xi, point.n)
         for j in range(2):
-            assert np.allclose(b[0, j].coeffs, [point.n[j]])
-            assert np.allclose(b[1, j].coeffs, [0.0, point.tau[j]], atol=1e-15)
+            assert np.allclose(b[0, j], [point.n[j], 0.0])
+            assert np.allclose(b[1, j], [0.0, point.tau[j]], atol=1e-15)
 
 
 def test_numeric_symbol_matches_pencil_at_sigma_zero():
@@ -197,7 +186,7 @@ def test_numeric_symbol_matches_pencil_at_sigma_zero():
     xi = np.array([0.3, -0.4])
     numeric = lp(point, xi)
     pencil = lp(point, xi, point.n)
-    assert np.allclose(numeric, pencil.evaluate(0.0))
+    assert np.allclose(numeric, pencil[..., 0])
 
 
 def test_degree_bookkeeping_violations_are_named():
@@ -338,14 +327,13 @@ def test_complementing_remainders_match_hand_reduction():
     point = disk_boundary(0.4)
     k = 2.0
     xi = k * np.asarray(point.tau)
-    m_plus = PolyC.from_roots(roots_positive_imag(lp, point, xi, point.n))
-    product = bp(point, xi, point.n) @ lp(point, xi, point.n).adjugate()
-    want = PolyC([2.0 * k ** 2, 2.0j * k])
+    m_plus = _monic(np.array(roots_positive_imag(lp, point, xi, point.n)))
+    product = _matmul(bp(point, xi, point.n), _adjugate(lp(point, xi, point.n)))
+    _, rem = _polydiv(product, m_plus)
+    want = np.array([2.0 * k ** 2, 2.0j * k])
     for j in range(2):
-        _, rem = product[j, j].divmod(m_plus)
-        assert np.max(np.abs(rem.coeffs - want.coeffs)) < 1e-12
-        _, off = product[j, 1 - j].divmod(m_plus)
-        assert off.is_zero
+        assert np.max(np.abs(rem[j, j] - want)) < 1e-12
+        assert _degrees(rem[j, 1 - j]) == -1
     assert complementing_check(problem, point, xi).passed
 
 
@@ -436,7 +424,8 @@ def _assert_close(got, want, path):
 
 @pytest.mark.parametrize("key", sorted(_RECORDED))
 def test_check_all_matches_reports_recorded_before_batching(key):
-    # reports of the per-sample PolyC checker at 64 x 16 samples; the
+    # reports of the per-sample polynomial-object checker at 64 x 16
+    # samples, recorded before the kernels were batched; the
     # witnesses must name the same sample with the same content
     recorded = json.loads((DATA / "adn_reports.json").read_text())[key]
     problem = _RECORDED[key]

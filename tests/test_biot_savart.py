@@ -88,8 +88,8 @@ def test_solver_linearity(grid48):
     a = ScalarField(grid48, rng.standard_normal(grid48.shape))
     b = ScalarField(grid48, rng.standard_normal(grid48.shape))
     lhs = solve_poisson_dirichlet(ScalarField(grid48, 2.0 * a.values - 3.0 * b.values))
-    rhs = 2.0 * solve_poisson_dirichlet(a) - 3.0 * solve_poisson_dirichlet(b)
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
+    rhs = 2.0 * solve_poisson_dirichlet(a).values - 3.0 * solve_poisson_dirichlet(b).values
+    assert np.max(np.abs(lhs.values - rhs)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

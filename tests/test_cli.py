@@ -50,6 +50,23 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "euler_refinement_factor": 1})
 
 
+def test_sweep_config_rejects_nan_viscosity_and_phi_off_the_disk():
+    # a NaN viscosity passed the descending check, and a test function
+    # touching the wall raised only after every run had been simulated
+    good = dict(base=_tiny_base(), nu_list=(0.1, 0.01), q_list=(2.0,), p=4.0)
+    with pytest.raises(ValueError, match="finite positive"):
+        SweepConfig(**{**good, "nu_list": (0.1, float("nan"))})
+    with pytest.raises(ValueError, match="finite positive"):
+        SweepConfig(**{**good, "nu_list": (float("inf"), 0.1)})
+    with pytest.raises(ValueError, match="strictly inside the disk"):
+        SweepConfig(**{**good, "phi": {"bump": {"center": (0.5, 0.0), "radius": 0.5}}})
+    with pytest.raises(ValueError, match="nonnegative"):
+        SweepConfig(**{**good, "phi": {"bump": {"radius": 0.5, "amplitude": -1.0}}})
+    with pytest.raises(ValueError, match="phi_spec"):
+        SweepConfig(**{**good, "phi": {"gauss": {"radius": 0.5}}})
+    SweepConfig(**{**good, "phi": {"zero": {}}})
+
+
 def test_sweep_config_appends_p_to_tracked_exponents():
     base = _tiny_base(lp_exponents=(2.0,))
     config = SweepConfig(base=base, nu_list=(0.1,), q_list=(2.0,), p=4.0)
@@ -163,6 +180,28 @@ def test_sweep_returns_runs_when_asked():
     assert runs["euler_refined"].grid.n_r == 32
 
 
+def test_rough_data_sweep_converges_above_the_euler_floor():
+    # the paper's regime: omega_0 only in L^p, here the capped power law
+    # |x - x0|^-0.4 with gamma p = 1.6 < 2. Measured at 32^2 with a 64^2
+    # reference: gaps 0.469 ... 0.111 (consecutive ratios <= 0.711), the
+    # smallest 1.38x the floor 0.081, slack 0.199 ... 0.0043 (ratios <= 0.42)
+    base = SimConfig(nu=0.0, t_end=0.25, alpha=1.0, n_r=32, n_theta=32,
+                     initial_condition={"singular": {"center": [0.3, 0.0],
+                                                     "gamma": 0.4, "p": 4}},
+                     output_stride=50, lp_exponents=(2.0, 4.0))
+    report = run_sweep(SweepConfig(base=base, nu_list=(0.1, 0.03, 0.01, 0.003, 0.001),
+                                   q_list=(2.0,), p=4.0))
+    gaps = [row["sup_lq_diff"] for row in report.rows]
+    slack = [row["renorm_slack"] for row in report.rows]
+    floor = report.euler_floor[2.0]
+    print(f"rough sweep: gaps {np.round(gaps, 4).tolist()} floor {floor:.4f} "
+          f"slack {np.round(slack, 4).tolist()}")
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    assert min(gaps) > floor
+    assert all(row["energy_ok"] for row in report.rows)
+    assert all(b < a for a, b in zip(slack, slack[1:]))
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -233,6 +272,28 @@ def test_diagnose_verb_rejects_unreadable_run(tmp_path, capsys):
     snapshots.unlink()
     assert main(["diagnose", str(run_dir)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_diagnose_verb_rejects_runs_with_fewer_than_two_snapshots(tmp_path, capsys):
+    # the balances difference snapshots in time; with one or none,
+    # diagnose died in enstrophy_balance_residual on an empty reduction
+    config = SimConfig(nu=0.1, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    cpath = tmp_path / "diag.json"
+    cpath.write_text(json.dumps(config.to_dict()))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", str(cpath), "--out", str(run_dir)]) == 0
+    snapshots = run_dir / "snapshots.npz"
+    with np.load(snapshots) as data:
+        arrays = {name: data[name] for name in data.files}
+    for keep in (1, 0):
+        cut = {**arrays, "times": arrays["times"][:keep], "omega": arrays["omega"][:keep]}
+        np.savez_compressed(snapshots, **cut)
+        capsys.readouterr()
+        assert main(["diagnose", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{keep} snapshot" in err, err
+        assert not (run_dir / "diagnostics.json").exists()
 
 
 def test_python_m_slipdisk_runs_the_verbs(tmp_path):

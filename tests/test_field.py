@@ -24,41 +24,22 @@ from slipdisk import (
 )
 from slipdisk.field import (
     VECTOR_PARITY,
-    boundary_tangential_velocity,
     boundary_values,
     cartesian_gradient,
-    dealias_theta,
-    field_to_csv,
+    dealias_modes,
+    from_modes,
     gradient_frobenius,
     radial_derivative,
     theta_derivative,
+    to_modes,
     vector_gradient,
+    wall_derivative,
 )
 
 
 # ---------------------------------------------------------------------------
 # containers and validation
 # ---------------------------------------------------------------------------
-
-def test_scalar_field_arithmetic(grid32):
-    f = ScalarField(grid32, np.full(grid32.shape, 2.0))
-    g = ScalarField(grid32, np.full(grid32.shape, 3.0))
-    assert np.allclose((f + g).values, 5.0)
-    assert np.allclose((f - g).values, -1.0)
-    assert np.allclose((2.0 * f).values, 4.0)
-    assert np.allclose((f * 2.0).values, 4.0)
-    assert np.allclose((-f).values, -2.0)
-
-
-def test_vector_field_arithmetic_and_magnitude(grid32):
-    u = VectorField(grid32, np.full(grid32.shape, 3.0), np.full(grid32.shape, 4.0))
-    v = VectorField(grid32, np.ones(grid32.shape), np.ones(grid32.shape))
-    assert np.allclose(u.magnitude(), 5.0)
-    assert np.allclose((u + v).u_r, 4.0)
-    assert np.allclose((u - v).u_theta, 3.0)
-    assert np.allclose((0.5 * u).u_r, 1.5)
-    assert np.allclose((-u).u_theta, -4.0)
-
 
 def test_to_cartesian_rigid_rotation(grid32):
     # u = (-y, x) has polar components u_r = 0, u_theta = r.
@@ -305,6 +286,7 @@ def test_normalized_lp_norms_increase_with_p(grid48):
 
 def test_vector_lp_norm_uses_magnitude(grid32):
     u = VectorField(grid32, np.full(grid32.shape, 3.0), np.full(grid32.shape, 4.0))
+    assert np.allclose(u.magnitude(), 5.0)
     assert abs(lp_norm(u, 2.0) - 5.0 * np.sqrt(np.pi)) < 1e-12
 
 
@@ -320,10 +302,12 @@ def test_boundary_values_exact_on_radial_quadratics(grid32):
 
 
 def test_boundary_tangential_velocity_rigid_rotation(grid32):
-    # psi = (r^2 - 1)/2 generates u_theta = r, so the wall slip is 1.
-    psi = ScalarField(grid32, np.broadcast_to(
-        (grid32.r_col ** 2 - 1.0) / 2.0, grid32.shape).copy())
-    assert np.max(np.abs(boundary_tangential_velocity(psi) - 1.0)) < 1e-12
+    # psi = (r^2 - 1)/2 generates u_theta = r, so the wall slip d_r psi is 1.
+    psi = np.broadcast_to((grid32.r_col ** 2 - 1.0) / 2.0, grid32.shape)
+    assert np.max(np.abs(wall_derivative(psi, grid32) - 1.0)) < 1e-12
+    # leading axes pass through
+    stacked = np.stack([psi, 2.0 * psi])
+    assert np.max(np.abs(wall_derivative(stacked, grid32) - [[1.0], [2.0]])) < 1e-12
 
 
 def test_boundary_values_needs_three_rings():
@@ -333,7 +317,7 @@ def test_boundary_values_needs_three_rings():
 
 
 # ---------------------------------------------------------------------------
-# dealiasing and serialization
+# dealiasing
 # ---------------------------------------------------------------------------
 
 def test_dealias_zeroes_high_modes_keeps_low(grid32):
@@ -341,20 +325,8 @@ def test_dealias_zeroes_high_modes_keeps_low(grid32):
     th = grid32.theta[None, :]
     low = np.broadcast_to(np.cos(3 * th), grid32.shape)
     high = np.broadcast_to(np.cos((n // 2 - 1) * th), grid32.shape)
-    assert np.allclose(dealias_theta(low.copy()), low, atol=1e-13)
-    assert np.max(np.abs(dealias_theta(high.copy()))) < 1e-13
+    modes = to_modes(np.stack([low, high]))
+    assert dealias_modes(modes, n) is modes     # filters in place
+    assert np.allclose(from_modes(modes[0], n), low, atol=1e-13)
+    assert np.max(np.abs(from_modes(modes[1], n))) < 1e-13
 
-
-def test_field_to_csv_roundtrip(tmp_path, grid32):
-    f = ScalarField(grid32, np.broadcast_to(grid32.r_col ** 2, grid32.shape).copy())
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (grid32.n_r * grid32.n_theta, 3)
-    assert np.allclose(data[:, 2].reshape(grid32.shape), f.values)
-
-    u = VectorField(grid32, np.zeros(grid32.shape), np.ones(grid32.shape))
-    vpath = tmp_path / "vec.csv"
-    field_to_csv(u, vpath)
-    vdata = np.loadtxt(vpath, delimiter=",", skiprows=1)
-    assert vdata.shape == (grid32.n_r * grid32.n_theta, 4)

@@ -49,9 +49,6 @@ def test_boundary_trace_geometry(grid32):
     trace = boundary_trace(grid32, {"fourier": [[1, 1.0, 0.0]]})
     assert np.allclose(trace.kappa, 1.0)
     assert np.allclose(trace.alpha, np.cos(grid32.theta))
-    assert np.allclose(trace.normal[:, 0], np.cos(grid32.theta))
-    assert np.allclose(trace.normal[:, 1], np.sin(grid32.theta))
-    assert np.allclose(trace.tangent[:, 0], -np.sin(grid32.theta))
-    assert np.allclose(trace.tangent[:, 1], np.cos(grid32.theta))
+    assert np.array_equal(trace.theta, grid32.theta)
     with pytest.raises(ValueError):
         boundary_trace(grid32, {"unknown": 1})

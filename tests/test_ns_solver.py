@@ -30,8 +30,8 @@ from slipdisk import (
     step,
 )
 from slipdisk.field import boundary_values, to_modes
-from slipdisk.ns_solver import (_DiffusionCN, _Stepper, bump_values, cfl_bound,
-                                simulate_ensemble, vorticity_boundary)
+from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, bump_values,
+                                cfl_bound, simulate_ensemble)
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +53,16 @@ def test_config_validation():
         SimConfig(**{**good, "output_stride": 0})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "lp_exponents": (0.5,)})
+
+
+@pytest.mark.parametrize("field", ["nu", "t_end", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_nu_t_end_and_dt(field, value):
+    # nu=nan used to run inviscid (the stepper tests nu > 0), t_end=nan or
+    # inf gave a trajectory of 0 steps, nu=inf died in the tridiagonal solve
+    good = dict(nu=0.1, t_end=1.0, initial_condition={"const": 2.0})
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        SimConfig(**{**good, field: value})
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -136,11 +146,10 @@ def test_initial_vorticity_rejects_unknown_or_compound_specs(grid32):
 # ---------------------------------------------------------------------------
 
 def test_vorticity_boundary_rigid(grid32):
-    psi = ScalarField(grid32, np.broadcast_to(
-        (grid32.r_col ** 2 - 1.0) / 2.0, grid32.shape).copy())
+    psi = np.broadcast_to((grid32.r_col ** 2 - 1.0) / 2.0, grid32.shape)
     for alpha in (0.0, 0.5, 2.0):
         tr = boundary_trace(grid32, alpha)
-        bc = vorticity_boundary(psi, tr)
+        bc = _boundary_vorticity(psi, grid32, tr)
         assert np.max(np.abs(bc - (2.0 - alpha))) < 1e-12
 
 

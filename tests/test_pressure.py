@@ -65,7 +65,7 @@ def test_rigid_rotation_slack_is_tight(grid64):
     # is saturated: the slack must be zero to roundoff (and nonnegative).
     u, omega = _rigid(grid64)
     solve = recover_pressure(u, omega, nu=0.1)
-    slack = pressure_estimate_slack(solve, u, omega, nu=0.1)
+    slack = pressure_estimate_slack(solve, omega, nu=0.1)
     assert -1e-12 < slack < 1e-9
 
 
@@ -79,7 +79,7 @@ def test_pressure_on_reconstructed_velocity(grid64):
     solve = recover_pressure(u, omega, nu=0.01)
     assert solve.pde_residual < 1e-6
     assert solve.compatibility_defect < 1e-6
-    slack = pressure_estimate_slack(solve, u, omega, nu=0.01)
+    slack = pressure_estimate_slack(solve, omega, nu=0.01)
     assert slack > -1e-10
 
 
@@ -90,7 +90,7 @@ def test_pressure_on_sampled_velocity(grid64):
     tr = boundary_trace(grid64, 1.0)
     solve = recover_pressure(u, omega, nu=0.05, trace=tr)
     assert solve.pde_residual < 1e-6
-    slack = pressure_estimate_slack(solve, u, omega, nu=0.05)
+    slack = pressure_estimate_slack(solve, omega, nu=0.05)
     assert slack > -1e-10
 
 
