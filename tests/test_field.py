@@ -284,9 +284,17 @@ def test_normalized_lp_norms_increase_with_p(grid48):
     assert all(b >= a - 1e-13 for a, b in zip(means, means[1:]))
 
 
+def test_vector_field_arithmetic_and_magnitude(grid32):
+    # VectorField has no operators; arithmetic is done on the component arrays.
+    u = VectorField(grid32, np.full(grid32.shape, 3.0), np.full(grid32.shape, 4.0))
+    v = VectorField(grid32, np.ones(grid32.shape), np.ones(grid32.shape))
+    assert np.allclose(u.magnitude(), 5.0)
+    w = VectorField(grid32, u.u_r - v.u_r, 0.5 * u.u_theta)
+    assert np.allclose(w.magnitude(), np.sqrt(8.0))
+
+
 def test_vector_lp_norm_uses_magnitude(grid32):
     u = VectorField(grid32, np.full(grid32.shape, 3.0), np.full(grid32.shape, 4.0))
-    assert np.allclose(u.magnitude(), 5.0)
     assert abs(lp_norm(u, 2.0) - 5.0 * np.sqrt(np.pi)) < 1e-12
 
 
