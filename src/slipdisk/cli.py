@@ -3,16 +3,18 @@ sweep, ellipticity checks, and trajectory diagnostics.
 
 Verbs (also as python -m slipdisk <verb> ...):
 
-    slipdisk simulate <config.json> [--out DIR]
-    slipdisk sweep    <config.json> [--out DIR]
+    slipdisk simulate <config.json> [--out DIR] (exit 2 unreadable config)
+    slipdisk sweep    <config.json> [--out DIR] (exit 2 unreadable config)
     slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 unusable problem)
     slipdisk diagnose <trajectory-dir> [--out FILE] (exit 2 unreadable run directory
                                                      or fewer than 2 snapshots)
 
 Run directories hold config-resolved.json, series.csv, and (simulate)
-snapshots.npz with the vorticity snapshots. Identical configs reproduce
-identical outputs except the wall_ms column, which reports measured wall
-time.
+snapshots.npz with the vorticity snapshots. diagnose takes everything
+from the run directory: the viscosity from its config, and each
+snapshot's pressure recovered inside the balance. Identical configs
+reproduce identical outputs except the wall_ms column, which reports
+measured wall time.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .field import ScalarField, VectorField, lp_norm
 from .geometry import build_grid
 from .ns_solver import (CflError, SimConfig, Trajectory, cfl_bound,
                         initial_vorticity, simulate, simulate_ensemble)
-from .pressure import recover_pressure
 
 ENERGY_RATE_TOL = 1e-6
 DEFAULT_PHI = {"bump": {"center": (0.0, 0.0), "radius": 0.9, "amplitude": 1.0}}
@@ -222,14 +223,14 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
     euler_floor = {q: sup_diff(euler_base, q) for q in config.q_list}
 
     rows = []
-    for nu, traj in zip(config.nu_list, viscous):
+    for traj in viscous:
         if not np.allclose(traj.times, euler_fine.times, atol=1e-9):
-            raise RuntimeError(f"snapshot times for nu={nu} do not align")
+            raise RuntimeError(f"snapshot times for nu={traj.config.nu} do not align")
         sup_lp = max(lp_norm(om, config.p) for om in traj.omegas)
-        slack = renormalized_slack(traj, config.phi, config.slack_q, nu)
+        slack = renormalized_slack(traj, config.phi, config.slack_q)
         ok = _energy_ok(traj.series)
         for q in config.q_list:
-            rows.append({"nu": nu, "q": q, "sup_lq_diff": sup_diff(traj, q),
+            rows.append({"nu": traj.config.nu, "q": q, "sup_lq_diff": sup_diff(traj, q),
                          "sup_lp_enstrophy": sup_lp, "energy_ok": ok,
                          "renorm_slack": slack, "wall_ms": ensemble_ms})
     for row in rows:
@@ -257,8 +258,19 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
 # verbs
 # ---------------------------------------------------------------------------
 
+def _read_config(cls, path):
+    """cls.from_json(path), or None after a one-line message on stderr."""
+    try:
+        return cls.from_json(path)
+    except (KeyError, ValueError, OSError, TypeError) as err:
+        print(f"cannot read config {path}: {err}", file=sys.stderr)
+        return None
+
+
 def _cmd_simulate(args) -> int:
-    config = SimConfig.from_json(args.config)
+    config = _read_config(SimConfig, args.config)
+    if config is None:
+        return 2
     out = args.out or os.path.join("runs", _stem(args.config))
     traj, wall_ms = _timed_run(simulate, config)
     traj.save(out)
@@ -275,7 +287,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = SweepConfig.from_json(args.config)
+    config = _read_config(SweepConfig, args.config)
+    if config is None:
+        return 2
     out = args.out or os.path.join("runs", _stem(args.config))
     report = run_sweep(config)
     report.write(out)
@@ -321,7 +335,6 @@ def _cmd_diagnose(args) -> int:
               f"snapshot(s), the balances need at least 2", file=sys.stderr)
         return 2
     config = traj.config
-    nu = config.nu
     tol = config.tol or {}
 
     worst = {}
@@ -331,11 +344,8 @@ def _cmd_diagnose(args) -> int:
             worst[k] = max(worst.get(k, 0.0), v)
     v_field = VectorField(traj.grid, np.zeros(traj.grid.shape),
                           np.tile(traj.grid.r[:, None], (1, traj.grid.n_theta)))
-    wf = weak_form_residual(traj, v_field, nu)
-    pressures = [recover_pressure(u, om, nu, traj.trace)
-                 for u, om in zip(traj.us, traj.omegas)]
-    tau_bar = extended_tangent(traj.grid, traj.trace)
-    eb = enstrophy_balance_residual(traj, tau_bar, nu, pressures)
+    wf = weak_form_residual(traj, v_field)
+    eb = enstrophy_balance_residual(traj, extended_tangent(traj.grid, traj.trace))
 
     def section(value, key):
         entry = {"max": value, "tolerance": tol.get(key)}

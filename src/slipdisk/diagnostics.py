@@ -23,7 +23,7 @@ from .field import (ScalarField, VectorField, boundary_values, curl, divergence,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 from .ns_solver import bump_values
-from .pressure import advective_acceleration
+from .pressure import advective_acceleration, recover_pressure
 
 MEMBERSHIP_TOL = 1e-6
 
@@ -126,17 +126,19 @@ def _check_test_field(v: VectorField) -> None:
         raise ValueError(f"test field is not tangent: max |v.n| at r=1 is {tang:.3e}")
 
 
-def weak_form_residual(traj, v: VectorField, nu: float) -> TimeSeriesReport:
+def weak_form_residual(traj, v: VectorField) -> TimeSeriesReport:
     """Residual of the weak momentum balance against a steady test field:
 
         d/dt (u, v) + ((u.grad)u, v) + nu (grad u, grad v)
-            = nu * boundary integral of (kappa - alpha)(u.tau)(v.tau).
+            = nu * boundary integral of (kappa - alpha)(u.tau)(v.tau),
 
-    v must be divergence-free and tangent. The time derivative uses
-    centered differences on the snapshot times (one-sided at the ends).
+    nu the trajectory's viscosity. v must be divergence-free and tangent.
+    The time derivative uses centered differences on the snapshot times
+    (one-sided at the ends).
     """
     _check_test_field(v)
     grid = traj.grid
+    nu = traj.config.nu
     gv = vector_gradient(v)
     v_tau = boundary_values(v.u_theta, grid)
     weight = (traj.trace.kappa - traj.trace.alpha) * v_tau
@@ -244,20 +246,18 @@ def balance_source(u: VectorField, pressure: ScalarField, nu: float,
     return ScalarField(grid, -quad + press + cross + lap)
 
 
-def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent, nu: float,
-                               pressures) -> TimeSeriesReport:
+def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> TimeSeriesReport:
     """Defect of the shifted enstrophy balance on each snapshot interval:
 
         1/2 d/dt ||omega_bar||^2 + nu ||grad omega_bar||^2 = (f, omega_bar),
 
-    time integrals by the trapezoid rule on the snapshot grid. pressures
-    must hold one PressureSolve per snapshot.
+    nu the trajectory's viscosity, time integrals by the trapezoid rule on
+    the snapshot grid. Each snapshot's pressure in f is recovered here and
+    dropped once its source term is integrated.
     """
     times = np.asarray(traj.times)
-    if len(pressures) != times.size:
-        raise ValueError(f"need one pressure per snapshot: got {len(pressures)} "
-                         f"for {times.size} snapshots")
     grid = traj.grid
+    nu = traj.config.nu
     z = np.empty(times.size)
     dissip = np.empty(times.size)
     source = np.empty(times.size)
@@ -266,7 +266,8 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent, nu: float,
         z[k] = integrate(grid, bar.values ** 2)
         gb = grad(bar)
         dissip[k] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
-        f = balance_source(u, pressures[k].p, nu, tau_bar)
+        p = recover_pressure(u, om, nu, traj.trace).p
+        f = balance_source(u, p, nu, tau_bar)
         source[k] = integrate(grid, f.values * bar.values)
     dt = np.diff(times)
     defect = (0.5 * np.diff(z)
@@ -314,23 +315,21 @@ def phi_bump(phi_spec: dict) -> tuple | None:
     return center, radius, amplitude
 
 
-def renormalized_slack(traj, phi_spec: dict, q: float, nu: float) -> float:
+def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
     """Value S(nu) of the renormalized inequality for the built-in test
     function family phi(t, x) = (1 - t/T) * bump(x):
 
         S = int_0^T int |omega|^q (d_t phi + u . grad phi) dx dt
             + int |omega_0|^q phi(0, .) dx.
 
-    The inequality asserts S >= -nu C; callers report max(0, -S)/nu as the
-    measured constant. q must lie in [1, p) for the largest tracked
-    exponent p, phi_spec must pass phi_bump, and nu must be the
-    trajectory's viscosity.
+    The inequality asserts S >= -nu C for the trajectory's viscosity nu;
+    callers report max(0, -S)/nu as the measured constant. q must lie in
+    [1, p) for the largest tracked exponent p, and phi_spec must pass
+    phi_bump.
     """
     p_max = max(traj.config.lp_exponents)
     if not 1.0 <= q < p_max:
         raise ValueError(f"q must lie in [1, {p_max}), got {q}")
-    if nu != traj.config.nu:
-        raise ValueError(f"nu={nu} does not match the trajectory ({traj.config.nu})")
     phi = phi_bump(phi_spec)
     if phi is None:
         return 0.0

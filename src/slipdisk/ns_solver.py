@@ -34,9 +34,9 @@ stream function and the velocity follow from it by the Biot-Savart law,
 and the Trajectory derives them on first use (see Trajectory).
 
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
-is a precondition of step(), checked per member; simulate_ensemble()
-re-evaluates an automatic dt against the smallest member bound every 10
-steps.
+is a precondition of every step, checked per member before it is taken;
+simulate_ensemble() re-evaluates an automatic dt against the smallest
+member bound every 10 steps.
 """
 
 from __future__ import annotations
@@ -323,23 +323,6 @@ class _Stepper:
         return self.state(new_modes, w_new)
 
 
-def step(omega: ScalarField, psi: ScalarField, config: SimConfig,
-         trace: BoundaryTrace, dt: float | None = None
-         ) -> tuple[ScalarField, ScalarField]:
-    """Advance one IMEX step of size dt (config.dt when not given)."""
-    if dt is None:
-        if config.dt == "auto":
-            raise ValueError("step needs a concrete dt; config.dt is 'auto'")
-        dt = float(config.dt)
-    grid = omega.grid
-    stepper = _Stepper(grid, trace, [config.nu])
-    u = perp_grad(psi)
-    w = omega.values[None]
-    s = stepper.advance(_State(grid, to_modes(w), w, psi.values[None],
-                               u.u_r[None], u.u_theta[None]), dt)
-    return ScalarField(grid, s.omega[0]), ScalarField(grid, s.psi[0])
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -397,7 +380,8 @@ class Trajectory:
     @classmethod
     def load(cls, run_dir) -> "Trajectory":
         """Read a run directory written by save. A snapshot file whose
-        omega or series names do not match config-resolved.json raises
+        times are not finite and strictly increasing, or whose omega or
+        series names do not match config-resolved.json, raises
         ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
         grid = build_grid(config.n_r, config.n_theta)
@@ -408,6 +392,8 @@ class Trajectory:
             omega = data["omega"]
             names = [str(s) for s in data["series_names"]]
             values = data["series_values"]
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError(f"{path}: times must be finite and strictly increasing")
         if omega.shape != (len(times),) + grid.shape:
             raise ValueError(f"{path}: omega has shape {omega.shape}, expected "
                              f"{(len(times),) + grid.shape} for {len(times)} times "

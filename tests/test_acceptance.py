@@ -201,8 +201,7 @@ def test_criterion_08_dissipation_slack_vanishes_with_viscosity(sweep_result):
     cfg = sweep_result["config"]
     rows = sweep_result["report"].rows
     ratios = {row["nu"]: max(0.0, -row["renorm_slack"]) / row["nu"] for row in rows}
-    slack0 = renormalized_slack(sweep_result["runs"]["euler_base"],
-                                cfg.phi, cfg.slack_q, 0.0)
+    slack0 = renormalized_slack(sweep_result["runs"]["euler_base"], cfg.phi, cfg.slack_q)
     print("criterion 08: max(0,-S)/nu = "
           + " ".join(f"{nu:g}:{v:.3e}" for nu, v in sorted(ratios.items()))
           + f"; S(0)={slack0:.3e} (gates 10, -1e-3)")

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from slipdisk import SimConfig, SweepConfig, main, run_sweep
+from slipdisk import SimConfig, SweepConfig, Trajectory, main, run_sweep
 from slipdisk.cli import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 from slipdisk.geometry import build_grid
 
@@ -274,6 +274,29 @@ def test_diagnose_verb_rejects_unreadable_run(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_diagnose_verb_rejects_times_not_finite_and_increasing(tmp_path, capsys):
+    # a duplicated time made the weak form's time derivative NaN, and
+    # diagnose wrote a bare NaN into diagnostics.json and exited 0
+    config = SimConfig(nu=0.1, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    cpath = tmp_path / "diag.json"
+    cpath.write_text(json.dumps(config.to_dict()))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", str(cpath), "--out", str(run_dir)]) == 0
+    snapshots = run_dir / "snapshots.npz"
+    with np.load(snapshots) as data:
+        arrays = {name: data[name] for name in data.files}
+    for bad in ([0.0, 0.01, 0.01], [0.0, np.nan, 0.02], [0.0, 0.02, 0.01]):
+        np.savez_compressed(snapshots, **{**arrays, "times": np.array(bad)})
+        with pytest.raises(ValueError, match="snapshots.npz.*strictly increasing"):
+            Trajectory.load(run_dir)
+        capsys.readouterr()
+        assert main(["diagnose", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "snapshots.npz" in err, err
+        assert not (run_dir / "diagnostics.json").exists()
+
+
 def test_diagnose_verb_rejects_runs_with_fewer_than_two_snapshots(tmp_path, capsys):
     # the balances difference snapshots in time; with one or none,
     # diagnose died in enstrophy_balance_residual on an empty reduction
@@ -306,6 +329,31 @@ def test_python_m_slipdisk_runs_the_verbs(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "slip.report.json").exists()
+
+
+def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
+    # each bad config ended in a traceback instead of one line and exit 2
+    sweep = _rigid_sweep_config().to_dict()
+    cases = [
+        ("simulate", {"nu": 0.1, "t_end": 0.1}),
+        ("simulate", {**_tiny_base().to_dict(), "t_end": float("nan")}),
+        ("simulate", {**_tiny_base().to_dict(), "typo": 1}),
+        ("sweep", {**sweep, "nu_list": [0.1, float("nan")]}),
+        ("sweep", {key: value for key, value in sweep.items() if key != "base"}),
+        ("sweep", {**sweep, "base": {"nu": 0.0}}),
+    ]
+    for k, (verb, spec) in enumerate(cases):
+        cpath = tmp_path / f"bad{k}.json"
+        cpath.write_text(json.dumps(spec))
+        out = tmp_path / f"out{k}"
+        capsys.readouterr()
+        assert main([verb, str(cpath), "--out", str(out)]) == 2, (verb, spec)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cpath) in err, err
+        assert not out.exists()
+    capsys.readouterr()
+    assert main(["simulate", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_sweep_verb(tmp_path):

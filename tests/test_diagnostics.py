@@ -26,7 +26,6 @@ from slipdisk import (
     initial_vorticity,
     navier_residuals,
     perp_grad,
-    recover_pressure,
     renormalized_slack,
     sample_navier_field,
     simulate,
@@ -102,7 +101,7 @@ def test_weak_form_rigid_steady(rigid_trajectories):
     # mismatch with kappa = 1... the term itself is retained).
     traj = rigid_trajectories[0.1]
     v, _ = _rigid(traj.grid)
-    report = weak_form_residual(traj, v, nu=0.1)
+    report = weak_form_residual(traj, v)
     assert report.max_value < 1e-9
 
 
@@ -111,7 +110,7 @@ def test_weak_form_rejects_bad_test_fields(grid48, rigid_trajectories):
     psi = ScalarField(traj.grid, traj.grid.r_col * np.cos(traj.grid.theta)[None, :])
     not_tangent = perp_grad(psi)  # uniform translation punctures the wall
     with pytest.raises(ValueError, match="tangent"):
-        weak_form_residual(traj, not_tangent, nu=0.0)
+        weak_form_residual(traj, not_tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +220,12 @@ def test_shifted_vorticity_trace_vanishes(grid64):
 # shifted enstrophy balance
 # ---------------------------------------------------------------------------
 
-def _balance_setup(nu, alpha, cutoff, n=48, t_end=0.2, stride=40):
-    config = SimConfig(nu=nu, t_end=t_end, initial_condition={
+def _balance_setup(nu, alpha, cutoff, n=48, stride=40):
+    config = SimConfig(nu=nu, t_end=0.2, initial_condition={
         "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 4.0}},
         alpha=alpha, n_r=n, n_theta=n, output_stride=stride)
     traj = simulate(config)
-    tau_bar = extended_tangent(traj.grid, traj.trace, cutoff=cutoff)
-    pressures = [recover_pressure(u, om, nu, traj.trace)
-                 for u, om in zip(traj.us, traj.omegas)]
-    return traj, tau_bar, pressures
+    return traj, extended_tangent(traj.grid, traj.trace, cutoff=cutoff)
 
 
 def _subset(traj, sl):
@@ -245,31 +241,22 @@ def test_enstrophy_balance_viscous(grid48):
     # impulsive boundary layer and is excluded; on the settled tail the
     # per-interval defect is trapezoid-in-time and must inflate by about
     # four when the snapshot grid is thinned by two.
-    traj, tau_bar, pressures = _balance_setup(nu=0.05, alpha=1.0,
-                                              cutoff="quintic", stride=10)
+    traj, tau_bar = _balance_setup(nu=0.05, alpha=1.0, cutoff="quintic", stride=10)
     tail = _subset(traj, slice(1, None))
-    report = enstrophy_balance_residual(tail, tau_bar, 0.05, pressures[1:])
+    report = enstrophy_balance_residual(tail, tau_bar)
     scale = float(np.max(traj.series["enstrophy_2"])) ** 2
     assert report.max_value < 5e-4 * max(scale, 1.0)
 
-    coarse = enstrophy_balance_residual(_subset(traj, slice(1, None, 2)),
-                                        tau_bar, 0.05, pressures[1::2])
+    coarse = enstrophy_balance_residual(_subset(traj, slice(1, None, 2)), tau_bar)
     assert coarse.max_value / max(report.max_value, 1e-15) > 3.0
 
 
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):
     # with tau_bar = 0 and nu = 0 the balance reduces to conservation of
     # enstrophy, which the scheme tracks to time-integration accuracy
-    traj, tau_bar, pressures = _balance_setup(nu=0.0, alpha=1.0, cutoff="zero")
-    report = enstrophy_balance_residual(traj, tau_bar, 0.0, pressures)
+    traj, tau_bar = _balance_setup(nu=0.0, alpha=1.0, cutoff="zero")
+    report = enstrophy_balance_residual(traj, tau_bar)
     assert report.max_value < 1e-5
-
-
-def test_enstrophy_balance_rejects_mismatched_pressures(grid48):
-    traj, tau_bar, pressures = _balance_setup(nu=0.0, alpha=1.0, cutoff="zero",
-                                              t_end=0.05)
-    with pytest.raises(ValueError, match="one pressure per snapshot"):
-        enstrophy_balance_residual(traj, tau_bar, 0.0, pressures[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +275,13 @@ def test_renormalized_slack_centered_bump_is_exact_zero():
     # azimuthal and phi radial, so u . grad phi = 0 pointwise and the
     # time integral telescopes against the initial term exactly.
     traj = _euler_bump((0.0, 0.0))
-    s = renormalized_slack(traj, {"bump": {"center": (0.0, 0.0), "radius": 0.8}},
-                           q=2.0, nu=0.0)
+    s = renormalized_slack(traj, {"bump": {"center": (0.0, 0.0), "radius": 0.8}}, q=2.0)
     assert abs(s) < 1e-12
 
 
 def test_renormalized_slack_off_center_small(grid48):
     traj = _euler_bump((0.25, 0.0))
-    s = renormalized_slack(traj, {"bump": {"center": (0.0, 0.0), "radius": 0.9}},
-                           q=2.0, nu=0.0)
+    s = renormalized_slack(traj, {"bump": {"center": (0.0, 0.0), "radius": 0.9}}, q=2.0)
     assert s > -1e-4  # inviscid: defect is pure discretization error
 
 
@@ -304,18 +289,15 @@ def test_renormalized_slack_validation(grid48):
     traj = _euler_bump((0.0, 0.0), n=32, t_end=0.05)
     good_phi = {"bump": {"center": (0.0, 0.0), "radius": 0.5}}
     with pytest.raises(ValueError, match="q must lie"):
-        renormalized_slack(traj, good_phi, q=4.0, nu=0.0)
-    with pytest.raises(ValueError, match="does not match"):
-        renormalized_slack(traj, good_phi, q=2.0, nu=0.1)
+        renormalized_slack(traj, good_phi, q=4.0)
     with pytest.raises(ValueError, match="strictly inside"):
-        renormalized_slack(traj, {"bump": {"center": (0.5, 0.0), "radius": 0.6}},
-                           q=2.0, nu=0.0)
+        renormalized_slack(traj, {"bump": {"center": (0.5, 0.0), "radius": 0.6}}, q=2.0)
     with pytest.raises(ValueError, match="nonnegative"):
         renormalized_slack(traj, {"bump": {"center": (0.0, 0.0), "radius": 0.5,
-                                           "amplitude": -1.0}}, q=2.0, nu=0.0)
+                                           "amplitude": -1.0}}, q=2.0)
     with pytest.raises(ValueError, match="phi_spec"):
-        renormalized_slack(traj, {"tent": {}}, q=2.0, nu=0.0)
-    assert renormalized_slack(traj, {"zero": {}}, q=2.0, nu=0.0) == 0.0
+        renormalized_slack(traj, {"tent": {}}, q=2.0)
+    assert renormalized_slack(traj, {"zero": {}}, q=2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

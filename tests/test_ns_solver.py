@@ -27,7 +27,6 @@ from slipdisk import (
     lp_norm,
     simulate,
     solve_poisson_dirichlet,
-    step,
 )
 from slipdisk.field import boundary_values, to_modes
 from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, bump_values,
@@ -164,24 +163,13 @@ def test_cfl_bound_scales():
     assert cfl_bound(zero) == np.inf
 
 
-def test_step_rejects_oversized_dt(grid32):
-    omega = initial_vorticity({"const": 2.0}, grid32)
-    from slipdisk import solve_poisson_dirichlet
-    psi = solve_poisson_dirichlet(omega)
-    config = SimConfig(nu=0.0, t_end=1.0, initial_condition={"const": 2.0},
-                       n_r=32, n_theta=32)
-    tr = boundary_trace(grid32, 0.0)
-    with pytest.raises(CflError) as exc:
-        step(omega, psi, config, tr, dt=0.1)
-    assert exc.value.dt == 0.1
-    assert exc.value.bound < 0.1
-
-
 def test_simulate_rejects_oversized_fixed_dt():
     config = SimConfig(nu=0.0, t_end=0.5, initial_condition={"const": 2.0},
                        dt=0.1, n_r=32, n_theta=32)
-    with pytest.raises(CflError):
+    with pytest.raises(CflError) as exc:
         simulate(config)
+    assert exc.value.dt == 0.1
+    assert exc.value.bound < 0.1
 
 
 def test_auto_dt_run_holds_one_diffusion_factorization(monkeypatch):
@@ -409,10 +397,11 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     assert all(np.array_equal(a.values, b.values) for a, b in zip(older.psis, traj.psis))
 
     # the stepper's own psi is the Biot-Savart stream function of its omega
-    omega, psi = step(traj.omegas[-1], traj.psis[-1], config,
-                      boundary_trace(traj.grid, config.alpha), dt=1e-3)
-    derived = solve_poisson_dirichlet(omega).values
-    assert np.max(np.abs(derived - psi.values)) <= 1e-12 * np.max(np.abs(psi.values))
+    stepper = _Stepper(traj.grid, traj.trace, [config.nu])
+    omega = traj.omegas[-1].values[None]
+    s = stepper.advance(stepper.state(to_modes(omega), omega), 1e-3)
+    derived = solve_poisson_dirichlet(ScalarField(traj.grid, s.omega[0])).values
+    assert np.max(np.abs(derived - s.psi[0])) <= 1e-12 * np.max(np.abs(s.psi[0]))
 
 
 def test_trajectory_derives_psi_and_u_once_per_snapshot(monkeypatch):
