@@ -10,10 +10,9 @@ from .adn import (AdnProblem, AdnReport, check_all, check_ellipticity,
                   navier_laplacian_problem, principal_parts, roots_positive_imag)
 from .biot_savart import biot_savart, sample_navier_field, solve_poisson_dirichlet
 from .cli import ConvergenceReport, SweepConfig, main, run_sweep
-from .diagnostics import (ExtendedTangent, ResidualReport, TimeSeriesReport,
-                          cz_ratio, enstrophy_balance_residual, extended_tangent,
-                          h2_ratio, navier_residuals, renormalized_slack,
-                          weak_form_residual)
+from .diagnostics import (ExtendedTangent, cz_ratio, enstrophy_balance_residual,
+                          extended_tangent, h2_ratio, navier_residuals,
+                          renormalized_slack, weak_form_residual)
 from .field import (ScalarField, VectorField, curl, divergence, grad, lp_norm,
                     perp_grad)
 from .geometry import PolarGrid, BoundaryTrace, boundary_trace, build_grid, integrate
@@ -24,8 +23,8 @@ from .pressure import PressureSolve, pressure_estimate_slack, recover_pressure
 __all__ = [
     "AdnProblem", "AdnReport", "BoundaryTrace", "CflError", "ConvergenceReport",
     "DivergenceError", "ExtendedTangent", "PolarGrid",
-    "PressureSolve", "ResidualReport", "ScalarField", "SimConfig", "SweepConfig",
-    "TimeSeriesReport", "Trajectory", "VectorField", "biot_savart",
+    "PressureSolve", "ScalarField", "SimConfig", "SweepConfig", "Trajectory",
+    "VectorField", "biot_savart",
     "boundary_trace", "build_grid", "check_all", "check_ellipticity",
     "complementing_check", "curl", "cz_ratio", "disk_boundary", "divergence",
     "enstrophy_balance_residual", "extended_tangent", "grad", "h2_ratio",

@@ -339,8 +339,7 @@ def _cmd_diagnose(args) -> int:
 
     worst = {}
     for u, om in zip(traj.us, traj.omegas):
-        rep = navier_residuals(u, om, traj.trace)
-        for k, v in rep.residuals.items():
+        for k, v in navier_residuals(u, om, traj.trace).items():
             worst[k] = max(worst.get(k, 0.0), v)
     v_field = VectorField(traj.grid, np.zeros(traj.grid.shape),
                           np.tile(traj.grid.r[:, None], (1, traj.grid.n_theta)))
@@ -356,8 +355,8 @@ def _cmd_diagnose(args) -> int:
     report = {"config": config.to_dict(),
               "navier": section(worst["navier_condition"], "navier"),
               "navier_curves": worst,
-              "weak_form": section(wf.max_value, "weakform"),
-              "balance": section(eb.max_value, "balance")}
+              "weak_form": section(float(wf.max()), "weakform"),
+              "balance": section(float(eb.max()), "balance")}
     out = args.out or os.path.join(args.run_dir, "diagnostics.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

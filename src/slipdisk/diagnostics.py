@@ -7,78 +7,34 @@ All operations are pure functions of snapshots or trajectories and are
 deterministic; every residual decreases under simultaneous grid and time
 step refinement on smooth data, which is what the associated tests pin
 down. Time derivatives of snapshot series use centered differences with
-one-sided ends.
+one-sided ends. Each diagnostic returns the plain values its callers
+read: a dict of per-curve maxima, a per-snapshot or per-interval residual
+array, or a float.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .biot_savart import biot_savart
-from .field import (ScalarField, VectorField, boundary_values, curl, divergence,
+from .field import (ScalarField, VectorField, boundary_values, curl,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 from .ns_solver import bump_values
-from .pressure import advective_acceleration, recover_pressure
-
-MEMBERSHIP_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Named residual curves with their max norms and optional verdicts."""
-    name: str
-    n_r: int
-    n_theta: int
-    norm: str
-    residuals: dict[str, float]
-    curves: dict[str, np.ndarray]
-    tolerance: float | None = None
-    verdicts: dict[str, bool] = dataclass_field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "n_r": self.n_r,
-            "n_theta": self.n_theta,
-            "norm": self.norm,
-            "residuals": self.residuals,
-            "tolerance": self.tolerance,
-            "verdicts": self.verdicts,
-            "curves": {k: v.tolist() for k, v in self.curves.items()},
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class TimeSeriesReport:
-    """A residual sampled along a trajectory, with summary norms."""
-    name: str
-    times: np.ndarray
-    values: np.ndarray
-    max_value: float
-
-
-def _series_report(name: str, times: np.ndarray, values: np.ndarray) -> TimeSeriesReport:
-    return TimeSeriesReport(name=name, times=times, values=values,
-                            max_value=float(np.max(np.abs(values))))
+from .pressure import check_tangent_field, directional_derivative, recover_pressure
 
 
 # ---------------------------------------------------------------------------
 # boundary condition residuals
 # ---------------------------------------------------------------------------
 
-def navier_residuals(u: VectorField, omega: ScalarField, trace: BoundaryTrace,
-                     tolerance: float | None = None) -> ResidualReport:
-    """Per-angle residuals of the three slip boundary statements at r = 1.
+def navier_residuals(u: VectorField, omega: ScalarField,
+                     trace: BoundaryTrace) -> dict[str, float]:
+    """Max over the wall angles of the three slip boundary statements at
+    r = 1, keyed by curve name.
 
     On the disk the tangential symmetric strain is
     (Du)_S n.tau = (d_r u_theta - u_theta / r + (1/r) d_theta u_r) / 2,
@@ -105,38 +61,26 @@ def navier_residuals(u: VectorField, omega: ScalarField, trace: BoundaryTrace,
         "curl_identity": 0.5 * om_tr - strain - kappa * ut,
         "normal_derivative": dut + (alpha - kappa) * ut,
     }
-    residuals = {k: float(np.abs(v).max()) for k, v in curves.items()}
-    verdicts = ({k: bool(v <= tolerance) for k, v in residuals.items()}
-                if tolerance is not None else {})
-    return ResidualReport(name="navier_residuals", n_r=grid.n_r,
-                          n_theta=grid.n_theta, norm="max", residuals=residuals,
-                          curves=curves, tolerance=tolerance, verdicts=verdicts)
+    return {k: float(np.abs(v).max()) for k, v in curves.items()}
 
 
 # ---------------------------------------------------------------------------
 # weak momentum balance
 # ---------------------------------------------------------------------------
 
-def _check_test_field(v: VectorField) -> None:
-    div_max = float(np.abs(divergence(v).values).max())
-    if div_max > MEMBERSHIP_TOL:
-        raise ValueError(f"test field is not divergence-free: max |div v| = {div_max:.3e}")
-    tang = float(np.abs(boundary_values(v.u_r, v.grid)).max())
-    if tang > MEMBERSHIP_TOL:
-        raise ValueError(f"test field is not tangent: max |v.n| at r=1 is {tang:.3e}")
-
-
-def weak_form_residual(traj, v: VectorField) -> TimeSeriesReport:
-    """Residual of the weak momentum balance against a steady test field:
+def weak_form_residual(traj, v: VectorField) -> np.ndarray:
+    """Absolute residual per snapshot of the weak momentum balance against
+    a steady test field:
 
         d/dt (u, v) + ((u.grad)u, v) + nu (grad u, grad v)
             = nu * boundary integral of (kappa - alpha)(u.tau)(v.tau),
 
-    nu the trajectory's viscosity. v must be divergence-free and tangent.
-    The time derivative uses centered differences on the snapshot times
-    (one-sided at the ends).
+    nu the trajectory's viscosity. v must pass check_tangent_field. The
+    time derivative uses centered differences on the snapshot times
+    (one-sided at the ends). Each snapshot's velocity is differentiated
+    once: its vector_gradient gives both (u.grad)u and the viscous pairing.
     """
-    _check_test_field(v)
+    check_tangent_field(v, "test field")
     grid = traj.grid
     nu = traj.config.nu
     gv = vector_gradient(v)
@@ -148,13 +92,14 @@ def weak_form_residual(traj, v: VectorField) -> TimeSeriesReport:
     rest = np.empty(times.size)
     for k, u in enumerate(traj.us):
         mass[k] = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
-        a = advective_acceleration(u)
+        gu = vector_gradient(u)
+        a = directional_derivative(u, gu)
         adv = integrate(grid, a.u_r * v.u_r + a.u_theta * v.u_theta)
-        visc = nu * integrate(grid, gradient_frobenius(vector_gradient(u), gv))
+        visc = nu * integrate(grid, gradient_frobenius(gu, gv))
         bnd = nu * float(np.sum(weight * boundary_values(u.u_theta, grid))) * grid.dtheta
         rest[k] = adv + visc - bnd
     dmass = np.gradient(mass, times) if times.size > 1 else np.zeros(1)
-    return _series_report("weak_form_residual", times, np.abs(dmass + rest))
+    return np.abs(dmass + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +191,9 @@ def balance_source(u: VectorField, pressure: ScalarField, nu: float,
     return ScalarField(grid, -quad + press + cross + lap)
 
 
-def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> TimeSeriesReport:
-    """Defect of the shifted enstrophy balance on each snapshot interval:
+def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
+    """Absolute defect of the shifted enstrophy balance on each snapshot
+    interval, one entry per consecutive pair of snapshots:
 
         1/2 d/dt ||omega_bar||^2 + nu ||grad omega_bar||^2 = (f, omega_bar),
 
@@ -273,8 +219,7 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> TimeSeriesRepo
     defect = (0.5 * np.diff(z)
               + dt * nu * 0.5 * (dissip[:-1] + dissip[1:])
               - dt * 0.5 * (source[:-1] + source[1:]))
-    mid = 0.5 * (times[:-1] + times[1:])
-    return _series_report("enstrophy_balance_residual", mid, np.abs(defect))
+    return np.abs(defect)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ from .biot_savart import (PoissonDirichletSolver, cached_solver, dirichlet_lapla
 from .field import (ScalarField, boundary_values, dealias_modes,
                     from_modes, lp_norms, perp_grad, perp_grad_values,
                     radial_derivative, theta_derivative, to_modes, wall_derivative)
-from .geometry import BoundaryTrace, PolarGrid, boundary_trace, build_grid
+from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
+                       build_grid)
 
 
 class CflError(RuntimeError):
@@ -97,13 +98,13 @@ class SimConfig:
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.dt != "auto" and not (np.isfinite(float(self.dt)) and float(self.dt) > 0):
             raise ValueError(f"dt must be 'auto' or finite and positive, got {self.dt}")
+        for name in ("n_r", "n_theta", "output_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        for name in ("n_r", "n_theta"):
-            size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {size!r}")
-            setattr(self, name, int(size))
         if self.n_r < 4:
             raise ValueError(f"n_r must be >= 4 for the radial stencils, got {self.n_r}")
         if self.n_theta <= 0 or self.n_theta % 2 != 0:
@@ -112,6 +113,10 @@ class SimConfig:
         self.lp_exponents = tuple(float(p) for p in self.lp_exponents)
         if any(p < 1 for p in self.lp_exponents):
             raise ValueError("lp exponents must be >= 1")
+        # Both specs are parsed here, by the code that builds them, so a
+        # config that cannot be run is refused before any run starts.
+        initial_profile(self.initial_condition)
+        alpha_function(self.alpha)
 
     def to_dict(self) -> dict:
         d = {
@@ -155,47 +160,66 @@ def bump_values(grid: PolarGrid, center=(0.0, 0.0), radius: float = 0.5,
     return out
 
 
-def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
-    """Build initial vorticity from its config spec.
+def initial_profile(spec: dict):
+    """Parse an initial-condition spec into a function grid -> vorticity
+    samples, raising ValueError for any spec that cannot be built.
 
-    Forms: {"const": c}; {"bump": {center, radius, amplitude}};
-    {"singular": {center, gamma, p}} for the capped power-law
-    min(dr^-gamma, |x - x0|^-gamma), requiring gamma * p < 2 so the
-    profile lies in L^p; {"modes": [[k, coeffs], ...]} for radial
-    polynomials sum_m coeffs[m] r^m times cos(k theta).
+    Forms: {"const": c}; {"bump": {center, radius, amplitude}} with a
+    finite radius > 0; {"singular": {center, gamma, p}} for the capped
+    power-law min(dr^-gamma, |x - x0|^-gamma), requiring 0 < gamma * p < 2
+    so the profile lies in L^p; {"modes": [[k, coeffs(, phase)], ...]} for
+    radial polynomials sum_m coeffs[m] r^m times cos(k theta - phase).
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"initial condition spec must have exactly one key, got {spec!r}")
     kind, params = next(iter(spec.items()))
-    if kind == "const":
-        return ScalarField(grid, np.full(grid.shape, float(params)))
-    if kind == "bump":
-        vals = bump_values(grid, tuple(params.get("center", (0.0, 0.0))),
-                           float(params.get("radius", 0.5)),
-                           float(params.get("amplitude", 1.0)))
-        return ScalarField(grid, vals)
-    if kind == "singular":
-        gamma = float(params["gamma"])
-        p = float(params["p"])
-        if gamma <= 0 or gamma * p >= 2.0:
-            raise ValueError(f"singular profile needs 0 < gamma*p < 2, got gamma={gamma}, p={p}")
-        cx, cy = params.get("center", (0.0, 0.0))
-        cap = grid.dr ** (-gamma)
-        x = grid.r_col * np.cos(grid.theta)[None, :]
-        y = grid.r_col * np.sin(grid.theta)[None, :]
-        dist = np.hypot(x - cx, y - cy)
-        with np.errstate(divide="ignore"):
-            vals = np.minimum(cap, dist ** (-gamma))
-        return ScalarField(grid, vals)
-    if kind == "modes":
-        vals = np.zeros(grid.shape)
-        for entry in params:
-            k, coeffs = int(entry[0]), entry[1]
-            phase = float(entry[2]) if len(entry) > 2 else 0.0
-            prof = sum(float(c) * grid.r ** m for m, c in enumerate(coeffs))
-            vals += prof[:, None] * np.cos(k * grid.theta - phase)[None, :]
-        return ScalarField(grid, vals)
+    try:
+        if kind == "const":
+            c = float(params)
+            return lambda grid: np.full(grid.shape, c)
+        if kind == "bump":
+            cx, cy = (float(v) for v in params.get("center", (0.0, 0.0)))
+            radius = float(params.get("radius", 0.5))
+            amplitude = float(params.get("amplitude", 1.0))
+            if not (np.isfinite(radius) and radius > 0.0):
+                raise ValueError(f"bump radius must be finite and positive, got {radius}")
+            return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)
+        if kind == "singular":
+            gamma = float(params["gamma"])
+            p = float(params["p"])
+            if not (gamma > 0 and gamma * p < 2.0):
+                raise ValueError(f"singular profile needs 0 < gamma*p < 2, "
+                                 f"got gamma={gamma}, p={p}")
+            cx, cy = (float(v) for v in params.get("center", (0.0, 0.0)))
+
+            def singular(grid):
+                r, th = grid.r_col, grid.theta
+                dist = np.hypot(r * np.cos(th) - cx, r * np.sin(th) - cy)
+                with np.errstate(divide="ignore"):
+                    return np.minimum(grid.dr ** (-gamma), dist ** (-gamma))
+
+            return singular
+        if kind == "modes":
+            terms = [(int(entry[0]), [float(c) for c in entry[1]],
+                      float(entry[2]) if len(entry) > 2 else 0.0) for entry in params]
+
+            def modes(grid):
+                vals = np.zeros(grid.shape)
+                for k, coeffs, phase in terms:
+                    prof = sum(c * grid.r ** m for m, c in enumerate(coeffs))
+                    vals += prof[:, None] * np.cos(k * grid.theta - phase)[None, :]
+                return vals
+
+            return modes
+    except (AttributeError, IndexError, KeyError, TypeError) as err:
+        raise ValueError(f"malformed {kind!r} initial condition {params!r}: "
+                         f"{err!r}") from None
     raise ValueError(f"unknown initial condition kind {kind!r}")
+
+
+def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
+    """Initial vorticity of a config spec (see initial_profile) on grid."""
+    return ScalarField(grid, initial_profile(spec)(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +356,10 @@ class Trajectory:
     """Vorticity snapshots plus per-step scalar series of one simulation.
 
     A snapshot stores only its vorticity omega: the Biot-Savart law fixes
-    the rest. psis and us are derived on first use, one snapshot at a
-    time, by solve_poisson_dirichlet and perp_grad, and kept; a run in
-    memory and the same run loaded from disk take that one path and give
-    identical fields.
+    the rest. us is derived on first use, one snapshot at a time, by
+    solve_poisson_dirichlet and perp_grad, and kept; a run in memory and
+    the same run loaded from disk take that one path and give identical
+    fields.
     """
 
     config: SimConfig
@@ -346,12 +370,8 @@ class Trajectory:
     series: dict
 
     @cached_property
-    def psis(self) -> list:
-        return [solve_poisson_dirichlet(om) for om in self.omegas]
-
-    @cached_property
     def us(self) -> list:
-        return [perp_grad(psi) for psi in self.psis]
+        return [perp_grad(solve_poisson_dirichlet(om)) for om in self.omegas]
 
     def series_columns(self) -> list[str]:
         return _series_columns(self.config.lp_exponents)

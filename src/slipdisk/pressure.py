@@ -32,28 +32,41 @@ import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .biot_savart import cached_solver, flux_laplacian_bands
-from .field import (VECTOR_PARITY, ScalarField, VectorField, boundary_values,
-                    divergence, from_modes, grad, lp_norm, radial_derivative,
-                    theta_derivative, to_modes, wall_derivative)
+from .field import (ScalarField, VectorField, boundary_values, divergence,
+                    from_modes, grad, lp_norm, theta_derivative, to_modes,
+                    vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 
-TANGENCY_TOL = 1e-6
+TANGENT_FIELD_TOL = 1e-6
 COMPATIBILITY_TOL = 1e-6
 
 
-def advective_acceleration(u: VectorField) -> VectorField:
-    """(u.grad)u in polar components, curvature terms included:
+def directional_derivative(u: VectorField, g: dict[str, np.ndarray]) -> VectorField:
+    """(u.grad)w from the gradient tensor g = vector_gradient(w), as the
+    contraction u . g:
 
-    a_r     = u_r d_r u_r + (u_theta/r) d_theta u_r - u_theta^2 / r
-    a_theta = u_r d_r u_theta + (u_theta/r) d_theta u_theta + u_r u_theta / r
+    a_r     = u_r G_rr + u_theta G_tr
+    a_theta = u_r G_rt + u_theta G_tt
     """
-    grid = u.grid
-    r = grid.r_col
-    dur = radial_derivative(u.u_r, grid, parity=VECTOR_PARITY)
-    dut = radial_derivative(u.u_theta, grid, parity=VECTOR_PARITY)
-    a_r = u.u_r * dur + u.u_theta / r * theta_derivative(u.u_r) - u.u_theta ** 2 / r
-    a_t = u.u_r * dut + u.u_theta / r * theta_derivative(u.u_theta) + u.u_r * u.u_theta / r
-    return VectorField(grid, a_r, a_t)
+    return VectorField(u.grid, u.u_r * g["rr"] + u.u_theta * g["tr"],
+                       u.u_r * g["rt"] + u.u_theta * g["tt"])
+
+
+def advective_acceleration(u: VectorField) -> VectorField:
+    """(u.grad)u in polar components, curvature terms included: the
+    directional derivative of u along itself, from vector_gradient(u)."""
+    return directional_derivative(u, vector_gradient(u))
+
+
+def check_tangent_field(v: VectorField, name: str) -> None:
+    """Raise ValueError unless v is discretely divergence-free and tangent
+    at r = 1, both in max norm to TANGENT_FIELD_TOL."""
+    div_max = float(np.abs(divergence(v).values).max())
+    if div_max > TANGENT_FIELD_TOL:
+        raise ValueError(f"{name} is not divergence-free: max |div| = {div_max:.3e}")
+    tang = float(np.abs(boundary_values(v.u_r, v.grid)).max())
+    if tang > TANGENT_FIELD_TOL:
+        raise ValueError(f"{name} is not tangent: max |u_r| at r=1 is {tang:.3e}")
 
 
 def flux_divergence(a: VectorField) -> tuple[ScalarField, np.ndarray]:
@@ -153,13 +166,12 @@ class PressureSolve:
     the discrete Poisson system (boundary row included); bc_residual is an
     independent one-sided check of dp/dr(1) against the Neumann data;
     compatibility_defect is |integral(f) - boundary integral(g)| before
-    projection.
+    projection; acceleration is the (u.grad)u the source was built from.
     """
     p: ScalarField
     pde_residual: float
     bc_residual: float
     compatibility_defect: float
-    neumann_data: np.ndarray
     acceleration: VectorField
 
 
@@ -167,25 +179,20 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
                      trace: BoundaryTrace | None = None) -> PressureSolve:
     """Solve the pressure Poisson problem for one velocity snapshot.
 
-    u must be discretely divergence-free and tangent (both traces below
-    1e-6); fields reconstructed by this package satisfy both to roundoff.
-    The compatibility defect of the Neumann data is projected out and
-    reported; a defect above 1e-6 signals an inconsistent velocity field
-    and raises. trace, when given, is only checked against the grid: the
-    Neumann data holds no slip coefficient, so the pressure does not
-    depend on it.
+    u must pass check_tangent_field; fields reconstructed by this package
+    do so to roundoff. (u.grad)u is advective_acceleration(u), kept in the
+    result for pressure_estimate_slack. The compatibility defect of the
+    Neumann data is projected out and reported; a defect above 1e-6
+    signals an inconsistent velocity field and raises. trace, when given,
+    is only checked against the grid: the Neumann data holds no slip
+    coefficient, so the pressure does not depend on it.
     """
     grid = u.grid
     if omega.grid is not grid and omega.grid.shape != grid.shape:
         raise ValueError("omega and u live on different grids")
     if trace is not None and trace.theta.shape != grid.theta.shape:
         raise ValueError("boundary trace does not match the grid")
-    div_max = float(np.abs(divergence(u).values).max())
-    if div_max > TANGENCY_TOL:
-        raise ValueError(f"velocity is not divergence-free: max |div u| = {div_max:.3e}")
-    tang = float(np.abs(boundary_values(u.u_r, grid)).max())
-    if tang > TANGENCY_TOL:
-        raise ValueError(f"velocity is not tangent: max |u.n| at r=1 is {tang:.3e}")
+    check_tangent_field(u, "velocity")
 
     a = advective_acceleration(u)
     div_a, a_r1 = flux_divergence(a)
@@ -204,8 +211,7 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     pde_residual = float(np.abs(residual).max())
     bc_residual = float(np.abs(wall_derivative(p.values, grid) - g).max())
     return PressureSolve(p=p, pde_residual=pde_residual, bc_residual=bc_residual,
-                         compatibility_defect=defect, neumann_data=g,
-                         acceleration=a)
+                         compatibility_defect=defect, acceleration=a)
 
 
 def pressure_estimate_slack(p: PressureSolve, omega: ScalarField, nu: float) -> float:

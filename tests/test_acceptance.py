@@ -153,7 +153,7 @@ def test_criterion_06_wall_slip_residual_refines_between_grids():
     res = {}
     for traj in (coarse, fine):
         rep = navier_residuals(traj.us[-1], traj.omegas[-1], traj.trace)
-        res[traj.grid.n_r] = rep.residuals["navier_condition"]
+        res[traj.grid.n_r] = rep["navier_condition"]
     ratio = res[64] / res[128]
     print(f"criterion 06: slip residual 64^2={res[64]:.4e} 128^2={res[128]:.4e} "
           f"ratio {ratio:.2f} (gate 1.8)")

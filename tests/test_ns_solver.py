@@ -72,6 +72,10 @@ def test_config_rejects_non_finite_nu_t_end_and_dt(field, value):
     ("n_r", 32.0, "n_r must be an integer"),
     ("n_theta", "32", "n_theta must be an integer"),
     ("n_r", True, "n_r must be an integer"),
+    # a fractional stride used to snapshot every ceil(stride) steps and
+    # broke the sweep's time alignment; it takes the grid sizes' check
+    ("output_stride", 2.5, "output_stride must be an integer"),
+    ("output_stride", True, "output_stride must be an integer"),
 ])
 def test_config_rejects_bad_grid_sizes(field, value, match):
     good = dict(nu=0.1, t_end=1.0, initial_condition={"const": 2.0})
@@ -79,6 +83,23 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
         SimConfig(**{**good, field: value})
     with pytest.raises(ValueError, match=match):
         SimConfig.from_dict({**good, field: value})
+
+
+@pytest.mark.parametrize("spec, match", [
+    ({"initial_condition": {"tent": {}}}, "unknown initial condition"),
+    ({"initial_condition": {"bump": {"radius": 0.0}}}, "radius"),
+    ({"initial_condition": {"bump": {"radius": float("inf")}}}, "radius"),
+    ({"initial_condition": {"bump": [0.5]}}, "malformed 'bump'"),
+    ({"initial_condition": {"singular": {"gamma": 1.0}}}, "malformed 'singular'"),
+    ({"initial_condition": {"modes": [[2]]}}, "malformed 'modes'"),
+    ({"alpha": "x"}, "unrecognized alpha spec"),
+])
+def test_config_rejects_specs_that_cannot_be_built(spec, match):
+    # these used to pass construction and fail (or, for a zero bump
+    # radius, silently give a zero field) only once a run started
+    good = dict(nu=0.1, t_end=1.0, initial_condition={"const": 2.0})
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{**good, **spec})
 
 
 def test_config_roundtrip(tmp_path):
@@ -226,7 +247,6 @@ def test_ensemble_members_match_standalone_runs():
         assert len(got.omegas) == len(want.omegas) == 6
         for k in range(len(want.times)):
             assert _close(got.omegas[k].values, want.omegas[k].values), (config.nu, k)
-            assert _close(got.psis[k].values, want.psis[k].values), (config.nu, k)
             assert _close(got.us[k].u_r, want.us[k].u_r), (config.nu, k)
             assert _close(got.us[k].u_theta, want.us[k].u_theta), (config.nu, k)
         assert got.series_columns() == want.series_columns()
@@ -338,7 +358,7 @@ def test_simulate_series_and_snapshots():
                                      "bc_residual"]
     assert traj.times[0] == 0.0
     assert abs(traj.times[-1] - 0.05) < 1e-12
-    assert len(traj.times) == len(traj.omegas) == len(traj.psis) == len(traj.us)
+    assert len(traj.times) == len(traj.omegas) == len(traj.us)
     assert len(traj.series["t"]) >= len(traj.times)
     # snapshots at stride multiples plus endpoints
     assert len(traj.times) >= 3
@@ -379,9 +399,7 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     assert np.allclose(again.times, traj.times)
     for a, b in zip(again.omegas, traj.omegas):
         assert np.allclose(a.values, b.values)
-    # psi and u are derived from omega by one code path, loaded or not
-    for a, b in zip(again.psis, traj.psis):
-        assert np.array_equal(a.values, b.values)
+    # u is derived from omega by one code path, loaded or not
     for a, b in zip(again.us, traj.us):
         assert np.array_equal(a.u_r, b.u_r)
         assert np.array_equal(a.u_theta, b.u_theta)
@@ -389,12 +407,14 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     assert again.config.nu == config.nu
 
     # a run directory of the earlier format, with psi and u stored too, loads
-    _rewrite_snapshots(run_dir, psi=np.stack([f.values for f in traj.psis]),
+    _rewrite_snapshots(run_dir, psi=np.stack([solve_poisson_dirichlet(om).values
+                                               for om in traj.omegas]),
                        u_r=np.stack([u.u_r for u in traj.us]),
                        u_theta=np.stack([u.u_theta for u in traj.us]),
                        u_tau=np.stack([u.u_theta[-1] for u in traj.us]))
     older = Trajectory.load(run_dir)
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(older.psis, traj.psis))
+    assert all(np.array_equal(a.u_r, b.u_r) and np.array_equal(a.u_theta, b.u_theta)
+               for a, b in zip(older.us, traj.us))
 
     # the stepper's own psi is the Biot-Savart stream function of its omega
     stepper = _Stepper(traj.grid, traj.trace, [config.nu])
@@ -417,7 +437,7 @@ def test_trajectory_derives_psi_and_u_once_per_snapshot(monkeypatch):
 
     monkeypatch.setattr(ns_solver, "solve_poisson_dirichlet", counting)
     us = traj.us
-    assert traj.us is us and traj.psis is traj.psis
+    assert traj.us is us
     assert [c.values.shape for c in calls] == [traj.grid.shape] * len(traj.omegas)
 
 

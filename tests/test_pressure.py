@@ -14,6 +14,8 @@ from slipdisk import (
     VectorField,
     biot_savart,
     boundary_trace,
+    build_grid,
+    curl,
     grad,
     initial_vorticity,
     lp_norm,
@@ -21,7 +23,7 @@ from slipdisk import (
     recover_pressure,
     sample_navier_field,
 )
-from slipdisk.pressure import project_neumann_data
+from slipdisk.pressure import advective_acceleration, project_neumann_data
 
 from conftest import smooth_vorticity
 
@@ -34,6 +36,32 @@ def _rigid(grid):
 # ---------------------------------------------------------------------------
 # closed form: rigid rotation
 # ---------------------------------------------------------------------------
+
+def test_advective_acceleration_rigid_rotation(grid64):
+    # u_theta = r has (u.grad)u = -u_theta^2/r e_r = (-r, 0): the whole
+    # acceleration is the curvature term, with no stencil error
+    grid = grid64
+    u = VectorField(grid, np.zeros(grid.shape), np.tile(grid.r_col, (1, grid.n_theta)))
+    a = advective_acceleration(u)
+    assert np.max(np.abs(a.u_r + grid.r_col)) < 1e-13
+    assert np.max(np.abs(a.u_theta)) < 1e-13
+
+
+def test_advective_acceleration_matches_lamb_form():
+    # (u.grad)u = grad(|u|^2/2) + omega (-u_theta, u_r) holds for any
+    # smooth field; the two discretizations must agree to second order
+    errs = []
+    for n in (32, 64):
+        grid = build_grid(n, n)
+        u = sample_navier_field(1, 1.0, grid)
+        om = curl(u).values
+        a = advective_acceleration(u)
+        k = grad(ScalarField(grid, 0.5 * (u.u_r ** 2 + u.u_theta ** 2)))
+        errs.append(lp_norm(VectorField(grid, a.u_r - k.u_r + om * u.u_theta,
+                                        a.u_theta - k.u_theta - om * u.u_r), 2.0))
+    assert errs[1] < 1e-2
+    assert errs[0] / errs[1] > 3.0
+
 
 def test_rigid_rotation_pressure(grid64):
     # u = (-y, x): a . = (u . grad) u = -r e_r, so grad p = r e_r and
