@@ -338,7 +338,7 @@ def _cmd_diagnose(args) -> int:
     tol = config.tol or {}
 
     worst = {}
-    for u, om in zip(traj.us, traj.omegas):
+    for _, om, u in traj._batches():
         for k, v in navier_residuals(u, om, traj.trace).items():
             worst[k] = max(worst.get(k, 0.0), v)
     v_field = VectorField(traj.grid, np.zeros(traj.grid.shape),

@@ -10,6 +10,11 @@ down. Time derivatives of snapshot series use centered differences with
 one-sided ends. Each diagnostic returns the plain values its callers
 read: a dict of per-curve maxima, a per-snapshot or per-interval residual
 array, or a float.
+
+The trajectory diagnostics walk the snapshots in batches
+(Trajectory._batches): every stencil, quadrature and pressure solve
+acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
+per-snapshot numbers outlive the batch.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .pressure import check_tangent_field, directional_derivative, recover_press
 def navier_residuals(u: VectorField, omega: ScalarField,
                      trace: BoundaryTrace) -> dict[str, float]:
     """Max over the wall angles of the three slip boundary statements at
-    r = 1, keyed by curve name.
+    r = 1, keyed by curve name; for a stack of snapshots, the max over the
+    stack too.
 
     On the disk the tangential symmetric strain is
     (Du)_S n.tau = (d_r u_theta - u_theta / r + (1/r) d_theta u_r) / 2,
@@ -51,7 +57,7 @@ def navier_residuals(u: VectorField, omega: ScalarField,
     grid = u.grid
     ut = boundary_values(u.u_theta, grid)
     dut = wall_derivative(u.u_theta, grid)
-    dur_dtheta = theta_derivative(boundary_values(u.u_r, grid)[None, :])[0]
+    dur_dtheta = theta_derivative(boundary_values(u.u_r, grid))
     om_tr = boundary_values(omega.values, grid)
     alpha, kappa = trace.alpha, trace.kappa
 
@@ -90,14 +96,14 @@ def weak_form_residual(traj, v: VectorField) -> np.ndarray:
     times = np.asarray(traj.times)
     mass = np.empty(times.size)
     rest = np.empty(times.size)
-    for k, u in enumerate(traj.us):
-        mass[k] = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
+    for sl, _, u in traj._batches():
+        mass[sl] = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
         gu = vector_gradient(u)
         a = directional_derivative(u, gu)
         adv = integrate(grid, a.u_r * v.u_r + a.u_theta * v.u_theta)
         visc = nu * integrate(grid, gradient_frobenius(gu, gv))
-        bnd = nu * float(np.sum(weight * boundary_values(u.u_theta, grid))) * grid.dtheta
-        rest[k] = adv + visc - bnd
+        bnd = nu * np.sum(weight * boundary_values(u.u_theta, grid), axis=-1) * grid.dtheta
+        rest[sl] = adv + visc - bnd
     dmass = np.gradient(mass, times) if times.size > 1 else np.zeros(1)
     return np.abs(dmass + rest)
 
@@ -178,17 +184,22 @@ def balance_source(u: VectorField, pressure: ScalarField, nu: float,
     f = -u.(grad(tau_bar)^T u) + grad(p).tau_bar
         + 2 nu trace(grad(u)^T grad(tau_bar)) + nu u.Laplace(tau_bar).
     """
-    grid = u.grid
+    return ScalarField(u.grid, _balance_source(u, pressure, nu, tau_bar,
+                                               vector_gradient(u)))
+
+
+def _balance_source(u: VectorField, pressure: ScalarField, nu: float,
+                    tau_bar: ExtendedTangent, gu: dict) -> np.ndarray:
+    """Node values of balance_source, gu = vector_gradient(u) given."""
     gt = tau_bar.gradient
     tau = tau_bar.field
     quad = (u.u_r * u.u_r * gt["rr"] + u.u_r * u.u_theta * gt["rt"]
             + u.u_theta * u.u_r * gt["tr"] + u.u_theta * u.u_theta * gt["tt"])
     gp = grad(pressure)
     press = gp.u_r * tau.u_r + gp.u_theta * tau.u_theta
-    gu = vector_gradient(u)
     cross = 2.0 * nu * gradient_frobenius(gu, gt)
     lap = nu * (u.u_r * tau_bar.laplacian.u_r + u.u_theta * tau_bar.laplacian.u_theta)
-    return ScalarField(grid, -quad + press + cross + lap)
+    return -quad + press + cross + lap
 
 
 def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
@@ -198,8 +209,8 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
         1/2 d/dt ||omega_bar||^2 + nu ||grad omega_bar||^2 = (f, omega_bar),
 
     nu the trajectory's viscosity, time integrals by the trapezoid rule on
-    the snapshot grid. Each snapshot's pressure in f is recovered here and
-    dropped once its source term is integrated.
+    the snapshot grid. f's pressures are recovered here, one batch per
+    recover_pressure call, and f reuses the velocity gradient it built.
     """
     times = np.asarray(traj.times)
     grid = traj.grid
@@ -207,14 +218,14 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
     z = np.empty(times.size)
     dissip = np.empty(times.size)
     source = np.empty(times.size)
-    for k, (om, u) in enumerate(zip(traj.omegas, traj.us)):
+    for sl, om, u in traj._batches():
         bar = shifted_vorticity(om, u, tau_bar)
-        z[k] = integrate(grid, bar.values ** 2)
+        z[sl] = integrate(grid, bar.values ** 2)
         gb = grad(bar)
-        dissip[k] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
-        p = recover_pressure(u, om, nu, traj.trace).p
-        f = balance_source(u, p, nu, tau_bar)
-        source[k] = integrate(grid, f.values * bar.values)
+        dissip[sl] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
+        ps = recover_pressure(u, om, nu, traj.trace)
+        f = _balance_source(u, ps.p, nu, tau_bar, ps.gradient)
+        source[sl] = integrate(grid, f * bar.values)
     dt = np.diff(times)
     defect = (0.5 * np.diff(z)
               + dt * nu * 0.5 * (dissip[:-1] + dissip[1:])
@@ -286,14 +297,13 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
     times = np.asarray(traj.times)
     t_final = times[-1]
     integrand = np.empty(times.size)
-    for k, (om, u) in enumerate(zip(traj.omegas, traj.us)):
+    for sl, om, u in traj._batches():
         ux, uy = u.to_cartesian()
-        transport = (1.0 - times[k] / t_final) * (ux * gx + uy * gy)
-        integrand[k] = integrate(grid, np.abs(om.values) ** q
-                                 * (-bump / t_final + transport))
+        transport = (1.0 - times[sl, None, None] / t_final) * (ux * gx + uy * gy)
+        integrand[sl] = integrate(grid, np.abs(om.values) ** q
+                                  * (-bump / t_final + transport))
     s = float(np.trapezoid(integrand, times))
-    s += integrate(grid, np.abs(traj.omegas[0].values) ** q * bump)
-    return s
+    return s + float(integrate(grid, np.abs(traj.omegas[0].values) ** q * bump))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ as curl of perp_grad keep second order up to the last ring.
 
 The stencils act on node arrays (..., n_r, n_theta) and mode arrays
 (..., n_theta//2 + 1, n_r): leading axes, such as the member axis of the
-time stepper's ensemble, pass through untouched. The field classes
-themselves hold one validated (n_r, n_theta) sample each and carry no
-arithmetic: code that combines fields works on their arrays.
+time stepper's ensemble or the snapshot axis of a trajectory batch, pass
+through untouched. A field holds one validated sample (n_r, n_theta) or
+a stack of them (..., n_r, n_theta), and the vector calculus below maps
+a stack to a stack. The field classes carry no arithmetic: code that
+combines fields works on their arrays.
 
 Boundary traces at r = 1 use quadratic extrapolation from the last three
 node rings; it is exact for radial polynomials of degree <= 2, which keeps
@@ -38,8 +40,9 @@ VECTOR_PARITY = -1.0
 
 def _check_values(grid: PolarGrid, values: np.ndarray, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"{name} has shape {values.shape}, expected {grid.shape}")
+    if values.shape[-2:] != grid.shape:
+        raise ValueError(f"{name} has shape {values.shape}, expected (..., "
+                         f"{grid.n_r}, {grid.n_theta})")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} contains non-finite entries")
     return values
@@ -238,8 +241,9 @@ def cartesian_gradient(values: np.ndarray, grid: PolarGrid) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 
 def lp_norm(f: ScalarField | VectorField, p: float) -> float:
-    """Quadrature L^p norm on the disk; p = inf is the grid max (a lower
-    bound of the true sup norm, since nodes sample the field)."""
+    """Quadrature L^p norm on the disk of a one-sample field; p = inf is the
+    grid max (a lower bound of the true sup norm, since nodes sample the
+    field). lp_norms takes stacks."""
     mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
     return float(lp_norms(mag, f.grid, p))
 

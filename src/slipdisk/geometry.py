@@ -67,9 +67,10 @@ def build_grid(n_r: int, n_theta: int) -> PolarGrid:
                      dr=dr, dtheta=dtheta, weights=weights)
 
 
-def integrate(grid: PolarGrid, values: np.ndarray) -> float:
-    """Quadrature of a node-sampled function over the disk."""
-    return float(np.sum(grid.weights * values))
+def integrate(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
+    """Quadrature over the disk of node values (..., n_r, n_theta), one per
+    leading index; a single sample gives a scalar."""
+    return np.sum(grid.weights * values, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -81,33 +82,42 @@ class BoundaryTrace:
     kappa: np.ndarray = field(repr=False)
 
 
+def finite(value, name: str) -> float:
+    """float(value), or ValueError naming the spec entry unless it is finite."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def alpha_function(alpha_spec):
     """Turn a friction-coefficient spec into a callable of theta.
 
-    Accepted specs: a number (constant), a dict {"const": c} or
+    Accepted specs: a finite number (constant), a dict {"const": c} or
     {"fourier": [[k, a_k, b_k], ...]} meaning sum of a_k cos(k theta)
-    + b_k sin(k theta), or an already-callable theta -> alpha.
+    + b_k sin(k theta) with finite coefficients, or an already-callable
+    theta -> alpha.
     """
     if callable(alpha_spec):
         return alpha_spec
+    if isinstance(alpha_spec, dict) and "const" in alpha_spec:
+        alpha_spec = alpha_spec["const"]
     if isinstance(alpha_spec, (int, float)):
-        c = float(alpha_spec)
+        c = finite(alpha_spec, "alpha")
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
-    if isinstance(alpha_spec, dict):
-        if "const" in alpha_spec:
-            c = float(alpha_spec["const"])
-            return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
-        if "fourier" in alpha_spec:
-            terms = [(int(k), float(a), float(b)) for k, a, b in alpha_spec["fourier"]]
+    if isinstance(alpha_spec, dict) and "fourier" in alpha_spec:
+        terms = [(int(k), finite(a, "alpha fourier coefficient"),
+                  finite(b, "alpha fourier coefficient"))
+                 for k, a, b in alpha_spec["fourier"]]
 
-            def alpha(theta, terms=terms):
-                theta = np.asarray(theta, dtype=float)
-                out = np.zeros_like(theta)
-                for k, a, b in terms:
-                    out += a * np.cos(k * theta) + b * np.sin(k * theta)
-                return out
+        def alpha(theta, terms=terms):
+            theta = np.asarray(theta, dtype=float)
+            out = np.zeros_like(theta)
+            for k, a, b in terms:
+                out += a * np.cos(k * theta) + b * np.sin(k * theta)
+            return out
 
-            return alpha
+        return alpha
     raise ValueError(f"unrecognized alpha spec: {alpha_spec!r}")
 
 

@@ -31,7 +31,8 @@ ensemble of one.
 
 A trajectory keeps each snapshot's vorticity and nothing else: the
 stream function and the velocity follow from it by the Biot-Savart law,
-and the Trajectory derives them on first use (see Trajectory).
+and the Trajectory derives them on first use, SNAPSHOT_BATCH snapshots
+at a time (see Trajectory).
 
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
 is a precondition of every step, checked per member before it is taken;
@@ -51,11 +52,15 @@ import numpy as np
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .biot_savart import (PoissonDirichletSolver, cached_solver, dirichlet_laplacian_bands,
                           solve_poisson_dirichlet)
-from .field import (ScalarField, boundary_values, dealias_modes,
+from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
                     from_modes, lp_norms, perp_grad, perp_grad_values,
                     radial_derivative, theta_derivative, to_modes, wall_derivative)
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
-                       build_grid)
+                       build_grid, finite)
+
+# Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
+# batches of 16 or 32 ran slower than 8 and hold more temporaries.
+SNAPSHOT_BATCH = 8
 
 
 class CflError(RuntimeError):
@@ -111,8 +116,8 @@ class SimConfig:
             raise ValueError(f"n_theta must be positive and even for the pole "
                              f"parity ghosts, got {self.n_theta}")
         self.lp_exponents = tuple(float(p) for p in self.lp_exponents)
-        if any(p < 1 for p in self.lp_exponents):
-            raise ValueError("lp exponents must be >= 1")
+        if not all(p >= 1 for p in self.lp_exponents):
+            raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
         # Both specs are parsed here, by the code that builds them, so a
         # config that cannot be run is refused before any run starts.
         initial_profile(self.initial_condition)
@@ -169,28 +174,29 @@ def initial_profile(spec: dict):
     power-law min(dr^-gamma, |x - x0|^-gamma), requiring 0 < gamma * p < 2
     so the profile lies in L^p; {"modes": [[k, coeffs(, phase)], ...]} for
     radial polynomials sum_m coeffs[m] r^m times cos(k theta - phase).
+    Every number in the spec must be finite.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"initial condition spec must have exactly one key, got {spec!r}")
     kind, params = next(iter(spec.items()))
     try:
         if kind == "const":
-            c = float(params)
+            c = finite(params, "const initial condition")
             return lambda grid: np.full(grid.shape, c)
         if kind == "bump":
-            cx, cy = (float(v) for v in params.get("center", (0.0, 0.0)))
+            cx, cy = (finite(v, "bump center") for v in params.get("center", (0.0, 0.0)))
             radius = float(params.get("radius", 0.5))
-            amplitude = float(params.get("amplitude", 1.0))
+            amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
             if not (np.isfinite(radius) and radius > 0.0):
                 raise ValueError(f"bump radius must be finite and positive, got {radius}")
             return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)
         if kind == "singular":
-            gamma = float(params["gamma"])
-            p = float(params["p"])
-            if not (gamma > 0 and gamma * p < 2.0):
+            gamma = finite(params["gamma"], "singular gamma")
+            p = finite(params["p"], "singular p")
+            if not (gamma > 0 and 0 < gamma * p < 2.0):
                 raise ValueError(f"singular profile needs 0 < gamma*p < 2, "
                                  f"got gamma={gamma}, p={p}")
-            cx, cy = (float(v) for v in params.get("center", (0.0, 0.0)))
+            cx, cy = (finite(v, "singular center") for v in params.get("center", (0.0, 0.0)))
 
             def singular(grid):
                 r, th = grid.r_col, grid.theta
@@ -200,8 +206,9 @@ def initial_profile(spec: dict):
 
             return singular
         if kind == "modes":
-            terms = [(int(entry[0]), [float(c) for c in entry[1]],
-                      float(entry[2]) if len(entry) > 2 else 0.0) for entry in params]
+            terms = [(int(entry[0]), [finite(c, "modes coefficient") for c in entry[1]],
+                      finite(entry[2], "modes phase") if len(entry) > 2 else 0.0)
+                     for entry in params]
 
             def modes(grid):
                 vals = np.zeros(grid.shape)
@@ -356,10 +363,10 @@ class Trajectory:
     """Vorticity snapshots plus per-step scalar series of one simulation.
 
     A snapshot stores only its vorticity omega: the Biot-Savart law fixes
-    the rest. us is derived on first use, one snapshot at a time, by
-    solve_poisson_dirichlet and perp_grad, and kept; a run in memory and
-    the same run loaded from disk take that one path and give identical
-    fields.
+    the rest. The velocity is derived on first use, one Poisson solve per
+    batch of SNAPSHOT_BATCH snapshots (_batches), and kept; a run in
+    memory and the same run loaded from disk take that one path and give
+    identical fields.
     """
 
     config: SimConfig
@@ -371,7 +378,21 @@ class Trajectory:
 
     @cached_property
     def us(self) -> list:
-        return [perp_grad(solve_poisson_dirichlet(om)) for om in self.omegas]
+        """One VectorField per snapshot, viewing the velocity of _batches."""
+        return [VectorField(self.grid, r, t) for _, _, u in self._batches()
+                for r, t in zip(u.u_r, u.u_theta)]
+
+    def _batches(self):
+        """Yield (sl, omega, u) per batch of at most SNAPSHOT_BATCH snapshots:
+        their index slice, and their vorticity and velocity as stacked
+        fields (b, n_r, n_theta); the velocity is derived once and kept."""
+        kept = self.__dict__.setdefault("_velocity_batches", [])
+        for k, start in enumerate(range(0, len(self.omegas), SNAPSHOT_BATCH)):
+            sl = slice(start, start + SNAPSHOT_BATCH)
+            omega = ScalarField(self.grid, np.stack([om.values for om in self.omegas[sl]]))
+            if k == len(kept):
+                kept.append(perp_grad(solve_poisson_dirichlet(omega)))
+            yield sl, omega, kept[k]
 
     def series_columns(self) -> list[str]:
         return _series_columns(self.config.lp_exponents)
@@ -400,9 +421,9 @@ class Trajectory:
     @classmethod
     def load(cls, run_dir) -> "Trajectory":
         """Read a run directory written by save. A snapshot file whose
-        times are not finite and strictly increasing, or whose omega or
-        series names do not match config-resolved.json, raises
-        ValueError."""
+        times are not finite and strictly increasing, whose omega is not
+        finite, or whose omega or series names do not match
+        config-resolved.json, raises ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
         grid = build_grid(config.n_r, config.n_theta)
         trace = boundary_trace(grid, config.alpha)
@@ -418,6 +439,9 @@ class Trajectory:
             raise ValueError(f"{path}: omega has shape {omega.shape}, expected "
                              f"{(len(times),) + grid.shape} for {len(times)} times "
                              f"on the configured grid")
+        bad = np.flatnonzero(~np.isfinite(omega).all(axis=(-2, -1)))
+        if bad.size:
+            raise ValueError(f"{path}: omega of snapshot {bad[0]} has non-finite entries")
         columns = _series_columns(config.lp_exponents)
         if names != columns or len(values) != len(columns):
             raise ValueError(f"{path}: series_names {names} with {len(values)} rows of "

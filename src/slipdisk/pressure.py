@@ -1,4 +1,4 @@
-"""Pressure recovery from a velocity snapshot on the disk.
+"""Pressure recovery from velocity snapshots on the disk.
 
 Taking the divergence of the momentum equation removes the time
 derivative of a divergence-free tangent field, leaving the Neumann
@@ -22,6 +22,10 @@ telescopes to roundoff whenever u is divergence-free, so the mode-0
 Neumann system is consistent by construction; the data is nevertheless
 projected (its mean subtracted) and the defect reported. The recovered
 pressure is normalized to zero quadrature mean.
+
+A stack of snapshots (B, n_r, n_theta) is recovered in one pass, its B
+right-hand sides in one tridiagonal solve; one snapshot is a stack
+without the snapshot axis.
 """
 
 from __future__ import annotations
@@ -52,44 +56,47 @@ def directional_derivative(u: VectorField, g: dict[str, np.ndarray]) -> VectorFi
                        u.u_r * g["rt"] + u.u_theta * g["tt"])
 
 
-def advective_acceleration(u: VectorField) -> VectorField:
-    """(u.grad)u in polar components, curvature terms included: the
-    directional derivative of u along itself, from vector_gradient(u)."""
-    return directional_derivative(u, vector_gradient(u))
+def _require(values, tol: float, message: str) -> None:
+    """Raise ValueError(message.format(value=..., at=...)) for the first
+    snapshot whose value exceeds tol; at names it when values is a stack."""
+    flat = np.ravel(values)
+    bad = np.flatnonzero(~(flat <= tol))
+    if bad.size:
+        at = f" (snapshot {bad[0]})" if np.ndim(values) else ""
+        raise ValueError(message.format(at=at, value=flat[bad[0]]))
 
 
 def check_tangent_field(v: VectorField, name: str) -> None:
-    """Raise ValueError unless v is discretely divergence-free and tangent
-    at r = 1, both in max norm to TANGENT_FIELD_TOL."""
-    div_max = float(np.abs(divergence(v).values).max())
-    if div_max > TANGENT_FIELD_TOL:
-        raise ValueError(f"{name} is not divergence-free: max |div| = {div_max:.3e}")
-    tang = float(np.abs(boundary_values(v.u_r, v.grid)).max())
-    if tang > TANGENT_FIELD_TOL:
-        raise ValueError(f"{name} is not tangent: max |u_r| at r=1 is {tang:.3e}")
+    """Raise ValueError unless v, or each snapshot of a stack, is discretely
+    divergence-free and tangent at r = 1, both in max norm to
+    TANGENT_FIELD_TOL."""
+    _require(np.abs(divergence(v).values).max(axis=(-2, -1)), TANGENT_FIELD_TOL,
+             name + "{at} is not divergence-free: max |div| = {value:.3e}")
+    _require(np.abs(boundary_values(v.u_r, v.grid)).max(axis=-1), TANGENT_FIELD_TOL,
+             name + "{at} is not tangent: max |u_r| at r=1 is {value:.3e}")
 
 
-def flux_divergence(a: VectorField) -> tuple[ScalarField, np.ndarray]:
+def flux_divergence(a: VectorField) -> tuple[np.ndarray, np.ndarray]:
     """Divergence of a vector field in flux form on the staggered faces.
 
     Radial fluxes live on the faces j dr: interior face values are
     arithmetic means of the neighbouring nodes, the pole face carries no
     flux (r = 0 factor), and the outer face takes the quadratically
-    extrapolated trace of a_r. Returns the divergence and that trace; a
-    caller that reuses the trace in boundary data inherits the exact
-    telescoping of the radial fluxes under the disk quadrature.
+    extrapolated trace of a_r. Returns the divergence's node values and
+    that trace; a caller that reuses the trace in boundary data inherits
+    the exact telescoping of the radial fluxes under the disk quadrature.
     """
     grid = a.grid
     r, dr = grid.r, grid.dr
     faces = grid.r_face
     a_r1 = boundary_values(a.u_r, grid)
-    flux = np.empty((grid.n_r + 1, grid.n_theta))
-    flux[0] = 0.0
-    flux[1:-1] = faces[1:-1, None] * 0.5 * (a.u_r[:-1] + a.u_r[1:])
-    flux[-1] = a_r1
-    div = (flux[1:] - flux[:-1]) / (r[:, None] * dr)
+    flux = np.empty(a.u_r.shape[:-2] + (grid.n_r + 1, grid.n_theta))
+    flux[..., 0, :] = 0.0
+    flux[..., 1:-1, :] = faces[1:-1, None] * 0.5 * (a.u_r[..., :-1, :] + a.u_r[..., 1:, :])
+    flux[..., -1, :] = a_r1
+    div = (flux[..., 1:, :] - flux[..., :-1, :]) / (r[:, None] * dr)
     div += theta_derivative(a.u_theta) / r[:, None]
-    return ScalarField(grid, div), a_r1
+    return div, a_r1
 
 
 def neumann_laplacian_bands(grid: PolarGrid):
@@ -127,91 +134,96 @@ class PoissonNeumannSolver:
     def solve(self, rhs: ScalarField, neumann: np.ndarray) -> ScalarField:
         grid = self.grid
         n = grid.n_theta
-        if neumann.shape != (n,):
+        if neumann.shape != rhs.values.shape[:-2] + (n,):
             raise ValueError("Neumann data must be sampled on the theta grid")
         f_modes = to_modes(rhs.values)
-        g_modes = np.fft.rfft(neumann)
-        f_modes[:, -1] -= self._data_coeff * g_modes
-        f_modes[0, 0] = 0.0  # pinned gauge row
-        p_modes = self._lu.solve(f_modes)
-        p = from_modes(p_modes, n)
-        p -= integrate(grid, p) / np.sum(grid.weights)
+        f_modes[..., -1] -= self._data_coeff * np.fft.rfft(neumann, axis=-1)
+        f_modes[..., 0, 0] = 0.0  # pinned gauge row
+        p = from_modes(self._lu.solve(f_modes), n)
+        p -= integrate(grid, p)[..., None, None] / np.sum(grid.weights)
         return ScalarField(grid, p)
 
     def apply(self, p: ScalarField, neumann: np.ndarray) -> ScalarField:
         """Unpinned operator action plus boundary data, for residual checks."""
         out = apply_tridiagonal(self._lower, self._diag, self._upper,
                                 to_modes(p.values))
-        out[:, -1] += self._data_coeff * np.fft.rfft(neumann)
+        out[..., -1] += self._data_coeff * np.fft.rfft(neumann, axis=-1)
         return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
 
 
-def project_neumann_data(rhs: ScalarField, g: np.ndarray) -> tuple[np.ndarray, float]:
+def project_neumann_data(rhs: ScalarField, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shift g by a constant so the discrete Gauss identity
     integral(rhs) = boundary integral(g) holds exactly, making the mode-0
     Neumann system consistent. Returns the projected data and the defect
-    that was removed. Any constant shift of g is absorbed here, which is
-    what makes the recovery gauge invariant in the data.
+    that was removed (per snapshot). Any constant shift of g is absorbed
+    here, which is what makes the recovery gauge invariant in the data.
     """
-    vol = float(integrate(rhs.grid, rhs.values))
-    flux = float(np.sum(g) * rhs.grid.dtheta)
-    return g - (flux - vol) / (2.0 * np.pi), abs(vol - flux)
+    vol = integrate(rhs.grid, rhs.values)
+    flux = np.sum(g, axis=-1) * rhs.grid.dtheta
+    return g - ((flux - vol) / (2.0 * np.pi))[..., None], np.abs(vol - flux)
 
 
 @dataclass(frozen=True)
 class PressureSolve:
-    """Recovered pressure with its certificate.
+    """Recovered pressure with its certificate, per snapshot of a stack.
 
     p has zero quadrature mean. pde_residual is the max-norm residual of
     the discrete Poisson system (boundary row included); bc_residual is an
     independent one-sided check of dp/dr(1) against the Neumann data;
     compatibility_defect is |integral(f) - boundary integral(g)| before
-    projection; acceleration is the (u.grad)u the source was built from.
+    projection; the three are arrays (B,) for a stack. acceleration is
+    the (u.grad)u the source was built from, gradient the vector_gradient(u).
     """
     p: ScalarField
-    pde_residual: float
-    bc_residual: float
-    compatibility_defect: float
+    pde_residual: float | np.ndarray
+    bc_residual: float | np.ndarray
+    compatibility_defect: float | np.ndarray
     acceleration: VectorField
+    gradient: dict
 
 
 def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
                      trace: BoundaryTrace | None = None) -> PressureSolve:
-    """Solve the pressure Poisson problem for one velocity snapshot.
+    """Solve the pressure Poisson problem for one velocity snapshot, or for
+    a stack (B, n_r, n_theta) of them in one Neumann solve.
 
     u must pass check_tangent_field; fields reconstructed by this package
-    do so to roundoff. (u.grad)u is advective_acceleration(u), kept in the
-    result for pressure_estimate_slack. The compatibility defect of the
-    Neumann data is projected out and reported; a defect above 1e-6
-    signals an inconsistent velocity field and raises. trace, when given,
-    is only checked against the grid: the Neumann data holds no slip
-    coefficient, so the pressure does not depend on it.
+    do so to roundoff. (u.grad)u is directional_derivative(u, gu) with
+    gu = vector_gradient(u); the result keeps both, for
+    pressure_estimate_slack and the enstrophy balance. The compatibility
+    defect of the Neumann data is projected out and reported; a defect
+    above 1e-6 signals an inconsistent velocity field and raises. Both
+    checks are per snapshot, and an error names the first failing one.
+    trace, when given, is only checked against the grid: the Neumann data
+    holds no slip coefficient, so the pressure does not depend on it.
     """
     grid = u.grid
     if omega.grid is not grid and omega.grid.shape != grid.shape:
         raise ValueError("omega and u live on different grids")
+    if omega.values.shape != u.u_r.shape:
+        raise ValueError(f"omega {omega.values.shape} and u {u.u_r.shape} "
+                         f"hold different snapshot stacks")
     if trace is not None and trace.theta.shape != grid.theta.shape:
         raise ValueError("boundary trace does not match the grid")
     check_tangent_field(u, "velocity")
 
-    a = advective_acceleration(u)
+    gu = vector_gradient(u)
+    a = directional_derivative(u, gu)
     div_a, a_r1 = flux_divergence(a)
-    rhs = ScalarField(grid, -div_a.values)
+    rhs = ScalarField(grid, -div_a)
 
-    omega_trace = boundary_values(omega.values, grid)
-    lap_u_r = -theta_derivative(omega_trace[None, :])[0]
+    lap_u_r = -theta_derivative(boundary_values(omega.values, grid))
     g, defect = project_neumann_data(rhs, nu * lap_u_r - a_r1)
-    if defect > COMPATIBILITY_TOL:
-        raise ValueError(f"Neumann data incompatible with the source "
-                         f"(defect {defect:.3e}); velocity snapshot inconsistent")
+    _require(defect, COMPATIBILITY_TOL, "Neumann data{at} incompatible with the source "
+             "(defect {value:.3e}); velocity snapshot inconsistent")
 
     solver = cached_solver(PoissonNeumannSolver, *grid.shape)
     p = solver.solve(rhs, g)
     residual = solver.apply(p, g).values - rhs.values
-    pde_residual = float(np.abs(residual).max())
-    bc_residual = float(np.abs(wall_derivative(p.values, grid) - g).max())
-    return PressureSolve(p=p, pde_residual=pde_residual, bc_residual=bc_residual,
-                         compatibility_defect=defect, acceleration=a)
+    return PressureSolve(
+        p=p, pde_residual=np.abs(residual).max(axis=(-2, -1)),
+        bc_residual=np.abs(wall_derivative(p.values, grid) - g).max(axis=-1),
+        compatibility_defect=defect, acceleration=a, gradient=gu)
 
 
 def pressure_estimate_slack(p: PressureSolve, omega: ScalarField, nu: float) -> float:
@@ -219,10 +231,10 @@ def pressure_estimate_slack(p: PressureSolve, omega: ScalarField, nu: float) -> 
 
         ||grad p||_2 <= ||(u.grad)u||_2 + nu ||grad omega||_2,
 
-    returned as RHS - LHS. The bound is the contraction property of the
-    gradient part of the Helmholtz decomposition, so the slack is
-    nonnegative up to discretization error. (u.grad)u is the acceleration
-    p was recovered with.
+    returned as RHS - LHS, for a one-snapshot p. The bound is the
+    contraction property of the gradient part of the Helmholtz
+    decomposition, so the slack is nonnegative up to discretization error.
+    (u.grad)u is the acceleration p was recovered with.
     """
     rhs = lp_norm(p.acceleration, 2.0) + nu * lp_norm(grad(omega), 2.0)
     lhs = lp_norm(grad(p.p), 2.0)

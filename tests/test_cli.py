@@ -343,10 +343,13 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
         ("sweep", {**sweep, "base": {"nu": 0.0}}),
     ]
     # specs that passed the config read and failed mid-run: an unknown or
-    # degenerate initial condition, an unparseable alpha, a fractional stride
+    # degenerate initial condition, an unparseable alpha, a fractional
+    # stride, a non-finite alpha or bump amplitude
     for change in ({"initial_condition": {"tent": {}}},
                    {"initial_condition": {"bump": {"radius": 0.0}}},
-                   {"alpha": "x"}, {"output_stride": 2.5}):
+                   {"alpha": "x"}, {"output_stride": 2.5},
+                   {"alpha": float("nan")},
+                   {"initial_condition": {"bump": {"amplitude": float("nan")}}}):
         cases.append(("simulate", {**_tiny_base().to_dict(), **change}))
         cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}))
     for k, (verb, spec) in enumerate(cases):

@@ -13,6 +13,7 @@ import pytest
 from slipdisk import (
     ScalarField,
     SimConfig,
+    VectorField,
     biot_savart,
     boundary_trace,
     build_grid,
@@ -73,6 +74,17 @@ def test_navier_residuals_sampled_fields(grid64):
         report = navier_residuals(u, curl(u), tr)
         assert report["navier_condition"] < 1e-8, alpha
         assert report["normal_derivative"] < 1e-8, alpha
+
+
+def test_navier_residuals_on_a_stack_take_the_max(grid48):
+    # a stack of snapshots reports, per curve, the max of its snapshots
+    tr = boundary_trace(grid48, 0.5)
+    us = [sample_navier_field(seed, 1.0, grid48) for seed in (1, 2, 3)]
+    singles = [navier_residuals(u, curl(u), tr) for u in us]
+    u = VectorField(grid48, np.stack([v.u_r for v in us]), np.stack([v.u_theta for v in us]))
+    stacked = navier_residuals(u, curl(u), tr)
+    assert stacked == {k: max(one[k] for one in singles) for k in stacked}
+    assert min(stacked.values()) > 0.0
 
 
 def test_curl_identity_converges():
@@ -245,6 +257,62 @@ def test_enstrophy_balance_viscous(grid48):
 
     coarse = enstrophy_balance_residual(_subset(traj, slice(1, None, 2)), tau_bar)
     assert coarse.max() / max(defect.max(), 1e-15) > 3.0
+
+
+def _bump16():
+    # 17 snapshots, one per step: not a whole number of analysis batches
+    config = SimConfig(nu=0.02, t_end=0.1, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
+        alpha=1.0, n_r=16, n_theta=16, output_stride=1)
+    return simulate(config)
+
+
+# weak_form_residual against the rigid test field u_theta = r and
+# enstrophy_balance_residual with the quintic cutoff on _bump16(), as the
+# per-snapshot implementation computed them
+BUMP16_WEAK_FORM = [
+    0.02940542464533131, 0.026600596668966796, 0.021466456002933204,
+    0.017197356621567073, 0.013642044241387014, 0.01068139917842708,
+    0.008219270133086126, 0.006176595804712769, 0.004487539837857962,
+    0.003096826318468679, 0.0019602362267791967, 0.000993142174210919,
+    0.00021910579690274934, 0.00039165079013812193, 0.0008666099927027576,
+    0.0012359001533269603, 0.001372848262220866]
+BUMP16_BALANCE = [
+    0.004903265897353615, 0.004178100320557705, 0.0035674285479448888,
+    0.0030532786972855227, 0.002620914766999731, 0.0022578586801453413,
+    0.001953448450161402, 0.0016985496911998785, 0.0014853473076886473,
+    0.0013071736266533182, 0.0012138350415676312, 0.001077787736193381,
+    0.0009652258350797022, 0.0008720547514164725, 0.0007948679349648989,
+    0.0005029045628175984]
+
+
+def test_batched_trajectory_diagnostics_match_recorded_values():
+    from slipdisk.ns_solver import SNAPSHOT_BATCH
+    traj = _bump16()
+    assert len(traj.times) == 17 and len(traj.times) % SNAPSHOT_BATCH != 0
+    grid = traj.grid
+    v = VectorField(grid, np.zeros(grid.shape), np.tile(grid.r_col, (1, grid.n_theta)))
+    weak = weak_form_residual(traj, v)
+    balance = enstrophy_balance_residual(traj, extended_tangent(traj.grid, traj.trace))
+    np.testing.assert_allclose(weak, BUMP16_WEAK_FORM, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(balance, BUMP16_BALANCE, rtol=1e-12, atol=0.0)
+
+
+def test_enstrophy_balance_differentiates_each_velocity_once(monkeypatch):
+    # the pressure recovery's velocity gradient also feeds the balance
+    # source: one gradient per snapshot, summed over the stacks' leading axes
+    from slipdisk import diagnostics, field, pressure
+    traj = _bump16()
+    counted = []
+
+    def counting(u):
+        counted.append(int(np.prod(u.u_r.shape[:-2])))
+        return field.vector_gradient(u)
+
+    for module in (diagnostics, pressure):
+        monkeypatch.setattr(module, "vector_gradient", counting)
+    enstrophy_balance_residual(traj, extended_tangent(traj.grid, traj.trace))
+    assert sum(counted) == len(traj.times)
 
 
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):

@@ -33,6 +33,7 @@ from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, bum
                                 cfl_bound, simulate_ensemble)
 
 DATA = Path(__file__).parent / "data"
+NAN, INF = float("nan"), float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,22 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     ({"initial_condition": {"singular": {"gamma": 1.0}}}, "malformed 'singular'"),
     ({"initial_condition": {"modes": [[2]]}}, "malformed 'modes'"),
     ({"alpha": "x"}, "unrecognized alpha spec"),
+    # non-finite numbers inside the specs used to pass and fail mid-run
+    ({"initial_condition": {"bump": {"center": [NAN, 0.0]}}}, "bump center must be finite"),
+    ({"initial_condition": {"bump": {"amplitude": INF}}}, "bump amplitude must be finite"),
+    ({"initial_condition": {"const": NAN}}, "const initial condition must be finite"),
+    ({"initial_condition": {"singular": {"center": [0.0, INF], "gamma": 0.4, "p": 4.0}}},
+     "singular center must be finite"),
+    ({"initial_condition": {"singular": {"gamma": NAN, "p": 4.0}}},
+     "singular gamma must be finite"),
+    ({"initial_condition": {"singular": {"gamma": 0.4, "p": -INF}}}, "singular p must be finite"),
+    ({"initial_condition": {"modes": [[2, [1.0, NAN]]]}}, "modes coefficient must be finite"),
+    ({"alpha": NAN}, "alpha must be finite"),
+    ({"alpha": {"const": -INF}}, "alpha must be finite"),
+    ({"alpha": {"fourier": [[1, 0.5, NAN]]}}, "alpha fourier coefficient must be finite"),
+    ({"lp_exponents": (2.0, NAN)}, "lp exponents must be >= 1"),
+    # the profile lies in L^p only for 0 < gamma p; a negative p slipped through
+    ({"initial_condition": {"singular": {"gamma": 0.4, "p": -1.0}}}, "0 < gamma\\*p < 2"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
@@ -438,7 +455,13 @@ def test_trajectory_derives_psi_and_u_once_per_snapshot(monkeypatch):
     monkeypatch.setattr(ns_solver, "solve_poisson_dirichlet", counting)
     us = traj.us
     assert traj.us is us
-    assert [c.values.shape for c in calls] == [traj.grid.shape] * len(traj.omegas)
+    assert len(list(traj._batches())) == 1  # the batch walk reuses the velocities
+    # every snapshot once, in one solve per batch of SNAPSHOT_BATCH
+    assert [c.values.shape for c in calls] == [(len(traj.omegas),) + traj.grid.shape]
+    assert len(traj.omegas) <= ns_solver.SNAPSHOT_BATCH
+    for u, om in zip(us, traj.omegas):  # bitwise the one-snapshot derivation
+        alone = biot_savart(om)
+        assert np.array_equal(u.u_r, alone.u_r) and np.array_equal(u.u_theta, alone.u_theta)
 
 
 def _rewrite_snapshots(run_dir, **replace):
@@ -460,6 +483,9 @@ def test_trajectory_load_rejects_inconsistent_snapshots(tmp_path):
         "wrong grid": (dict(omega=omega[:, :8]), r"omega has shape \(3, 8, 16\)"),
         "series names": (dict(series_names=np.array(["t", "energy"])), "series_names"),
         "series rows": (dict(series_values=np.zeros((2, 5))), "with 2 rows"),
+        "non-finite snapshot": (dict(omega=np.where(np.arange(3)[:, None, None] >= 1,
+                                                    np.inf, omega)),
+                                "omega of snapshot 1 has non-finite entries"),
     }
     for name, (replace, match) in cases.items():
         run_dir = tmp_path / name.replace(" ", "_")

@@ -19,11 +19,13 @@ from slipdisk import (
     grad,
     initial_vorticity,
     lp_norm,
+    perp_grad,
     pressure_estimate_slack,
     recover_pressure,
     sample_navier_field,
 )
-from slipdisk.pressure import advective_acceleration, project_neumann_data
+from slipdisk.field import vector_gradient
+from slipdisk.pressure import directional_derivative, project_neumann_data
 
 from conftest import smooth_vorticity
 
@@ -31,6 +33,11 @@ from conftest import smooth_vorticity
 def _rigid(grid):
     omega = initial_vorticity({"const": 2.0}, grid)
     return biot_savart(omega), omega
+
+
+def advective_acceleration(u):
+    """(u.grad)u as recover_pressure builds it."""
+    return directional_derivative(u, vector_gradient(u))
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +190,48 @@ def test_grid_mismatch_rejected(grid48, grid64):
     omega = initial_vorticity({"const": 2.0}, grid64)
     with pytest.raises(ValueError, match="different grids"):
         recover_pressure(u, omega, nu=0.0)
+
+# ---------------------------------------------------------------------------
+# snapshot stacks
+# ---------------------------------------------------------------------------
+
+def _stack(grid, seeds):
+    omega = ScalarField(grid, np.stack([smooth_vorticity(grid, seed=s).values
+                                        for s in seeds]))
+    return biot_savart(omega), omega
+
+
+def test_stack_recovery_matches_single_snapshots_bitwise(grid48):
+    # one Neumann solve over a stack is the per-snapshot recovery, bit for bit
+    seeds = (1, 2, 3)
+    u, omega = _stack(grid48, seeds)
+    stacked = recover_pressure(u, omega, nu=0.02)
+    assert stacked.p.values.shape == (len(seeds),) + grid48.shape
+    for k in range(len(seeds)):
+        one = recover_pressure(VectorField(grid48, u.u_r[k], u.u_theta[k]),
+                               ScalarField(grid48, omega.values[k]), nu=0.02)
+        assert np.array_equal(stacked.p.values[k], one.p.values)
+        assert stacked.pde_residual[k] == one.pde_residual
+        assert stacked.bc_residual[k] == one.bc_residual
+        assert stacked.compatibility_defect[k] == one.compatibility_defect
+
+
+def test_stack_recovery_names_the_failing_snapshot(grid48):
+    # each check names snapshot 2 of a stack of 4 when only it fails
+    u, omega = _stack(grid48, (1, 2, 3, 4))
+    # the wall flux of d_theta(omega) cancels only to roundoff, so a
+    # vorticity of size 1e12 leaves a defect far above the tolerance
+    huge = omega.values.copy()
+    huge[2] *= 1e12
+    with pytest.raises(ValueError, match=r"Neumann data \(snapshot 2\) incompatible"):
+        recover_pressure(u, ScalarField(grid48, huge), nu=1.0)
+    # the uniform translation psi = x is divergence-free but not tangent
+    translation = perp_grad(ScalarField(grid48, grid48.r_col * np.cos(grid48.theta)[None, :]))
+    u.u_r[2], u.u_theta[2] = translation.u_r, translation.u_theta
+    with pytest.raises(ValueError, match=r"velocity \(snapshot 2\) is not tangent"):
+        recover_pressure(u, omega, nu=0.0)
+    u.u_r[2] = grid48.r_col  # radial outflow: not divergence-free
+    with pytest.raises(ValueError, match=r"velocity \(snapshot 2\) is not divergence-free"):
+        recover_pressure(u, omega, nu=0.0)
+    with pytest.raises(ValueError, match="different snapshot stacks"):
+        recover_pressure(u, ScalarField(grid48, omega.values[0]), nu=0.0)
