@@ -267,9 +267,9 @@ def _bump16():
     return simulate(config)
 
 
-# weak_form_residual against the rigid test field u_theta = r and
-# enstrophy_balance_residual with the quintic cutoff on _bump16(), as the
-# per-snapshot implementation computed them
+# weak_form_residual against the rigid test field u_theta = r,
+# enstrophy_balance_residual with the quintic cutoff and renormalized_slack
+# on _bump16(), as the per-snapshot implementation computed them
 BUMP16_WEAK_FORM = [
     0.02940542464533131, 0.026600596668966796, 0.021466456002933204,
     0.017197356621567073, 0.013642044241387014, 0.01068139917842708,
@@ -284,6 +284,7 @@ BUMP16_BALANCE = [
     0.0013071736266533182, 0.0012138350415676312, 0.001077787736193381,
     0.0009652258350797022, 0.0008720547514164725, 0.0007948679349648989,
     0.0005029045628175984]
+BUMP16_SLACK = 0.561548897338719
 
 
 def test_batched_trajectory_diagnostics_match_recorded_values():
@@ -296,6 +297,8 @@ def test_batched_trajectory_diagnostics_match_recorded_values():
     balance = enstrophy_balance_residual(traj, extended_tangent(traj.grid, traj.trace))
     np.testing.assert_allclose(weak, BUMP16_WEAK_FORM, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(balance, BUMP16_BALANCE, rtol=1e-12, atol=0.0)
+    slack = renormalized_slack(traj, {"bump": {"center": (0.0, 0.0), "radius": 0.9}}, q=2.0)
+    assert abs(slack - BUMP16_SLACK) <= 1e-12 * BUMP16_SLACK
 
 
 def test_enstrophy_balance_differentiates_each_velocity_once(monkeypatch):
