@@ -14,7 +14,8 @@ snapshots.npz with the vorticity snapshots. diagnose takes everything
 from the run directory: the viscosity from its config, and each
 snapshot's pressure recovered inside the balance. Identical configs
 reproduce identical outputs except the wall_ms column, which reports
-measured wall time.
+measured wall time. The sweep runs its refined inviscid reference in one
+worker process beside the base-grid ensemble.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 # Unused: perfbench/layers.py looks this name up; the next benchmark change removes it.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field as dataclass_field, replace
@@ -172,8 +174,11 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
     near-center angular bound by its square while the reference step
     shrinks only linearly, so the refined run is the binding constraint.
     The viscous runs and the base-grid inviscid run share everything but
-    the viscosity and are stepped as one ensemble; the refined run
-    follows it.
+    the viscosity and are stepped as one ensemble in this process, while
+    the refined run executes beside it in one worker process, which has
+    its own interpreter lock; euler_refined_wall_ms is the worker's own
+    time for it. A CflError from the ensemble is reported before one from
+    the refined run.
 
     With return_runs the trajectories come back too, as
     (report, {"viscous": [...], "euler_base": ..., "euler_refined": ...}).
@@ -195,20 +200,26 @@ def run_sweep(config: SweepConfig, return_runs: bool = False):
     else:
         candidates = [float(base.dt)]
 
-    for attempt, dt_try in enumerate(candidates, start=1):
-        n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
-        dt = base.t_end / n_steps
-        members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
-        refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
-                          n_theta=m * base.n_theta, output_stride=m * base.output_stride)
-        try:
-            base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
-            euler_fine, euler_fine_ms = _timed_run(simulate, refined)
-            break
-        except CflError as err:
-            if attempt == len(candidates):
-                raise RuntimeError(f"sweep failed at its smallest step "
-                                   f"dt={dt}: {err}") from err
+    # Leaving the with block joins the worker, so none outlives the sweep.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        for attempt, dt_try in enumerate(candidates, start=1):
+            n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
+            dt = base.t_end / n_steps
+            members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
+            refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
+                              n_theta=m * base.n_theta,
+                              output_stride=m * base.output_stride)
+            refined_run = pool.submit(_timed_run, simulate, refined)
+            try:
+                base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
+                euler_fine, euler_fine_ms = refined_run.result()
+                break
+            except CflError as err:
+                # An abandoned refined run finishes in the worker before the
+                # next attempt's starts there; its outcome is dropped.
+                if attempt == len(candidates):
+                    raise RuntimeError(f"sweep failed at its smallest step "
+                                       f"dt={dt}: {err}") from err
     viscous, euler_base = base_runs[:-1], base_runs[-1]
 
     if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -73,6 +74,12 @@ class CflError(RuntimeError):
         self.bound = bound
         self.max_u = max_u
         self.nu = nu
+
+    def __reduce__(self):
+        # The default rebuilds CflError(*self.args) from the message alone;
+        # the fields rebuild it, and the state restores a step-prefixed message.
+        return (type(self), (self.dt, self.bound, self.max_u, self.nu),
+                {**self.__dict__, "args": self.args})
 
 
 class DivergenceError(RuntimeError):
@@ -398,9 +405,9 @@ class Trajectory:
         return _series_columns(self.config.lp_exponents)
 
     def save(self, run_dir) -> None:
-        """Write config-resolved.json, series.csv and snapshots.npz, which
-        holds times, omega (n_snapshots, n_r, n_theta), series_names and
-        series_values."""
+        """Write config-resolved.json, series.csv and the uncompressed
+        snapshots.npz, which holds times, omega (n_snapshots, n_r,
+        n_theta), series_names and series_values."""
         os.makedirs(run_dir, exist_ok=True)
         with open(os.path.join(run_dir, "config-resolved.json"), "w") as fh:
             json.dump(self.config.to_dict(), fh, indent=2, sort_keys=True)
@@ -410,29 +417,41 @@ class Trajectory:
             fh.write(",".join(cols) + "\n")
             for row in zip(*(self.series[c] for c in cols)):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        np.savez_compressed(
-            os.path.join(run_dir, "snapshots.npz"),
-            times=self.times,
-            omega=np.stack([f.values for f in self.omegas]),
-            series_names=np.array(cols),
-            series_values=np.stack([self.series[c] for c in cols]),
-        )
+        # Written under a temporary name and renamed into place, so an
+        # interrupted save never leaves a partial snapshots.npz behind.
+        path = os.path.join(run_dir, "snapshots.npz")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, times=self.times,
+                         omega=np.stack([f.values for f in self.omegas]),
+                         series_names=np.array(cols),
+                         series_values=np.stack([self.series[c] for c in cols]))
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, run_dir) -> "Trajectory":
-        """Read a run directory written by save. A snapshot file whose
-        times are not finite and strictly increasing, whose omega is not
-        finite, or whose omega or series names do not match
+        """Read a run directory written by save, or by its earlier
+        compressed format. A snapshot file that is not a readable .npz,
+        whose times are not finite and strictly increasing, whose omega is
+        not finite, or whose omega or series names do not match
         config-resolved.json, raises ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
         grid = build_grid(config.n_r, config.n_theta)
         trace = boundary_trace(grid, config.alpha)
         path = os.path.join(run_dir, "snapshots.npz")
-        with np.load(path) as data:
-            times = data["times"]
-            omega = data["omega"]
-            names = [str(s) for s in data["series_names"]]
-            values = data["series_values"]
+        try:
+            with open(path, "rb") as fh, np.load(fh) as data:
+                times = data["times"]
+                omega = data["omega"]
+                names = [str(s) for s in data["series_names"]]
+                values = data["series_values"]
+        except (zipfile.BadZipFile, EOFError) as err:
+            raise ValueError(f"{path}: unreadable snapshot file ({err})") from err
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError(f"{path}: times must be finite and strictly increasing")
         if omega.shape != (len(times),) + grid.shape:

@@ -7,14 +7,17 @@ main() with their exit code contract.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slipdisk import SimConfig, SweepConfig, Trajectory, main, run_sweep
+from slipdisk import (CflError, SimConfig, SweepConfig, Trajectory, cli, main, run_sweep,
+                      simulate)
 from slipdisk.cli import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 from slipdisk.geometry import build_grid
 
@@ -180,6 +183,47 @@ def test_sweep_returns_runs_when_asked():
     assert runs["euler_refined"].grid.n_r == 32
 
 
+def test_sweep_refined_run_matches_an_in_process_run_bitwise():
+    # the refined run executes in a worker process; its trajectory must be
+    # the one simulate() computes here, bit for bit
+    config = SweepConfig(base=_tiny_base(nu=0.0), nu_list=(0.1, 0.01), q_list=(2.0,), p=4.0)
+    report, runs = run_sweep(config, return_runs=True)
+    m, base = config.euler_refinement_factor, config.base
+    refined = replace(base, nu=0.0, dt=report.metadata["dt"] / m, n_r=m * base.n_r,
+                      n_theta=m * base.n_theta, output_stride=m * base.output_stride)
+    here, there = simulate(refined), runs["euler_refined"]
+    assert there.config == refined
+    assert np.array_equal(there.times, here.times)
+    assert len(there.omegas) == len(here.omegas) > 1
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(there.omegas, here.omegas))
+    assert sorted(there.series) == sorted(here.series)
+    assert all(np.array_equal(there.series[c], here.series[c]) for c in here.series)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_restarts_when_a_candidate_step_trips(monkeypatch):
+    # cli.cfl_bound only sizes the candidates: scaled by 2.5, the first
+    # refined step is 1.5x its true bound (the ensemble's stays inside its
+    # own, so the trip is the worker's) and the second 0.75x
+    true_bound = cli.cfl_bound
+    monkeypatch.setattr(cli, "cfl_bound", lambda u: 2.5 * true_bound(u))
+    report = run_sweep(_rigid_sweep_config())
+    assert report.metadata["attempts"] == 2
+    assert report.metadata["refined_n_steps"] == 2 * report.metadata["n_steps"]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_fails_when_every_candidate_step_trips(monkeypatch):
+    true_bound = cli.cfl_bound
+    monkeypatch.setattr(cli, "cfl_bound", lambda u: 100.0 * true_bound(u))
+    with pytest.raises(RuntimeError, match="sweep failed at its smallest step") as info:
+        run_sweep(_rigid_sweep_config())
+    # both runs trip; the ensemble's error, naming its first member, is reported
+    assert isinstance(info.value.__cause__, CflError)
+    assert info.value.__cause__.nu == 0.1
+    assert multiprocessing.active_children() == []
+
+
 def test_rough_data_sweep_converges_above_the_euler_floor():
     # the paper's regime: omega_0 only in L^p, here the capped power law
     # |x - x0|^-0.4 with gamma p = 1.6 < 2. Measured at 32^2 with a 64^2
@@ -272,6 +316,23 @@ def test_diagnose_verb_rejects_unreadable_run(tmp_path, capsys):
     snapshots.unlink()
     assert main(["diagnose", str(run_dir)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_diagnose_verb_rejects_a_truncated_snapshot_file(tmp_path, capsys):
+    # a half-written snapshots.npz ended diagnose in a BadZipFile traceback
+    config = SimConfig(nu=0.1, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    cpath = tmp_path / "diag.json"
+    cpath.write_text(json.dumps(config.to_dict()))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", str(cpath), "--out", str(run_dir)]) == 0
+    snapshots = run_dir / "snapshots.npz"
+    snapshots.write_bytes(snapshots.read_bytes()[: snapshots.stat().st_size // 2])
+    capsys.readouterr()
+    assert main(["diagnose", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "snapshots.npz: unreadable snapshot file" in err, err
+    assert not (run_dir / "diagnostics.json").exists()
 
 
 def test_diagnose_verb_rejects_times_not_finite_and_increasing(tmp_path, capsys):

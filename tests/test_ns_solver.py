@@ -8,7 +8,9 @@ condition construction, and trajectory serialization.
 """
 
 import json
+import pickle
 import weakref
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +305,23 @@ def test_ensemble_cfl_trip_names_the_member():
     assert exc.value.bound < 0.04
 
 
+def test_solver_errors_survive_pickling():
+    # The sweep's refined run raises in a worker process, whose errors
+    # reach the caller pickled; CflError(message) could not be rebuilt.
+    with pytest.raises(CflError) as cfl:
+        simulate_ensemble([_ensemble_config(nu=0.02, dt=0.04)])
+    divergence = DivergenceError("non-finite vorticity")
+    divergence.args = (f"step 7 at t=0.1: {divergence}",)
+    for err in (cfl.value, CflError(0.1, 0.05, 3.0, 0.01), divergence):
+        again = pickle.loads(pickle.dumps(err))
+        assert type(again) is type(err) and again.args == err.args
+        assert str(again) == str(err)
+        if isinstance(err, CflError):
+            assert (again.dt, again.bound, again.max_u, again.nu) == \
+                (err.dt, err.bound, err.max_u, err.nu)
+    assert str(cfl.value).startswith("step 1 at t=0: nu=0.02")
+
+
 # ---------------------------------------------------------------------------
 # steady states and invariants
 # ---------------------------------------------------------------------------
@@ -411,6 +430,8 @@ def test_trajectory_save_load_roundtrip(tmp_path):
 
     with np.load(run_dir / "snapshots.npz") as data:
         assert sorted(data.files) == ["omega", "series_names", "series_values", "times"]
+    with zipfile.ZipFile(run_dir / "snapshots.npz") as archive:  # stored, not deflated
+        assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
 
     again = Trajectory.load(run_dir)
     assert np.allclose(again.times, traj.times)
@@ -422,6 +443,14 @@ def test_trajectory_save_load_roundtrip(tmp_path):
         assert np.array_equal(a.u_theta, b.u_theta)
     assert np.allclose(again.series["energy"], traj.series["energy"])
     assert again.config.nu == config.nu
+
+    # a run directory of the earlier compressed format loads to the same arrays
+    _rewrite_snapshots(run_dir)
+    deflated = Trajectory.load(run_dir)
+    assert np.array_equal(deflated.times, again.times)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(deflated.omegas, again.omegas))
+    assert all(np.array_equal(deflated.series[c], again.series[c]) for c in again.series)
 
     # a run directory of the earlier format, with psi and u stored too, loads
     _rewrite_snapshots(run_dir, psi=np.stack([solve_poisson_dirichlet(om).values
@@ -494,6 +523,36 @@ def test_trajectory_load_rejects_inconsistent_snapshots(tmp_path):
         with pytest.raises(ValueError, match=match) as info:
             Trajectory.load(run_dir)
         assert "snapshots.npz" in str(info.value), name
+
+    # a file cut short, or emptied, is reported as unreadable, not as a zip error
+    run_dir = tmp_path / "truncated"
+    traj.save(run_dir)
+    path = run_dir / "snapshots.npz"
+    whole = path.read_bytes()
+    for size in (len(whole) // 2, 0):
+        path.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match="snapshots.npz: unreadable snapshot file"):
+            Trajectory.load(run_dir)
+
+
+def test_trajectory_save_replaces_the_snapshot_file_atomically(tmp_path, monkeypatch):
+    traj = simulate(SimConfig(nu=0.02, t_end=0.02, initial_condition={"const": 2.0},
+                              dt=0.005, n_r=16, n_theta=16, output_stride=2))
+    run_dir = tmp_path / "run"
+    traj.save(run_dir)
+    before = (run_dir / "snapshots.npz").read_bytes()
+
+    def interrupted(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        traj.save(run_dir)
+    # the earlier file is untouched and no temporary file is left behind
+    assert (run_dir / "snapshots.npz").read_bytes() == before
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "config-resolved.json", "series.csv", "snapshots.npz"]
 
 
 def test_bump_values_signature(grid32):
