@@ -8,8 +8,8 @@ for boundary value systems with weights.
 from .adn import (AdnProblem, AdnReport, check_all, check_ellipticity,
                   complementing_check, disk_boundary, load_problem,
                   navier_laplacian_problem, principal_parts, roots_positive_imag)
-from .biot_savart import biot_savart, sample_navier_field, solve_poisson_dirichlet
-from .cli import ConvergenceReport, SweepConfig, main, run_sweep
+from .biot_savart import biot_savart, solve_poisson_dirichlet
+from .cli import main
 from .diagnostics import (ExtendedTangent, cz_ratio, enstrophy_balance_residual,
                           extended_tangent, h2_ratio, navier_residuals,
                           renormalized_slack, weak_form_residual)
@@ -19,6 +19,7 @@ from .geometry import PolarGrid, BoundaryTrace, boundary_trace, build_grid, inte
 from .ns_solver import (CflError, DivergenceError, SimConfig, Trajectory,
                         initial_vorticity, simulate, simulate_ensemble)
 from .pressure import PressureSolve, pressure_estimate_slack, recover_pressure
+from .sweep import ConvergenceReport, SweepConfig, run_sweep
 
 __all__ = [
     "AdnProblem", "AdnReport", "BoundaryTrace", "CflError", "ConvergenceReport",
@@ -32,7 +33,7 @@ __all__ = [
     "navier_laplacian_problem", "navier_residuals", "perp_grad",
     "pressure_estimate_slack", "principal_parts", "recover_pressure",
     "renormalized_slack", "roots_positive_imag", "run_sweep",
-    "sample_navier_field", "simulate", "simulate_ensemble",
+    "simulate", "simulate_ensemble",
     "solve_poisson_dirichlet",
     "weak_form_residual",
 ]

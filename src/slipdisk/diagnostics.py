@@ -9,7 +9,8 @@ step refinement on smooth data, which is what the associated tests pin
 down. Time derivatives of snapshot series use centered differences with
 one-sided ends. Each diagnostic returns the plain values its callers
 read: a dict of per-curve maxima, a per-snapshot or per-interval residual
-array, or a float.
+array, or a float; diagnose() gathers the slip, weak-form and balance
+residuals of a trajectory into the diagnose verb's report.
 
 The trajectory diagnostics walk the snapshots in batches
 (Trajectory._batches): every stencil, quadrature and pressure solve
@@ -178,19 +179,14 @@ def shifted_vorticity(omega: ScalarField, u: VectorField,
 
 
 def balance_source(u: VectorField, pressure: ScalarField, nu: float,
-                   tau_bar: ExtendedTangent) -> ScalarField:
-    """Source term of the shifted enstrophy balance,
+                   tau_bar: ExtendedTangent, gu: dict) -> np.ndarray:
+    """Node values of the source term of the shifted enstrophy balance,
 
     f = -u.(grad(tau_bar)^T u) + grad(p).tau_bar
-        + 2 nu trace(grad(u)^T grad(tau_bar)) + nu u.Laplace(tau_bar).
+        + 2 nu trace(grad(u)^T grad(tau_bar)) + nu u.Laplace(tau_bar),
+
+    gu = vector_gradient(u) given.
     """
-    return ScalarField(u.grid, _balance_source(u, pressure, nu, tau_bar,
-                                               vector_gradient(u)))
-
-
-def _balance_source(u: VectorField, pressure: ScalarField, nu: float,
-                    tau_bar: ExtendedTangent, gu: dict) -> np.ndarray:
-    """Node values of balance_source, gu = vector_gradient(u) given."""
     gt = tau_bar.gradient
     tau = tau_bar.field
     quad = (u.u_r * u.u_r * gt["rr"] + u.u_r * u.u_theta * gt["rt"]
@@ -224,7 +220,7 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
         gb = grad(bar)
         dissip[sl] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
         ps = recover_pressure(u, om, nu, traj.trace)
-        f = _balance_source(u, ps.p, nu, tau_bar, ps.gradient)
+        f = balance_source(u, ps.p, nu, tau_bar, ps.gradient)
         source[sl] = integrate(grid, f * bar.values)
     dt = np.diff(times)
     defect = (0.5 * np.diff(z)
@@ -304,6 +300,39 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
                                   * (-bump / t_final + transport))
     s = float(np.trapezoid(integrand, times))
     return s + float(integrate(grid, np.abs(traj.omegas[0].values) ** q * bump))
+
+
+# ---------------------------------------------------------------------------
+# the diagnose report of a trajectory
+# ---------------------------------------------------------------------------
+
+def diagnose(traj) -> dict:
+    """The diagnose verb's report of a trajectory with at least 2 snapshots:
+    the Navier curves' maxima over the snapshots, the weak form against the
+    rigid rotation r e_theta and the shifted enstrophy balance, each with
+    its max, the config's tolerance, and a pass verdict when that is set."""
+    grid = traj.grid
+    tol = traj.config.tol or {}
+    worst = {}
+    for _, om, u in traj._batches():
+        for k, v in navier_residuals(u, om, traj.trace).items():
+            worst[k] = max(worst.get(k, 0.0), v)
+    rigid = VectorField(grid, np.zeros(grid.shape),
+                        np.tile(grid.r[:, None], (1, grid.n_theta)))
+    wf = weak_form_residual(traj, rigid)
+    eb = enstrophy_balance_residual(traj, extended_tangent(grid, traj.trace))
+
+    def section(value, key):
+        entry = {"max": value, "tolerance": tol.get(key)}
+        if tol.get(key) is not None:
+            entry["pass"] = bool(value <= tol[key])
+        return entry
+
+    return {"config": traj.config.to_dict(),
+            "navier": section(worst["navier_condition"], "navier"),
+            "navier_curves": worst,
+            "weak_form": section(float(wf.max()), "weakform"),
+            "balance": section(float(eb.max()), "balance")}
 
 
 # ---------------------------------------------------------------------------

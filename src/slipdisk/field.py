@@ -243,9 +243,10 @@ def cartesian_gradient(values: np.ndarray, grid: PolarGrid) -> tuple[np.ndarray,
 def lp_norm(f: ScalarField | VectorField, p: float) -> float:
     """Quadrature L^p norm on the disk of a one-sample field; p = inf is the
     grid max (a lower bound of the true sup norm, since nodes sample the
-    field). lp_norms takes stacks."""
+    field). It is lp_norms of a stack of one, so a snapshot's norm does not
+    depend on whether it is taken alone or in a stack."""
     mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
-    return float(lp_norms(mag, f.grid, p))
+    return float(lp_norms(mag[None], f.grid, p)[0])
 
 
 def lp_norms(mag: np.ndarray, grid: PolarGrid, p: float) -> np.ndarray:

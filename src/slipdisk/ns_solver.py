@@ -51,11 +51,13 @@ from functools import cached_property
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
-from .biot_savart import (PoissonDirichletSolver, cached_solver, dirichlet_laplacian_bands,
-                          solve_poisson_dirichlet)
+from .biot_savart import (PoissonDirichletSolver, biot_savart, cached_solver,
+                          dirichlet_laplacian_bands)
 from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
-                    from_modes, lp_norms, perp_grad, perp_grad_values,
+                    from_modes, lp_norms, perp_grad_values,
                     radial_derivative, theta_derivative, to_modes, wall_derivative)
+# Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
+from .field import perp_grad  # noqa: F401
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
                        build_grid, finite)
 
@@ -398,7 +400,7 @@ class Trajectory:
             sl = slice(start, start + SNAPSHOT_BATCH)
             omega = ScalarField(self.grid, np.stack([om.values for om in self.omegas[sl]]))
             if k == len(kept):
-                kept.append(perp_grad(solve_poisson_dirichlet(omega)))
+                kept.append(biot_savart(omega))
             yield sl, omega, kept[k]
 
     def series_columns(self) -> list[str]:

@@ -1,0 +1,250 @@
+"""The vanishing viscosity sweep: one initial datum run at descending
+viscosities, and inviscidly on the base grid and on a refined grid. The
+report reads each viscous run's distance from the refined inviscid run
+against the base-grid inviscid run's own (the Euler floor).
+
+The post-processing works on each trajectory's snapshot stack
+(n_snapshots, n_r, n_theta): one interpolation moves the refined run to
+the base grid, and each sup over time is the max of one lp_norms call.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field as dataclass_field, replace
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+
+from .biot_savart import biot_savart
+from .diagnostics import phi_bump, renormalized_slack
+from .field import lp_norms
+from .geometry import build_grid
+from .ns_solver import (CflError, SimConfig, cfl_bound, initial_vorticity, simulate,
+                        simulate_ensemble)
+
+ENERGY_RATE_TOL = 1e-6
+DEFAULT_PHI = {"bump": {"center": (0.0, 0.0), "radius": 0.9, "amplitude": 1.0}}
+CSV_COLUMNS = ("nu", "q", "sup_lq_diff", "sup_lp_enstrophy",
+               "energy_ok", "renorm_slack", "wall_ms")
+
+
+@dataclass
+class SweepConfig:
+    """The viscosity sweep: one initial datum, descending viscosities, a
+    refined inviscid reference run."""
+    base: SimConfig
+    nu_list: tuple
+    q_list: tuple
+    p: float
+    euler_refinement_factor: int = 2
+    slack_q: float = 2.0
+    phi: dict = dataclass_field(default_factory=lambda: dict(DEFAULT_PHI))
+
+    def __post_init__(self):
+        self.nu_list = tuple(float(v) for v in self.nu_list)
+        self.q_list = tuple(float(q) for q in self.q_list)
+        self.p = float(self.p)
+        if not self.nu_list or not all(np.isfinite(v) and v > 0 for v in self.nu_list):
+            raise ValueError(f"nu_list must be nonempty finite positive reals, "
+                             f"got {self.nu_list}")
+        if any(a <= b for a, b in zip(self.nu_list, self.nu_list[1:])):
+            raise ValueError(f"nu_list must be strictly descending, got {self.nu_list}")
+        if self.p <= 2:
+            raise ValueError(f"p must exceed 2, got {self.p}")
+        for q in self.q_list + (self.slack_q,):
+            if not 1.0 <= q < self.p:
+                raise ValueError(f"exponent q={q} must lie in [1, p={self.p})")
+        if self.euler_refinement_factor < 2:
+            raise ValueError("euler_refinement_factor must be >= 2")
+        phi_bump(self.phi)
+        if self.p not in self.base.lp_exponents:
+            self.base = replace(self.base,
+                                lp_exponents=self.base.lp_exponents + (self.p,))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SweepConfig":
+        known = {"base", "nu_list", "q_list", "p", "euler_refinement_factor",
+                 "slack_q", "phi"}
+        unknown = set(d) - known
+        if unknown:
+            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
+        kwargs = dict(d)
+        kwargs["base"] = SimConfig.from_dict(d["base"])
+        return cls(**kwargs)
+
+    @classmethod
+    def from_json(cls, path) -> "SweepConfig":
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+    def to_dict(self) -> dict:
+        return {"base": self.base.to_dict(), "nu_list": list(self.nu_list),
+                "q_list": list(self.q_list), "p": self.p,
+                "euler_refinement_factor": self.euler_refinement_factor,
+                "slack_q": self.slack_q, "phi": self.phi}
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """One row per (nu, q) pair plus the inviscid reference's own
+    discretization floor, against which the convergence column is read.
+
+    runs holds the trajectories the report was read from, as
+    {"viscous": [...], "euler_base": ..., "euler_refined": ...}; it is
+    not part of the report's files or of its equality.
+    """
+    rows: tuple
+    euler_floor: dict
+    config: dict
+    metadata: dict
+    runs: dict = dataclass_field(default=None, repr=False, compare=False)
+
+    def to_csv(self) -> str:
+        lines = [",".join(CSV_COLUMNS)]
+        for row in self.rows:
+            lines.append(",".join(
+                repr(int(row[c])) if c == "energy_ok"
+                else repr(float(row[c])) for c in CSV_COLUMNS))
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        payload = {"rows": list(self.rows), "euler_floor": self.euler_floor,
+                   "config": self.config, "metadata": self.metadata}
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def write(self, out_dir) -> None:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "series.csv"), "w") as fh:
+            fh.write(self.to_csv())
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            fh.write(self.to_json())
+            fh.write("\n")
+        with open(os.path.join(out_dir, "config-resolved.json"), "w") as fh:
+            json.dump(self.config, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _energy_ok(series: dict) -> bool:
+    e = np.asarray(series["energy"])
+    t = np.asarray(series["t"])
+    slack = ENERGY_RATE_TOL * e[0] * np.diff(t)
+    return bool(np.all(np.diff(e) <= slack))
+
+
+def _interpolate_to_base(values: np.ndarray, factor: int, base_grid,
+                         fine_grid) -> np.ndarray:
+    """Refined-grid field (..., n_r, n_theta) to the base grid: the angular
+    nodes nest, so subsample; the radial nodes are staggered, so
+    cubic-spline."""
+    sub = values[..., ::factor]
+    return CubicSpline(fine_grid.r, sub, axis=-2)(base_grid.r)
+
+
+def _timed_run(run, arg):
+    """run(arg) and its wall time in milliseconds."""
+    start = time.perf_counter()
+    result = run(arg)
+    return result, 1e3 * (time.perf_counter() - start)
+
+
+def _omega_stack(traj) -> np.ndarray:
+    return np.stack([om.values for om in traj.omegas])
+
+
+def run_sweep(config: SweepConfig) -> ConvergenceReport:
+    """Run the sweep and assemble the report.
+
+    All runs share one fixed dt, so snapshot times align exactly across
+    the sweep. The step is sized by the CFL bound of the initial velocity
+    on the refined grid: refining the grid by a factor shrinks the
+    near-center angular bound by its square while the reference step
+    shrinks only linearly, so the refined run is the binding constraint.
+    The viscous runs and the base-grid inviscid run share everything but
+    the viscosity and are stepped as one ensemble in this process, while
+    the refined run executes beside it in one worker process, which has
+    its own interpreter lock; euler_refined_wall_ms is the worker's own
+    time for it. A CflError from the ensemble is reported before one from
+    the refined run.
+    """
+    base = config.base
+    m = config.euler_refinement_factor
+    base_grid = build_grid(base.n_r, base.n_theta)
+    fine_grid = build_grid(m * base.n_r, m * base.n_theta)
+
+    if base.dt == "auto":
+        omega0 = initial_vorticity(base.initial_condition, fine_grid)
+        bound = cfl_bound(biot_savart(omega0))
+        if not np.isfinite(bound):
+            bound = base.t_end
+        # The velocity maximum can grow during the run, so the initial
+        # bound is tried with successively harder margins; a CFL trip in
+        # any run restarts the whole sweep so the shared step survives.
+        candidates = [m * margin * bound for margin in (0.6, 0.3, 0.15)]
+    else:
+        candidates = [float(base.dt)]
+
+    # Leaving the with block joins the worker, so none outlives the sweep.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        for attempt, dt_try in enumerate(candidates, start=1):
+            n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
+            dt = base.t_end / n_steps
+            members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
+            refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
+                              n_theta=m * base.n_theta,
+                              output_stride=m * base.output_stride)
+            refined_run = pool.submit(_timed_run, simulate, refined)
+            try:
+                base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
+                euler_fine, euler_fine_ms = refined_run.result()
+                break
+            except CflError as err:
+                # An abandoned refined run finishes in the worker before the
+                # next attempt's starts there; its outcome is dropped.
+                if attempt == len(candidates):
+                    raise RuntimeError(f"sweep failed at its smallest step "
+                                       f"dt={dt}: {err}") from err
+    viscous, euler_base = base_runs[:-1], base_runs[-1]
+
+    if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):
+        raise RuntimeError("reference snapshot times do not align with the sweep")
+    ref = _interpolate_to_base(_omega_stack(euler_fine), m, base_grid, fine_grid)
+
+    def sup_diff(stack, q):
+        return float(np.max(lp_norms(np.abs(stack - ref), base_grid, q)))
+
+    base_stack = _omega_stack(euler_base)
+    euler_floor = {q: sup_diff(base_stack, q) for q in config.q_list}
+
+    rows = []
+    for traj in viscous:
+        if not np.allclose(traj.times, euler_fine.times, atol=1e-9):
+            raise RuntimeError(f"snapshot times for nu={traj.config.nu} do not align")
+        stack = _omega_stack(traj)
+        sup_lp = float(np.max(lp_norms(np.abs(stack), base_grid, config.p)))
+        slack = renormalized_slack(traj, config.phi, config.slack_q)
+        ok = _energy_ok(traj.series)
+        for q in config.q_list:
+            rows.append({"nu": traj.config.nu, "q": q, "sup_lq_diff": sup_diff(stack, q),
+                         "sup_lp_enstrophy": sup_lp, "energy_ok": ok,
+                         "renorm_slack": slack, "wall_ms": ensemble_ms})
+    for row in rows:
+        for key, value in row.items():
+            if not np.isfinite(float(value)):
+                raise RuntimeError(f"non-finite report entry {key} at nu={row['nu']}")
+
+    resolved = config.to_dict()
+    resolved["base"]["dt"] = dt
+    metadata = {"n_steps": n_steps, "dt": dt, "attempts": attempt,
+                "refined_n_steps": len(euler_fine.series["t"]) - 1,
+                "base_grid": [base.n_r, base.n_theta],
+                "refined_grid": [m * base.n_r, m * base.n_theta],
+                "ensemble_wall_ms": ensemble_ms,
+                "euler_refined_wall_ms": euler_fine_ms}
+    return ConvergenceReport(rows=tuple(rows), euler_floor=euler_floor,
+                             config=resolved, metadata=metadata,
+                             runs={"viscous": viscous, "euler_base": euler_base,
+                                   "euler_refined": euler_fine})

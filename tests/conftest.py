@@ -5,10 +5,10 @@ viscosity sweep) that several acceptance criteria read."""
 import numpy as np
 import pytest
 
-from slipdisk.cli import SweepConfig, run_sweep
 from slipdisk.geometry import build_grid
 from slipdisk.field import ScalarField
 from slipdisk.ns_solver import SimConfig, simulate
+from slipdisk.sweep import SweepConfig, run_sweep
 
 BUMP_IC = {"bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}}
 
@@ -67,5 +67,5 @@ def sweep_result():
                        lp_exponents=(2.0, 4.0)),
         nu_list=(0.1, 0.03, 0.01, 0.003, 0.001),
         q_list=(2.0,), p=4.0, euler_refinement_factor=2)
-    report, runs = run_sweep(config, return_runs=True)
-    return {"config": config, "report": report, "runs": runs}
+    report = run_sweep(config)
+    return {"config": config, "report": report, "runs": report.runs}

@@ -11,6 +11,7 @@ shared across criteria.
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
+from _fields import sample_navier_field
 from conftest import BUMP_IC, smooth_vorticity
 from slipdisk import (
     ScalarField,
@@ -34,12 +35,11 @@ from slipdisk import (
     recover_pressure,
     renormalized_slack,
     roots_positive_imag,
-    sample_navier_field,
     simulate,
     solve_poisson_dirichlet,
 )
 from slipdisk.adn import _adjugate, _degrees, _matmul, _monic, _polydiv, _polymul
-from slipdisk.cli import _energy_ok
+from slipdisk.sweep import _energy_ok
 
 XI_SCALINGS = (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
 

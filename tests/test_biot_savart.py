@@ -21,12 +21,12 @@ from slipdisk import (
     divergence,
     lp_norm,
     perp_grad,
-    sample_navier_field,
     solve_poisson_dirichlet,
 )
 from slipdisk.field import boundary_values
 from slipdisk.ns_solver import initial_vorticity
 
+from _fields import sample_navier_field
 from conftest import smooth_vorticity
 
 

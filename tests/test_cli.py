@@ -16,10 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slipdisk import (CflError, SimConfig, SweepConfig, Trajectory, cli, main, run_sweep,
-                      simulate)
-from slipdisk.cli import CSV_COLUMNS, _energy_ok, _interpolate_to_base
+from slipdisk import (CflError, ScalarField, SimConfig, SweepConfig, Trajectory, lp_norm,
+                      main, run_sweep, simulate, sweep)
 from slipdisk.geometry import build_grid
+from slipdisk.sweep import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 
 
 def _tiny_base(**kw):
@@ -176,22 +176,48 @@ def test_sweep_report_files(tmp_path):
     assert isinstance(resolved["base"]["dt"], float)  # dt resolved to a number
 
 
-def test_sweep_returns_runs_when_asked():
-    report, runs = run_sweep(_rigid_sweep_config(), return_runs=True)
+def test_sweep_report_keeps_its_runs():
+    report = run_sweep(_rigid_sweep_config())
+    runs = report.runs
     assert set(runs) == {"viscous", "euler_base", "euler_refined"}
     assert len(runs["viscous"]) == 2
     assert runs["euler_refined"].grid.n_r == 32
+    assert "runs" not in json.loads(report.to_json())
+    assert "runs" not in repr(report)
+
+
+def test_sweep_rows_equal_a_per_snapshot_lp_norm_recomputation():
+    # the sweep reads each trajectory's snapshot stack at once; snapshot by
+    # snapshot, with lp_norm, the same rows and floor come out bit for bit
+    config = SweepConfig(base=_tiny_base(nu=0.0), nu_list=(0.1, 0.01),
+                         q_list=(1.0, 2.0, 3.0), p=4.0)
+    report = run_sweep(config)
+    runs, m = report.runs, config.euler_refinement_factor
+    base_grid, fine_grid = runs["euler_base"].grid, runs["euler_refined"].grid
+    ref = [_interpolate_to_base(om.values, m, base_grid, fine_grid)
+           for om in runs["euler_refined"].omegas]
+
+    def sup_diff(traj, q):
+        return max(lp_norm(ScalarField(base_grid, om.values - rv), q)
+                   for om, rv in zip(traj.omegas, ref))
+
+    assert report.euler_floor == {q: sup_diff(runs["euler_base"], q) for q in config.q_list}
+    want = [(traj.config.nu, q, sup_diff(traj, q),
+             max(lp_norm(om, config.p) for om in traj.omegas))
+            for traj in runs["viscous"] for q in config.q_list]
+    assert [(r["nu"], r["q"], r["sup_lq_diff"], r["sup_lp_enstrophy"])
+            for r in report.rows] == want
 
 
 def test_sweep_refined_run_matches_an_in_process_run_bitwise():
     # the refined run executes in a worker process; its trajectory must be
     # the one simulate() computes here, bit for bit
     config = SweepConfig(base=_tiny_base(nu=0.0), nu_list=(0.1, 0.01), q_list=(2.0,), p=4.0)
-    report, runs = run_sweep(config, return_runs=True)
+    report = run_sweep(config)
     m, base = config.euler_refinement_factor, config.base
     refined = replace(base, nu=0.0, dt=report.metadata["dt"] / m, n_r=m * base.n_r,
                       n_theta=m * base.n_theta, output_stride=m * base.output_stride)
-    here, there = simulate(refined), runs["euler_refined"]
+    here, there = simulate(refined), report.runs["euler_refined"]
     assert there.config == refined
     assert np.array_equal(there.times, here.times)
     assert len(there.omegas) == len(here.omegas) > 1
@@ -202,11 +228,11 @@ def test_sweep_refined_run_matches_an_in_process_run_bitwise():
 
 
 def test_sweep_restarts_when_a_candidate_step_trips(monkeypatch):
-    # cli.cfl_bound only sizes the candidates: scaled by 2.5, the first
+    # sweep.cfl_bound only sizes the candidates: scaled by 2.5, the first
     # refined step is 1.5x its true bound (the ensemble's stays inside its
     # own, so the trip is the worker's) and the second 0.75x
-    true_bound = cli.cfl_bound
-    monkeypatch.setattr(cli, "cfl_bound", lambda u: 2.5 * true_bound(u))
+    true_bound = sweep.cfl_bound
+    monkeypatch.setattr(sweep, "cfl_bound", lambda u: 2.5 * true_bound(u))
     report = run_sweep(_rigid_sweep_config())
     assert report.metadata["attempts"] == 2
     assert report.metadata["refined_n_steps"] == 2 * report.metadata["n_steps"]
@@ -214,8 +240,8 @@ def test_sweep_restarts_when_a_candidate_step_trips(monkeypatch):
 
 
 def test_sweep_fails_when_every_candidate_step_trips(monkeypatch):
-    true_bound = cli.cfl_bound
-    monkeypatch.setattr(cli, "cfl_bound", lambda u: 100.0 * true_bound(u))
+    true_bound = sweep.cfl_bound
+    monkeypatch.setattr(sweep, "cfl_bound", lambda u: 100.0 * true_bound(u))
     with pytest.raises(RuntimeError, match="sweep failed at its smallest step") as info:
         run_sweep(_rigid_sweep_config())
     # both runs trip; the ensemble's error, naming its first member, is reported

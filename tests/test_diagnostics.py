@@ -26,12 +26,12 @@ from slipdisk import (
     navier_residuals,
     perp_grad,
     renormalized_slack,
-    sample_navier_field,
     simulate,
     weak_form_residual,
 )
-from slipdisk.diagnostics import balance_source, shifted_vorticity
+from slipdisk.diagnostics import shifted_vorticity
 
+from _fields import sample_navier_field
 from conftest import smooth_vorticity
 
 

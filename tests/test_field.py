@@ -14,6 +14,8 @@ import pytest
 from slipdisk import (
     ScalarField,
     VectorField,
+    biot_savart,
+    boundary_trace,
     build_grid,
     curl,
     divergence,
@@ -21,6 +23,7 @@ from slipdisk import (
     integrate,
     lp_norm,
     perp_grad,
+    recover_pressure,
 )
 from slipdisk.field import (
     VECTOR_PARITY,
@@ -29,12 +32,15 @@ from slipdisk.field import (
     dealias_modes,
     from_modes,
     gradient_frobenius,
+    lp_norms,
     radial_derivative,
     theta_derivative,
     to_modes,
     vector_gradient,
     wall_derivative,
 )
+
+from conftest import smooth_vorticity
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +302,24 @@ def test_vector_field_arithmetic_and_magnitude(grid32):
 def test_vector_lp_norm_uses_magnitude(grid32):
     u = VectorField(grid32, np.full(grid32.shape, 3.0), np.full(grid32.shape, 4.0))
     assert abs(lp_norm(u, 2.0) - 5.0 * np.sqrt(np.pi)) < 1e-12
+
+
+def test_lp_norm_of_a_snapshot_equals_its_entry_in_a_stack(grid48):
+    # a 0-d sum ** 0.5 calls pow while an array ** 0.5 calls sqrt, which
+    # once put snapshot 2's pressure-gradient L^2 norm one ulp off its
+    # value in the stack (the velocity's L^4 norm of snapshot 0 too)
+    omega = ScalarField(grid48, np.stack([smooth_vorticity(grid48, seed=s).values
+                                          for s in (0, 1, 2)]))
+    u = biot_savart(omega)
+    grad_p = grad(recover_pressure(u, omega, 0.02, boundary_trace(grid48, 1.0)).p)
+    for p in (1.0, 2.0, 3.0, 4.0, np.inf):
+        for f, mag in ((omega, np.abs(omega.values)), (u, u.magnitude()),
+                       (grad_p, grad_p.magnitude())):
+            stacked = lp_norms(mag, grid48, p)
+            for k in range(3):
+                one = (ScalarField(grid48, f.values[k]) if f is omega
+                       else VectorField(grid48, f.u_r[k], f.u_theta[k]))
+                assert lp_norm(one, p) == stacked[k], (p, k)
 
 
 # ---------------------------------------------------------------------------

@@ -479,9 +479,9 @@ def test_trajectory_derives_psi_and_u_once_per_snapshot(monkeypatch):
 
     def counting(omega):
         calls.append(omega)
-        return solve_poisson_dirichlet(omega)
+        return biot_savart(omega)
 
-    monkeypatch.setattr(ns_solver, "solve_poisson_dirichlet", counting)
+    monkeypatch.setattr(ns_solver, "biot_savart", counting)
     us = traj.us
     assert traj.us is us
     assert len(list(traj._batches())) == 1  # the batch walk reuses the velocities

@@ -22,11 +22,11 @@ from slipdisk import (
     perp_grad,
     pressure_estimate_slack,
     recover_pressure,
-    sample_navier_field,
 )
 from slipdisk.field import vector_gradient
 from slipdisk.pressure import directional_derivative, project_neumann_data
 
+from _fields import sample_navier_field
 from conftest import smooth_vorticity
 
 
