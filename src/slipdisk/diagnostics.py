@@ -15,7 +15,8 @@ residuals of a trajectory into the diagnose verb's report.
 The trajectory diagnostics walk the snapshots in batches
 (Trajectory._batches): every stencil, quadrature and pressure solve
 acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
-per-snapshot numbers outlive the batch.
+per-snapshot numbers outlive the batch. diagnose() walks a trajectory
+once (_walk), differentiating each snapshot's velocity once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .field import (ScalarField, VectorField, boundary_values, curl,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, integrate
 from .ns_solver import bump_values
-from .pressure import check_tangent_field, directional_derivative, recover_pressure
+from .pressure import check_tangent_field, recover_pressure
 
 
 # ---------------------------------------------------------------------------
@@ -72,45 +73,7 @@ def navier_residuals(u: VectorField, omega: ScalarField,
 
 
 # ---------------------------------------------------------------------------
-# weak momentum balance
-# ---------------------------------------------------------------------------
-
-def weak_form_residual(traj, v: VectorField) -> np.ndarray:
-    """Absolute residual per snapshot of the weak momentum balance against
-    a steady test field:
-
-        d/dt (u, v) + ((u.grad)u, v) + nu (grad u, grad v)
-            = nu * boundary integral of (kappa - alpha)(u.tau)(v.tau),
-
-    nu the trajectory's viscosity. v must pass check_tangent_field. The
-    time derivative uses centered differences on the snapshot times
-    (one-sided at the ends). Each snapshot's velocity is differentiated
-    once: its vector_gradient gives both (u.grad)u and the viscous pairing.
-    """
-    check_tangent_field(v, "test field")
-    grid = traj.grid
-    nu = traj.config.nu
-    gv = vector_gradient(v)
-    v_tau = boundary_values(v.u_theta, grid)
-    weight = (traj.trace.kappa - traj.trace.alpha) * v_tau
-
-    times = np.asarray(traj.times)
-    mass = np.empty(times.size)
-    rest = np.empty(times.size)
-    for sl, _, u in traj._batches():
-        mass[sl] = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
-        gu = vector_gradient(u)
-        a = directional_derivative(u, gu)
-        adv = integrate(grid, a.u_r * v.u_r + a.u_theta * v.u_theta)
-        visc = nu * integrate(grid, gradient_frobenius(gu, gv))
-        bnd = nu * np.sum(weight * boundary_values(u.u_theta, grid), axis=-1) * grid.dtheta
-        rest[sl] = adv + visc - bnd
-    dmass = np.gradient(mass, times) if times.size > 1 else np.zeros(1)
-    return np.abs(dmass + rest)
-
-
-# ---------------------------------------------------------------------------
-# extended tangent field and the shifted enstrophy balance
+# extended tangent field and the shifted vorticity
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -128,23 +91,13 @@ class ExtendedTangent:
     laplacian: VectorField
 
 
-def extended_tangent(grid: PolarGrid, trace: BoundaryTrace,
-                     cutoff: str = "quintic") -> ExtendedTangent:
-    """Build the extension. cutoff="zero" degenerates eta (and the whole
-    field) to zero, which reduces the shifted enstrophy balance to the
-    plain one."""
+def extended_tangent(grid: PolarGrid, trace: BoundaryTrace) -> ExtendedTangent:
+    """Build the extension of the trace's slip coefficient."""
     r = grid.r
-    if cutoff == "quintic":
-        t = np.clip(2.0 * r - 1.0, 0.0, 1.0)
-        eta = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-        deta = 2.0 * 30.0 * t ** 2 * (1.0 - t) ** 2
-        d2eta = 4.0 * 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-    elif cutoff == "zero":
-        eta = np.zeros_like(r)
-        deta = np.zeros_like(r)
-        d2eta = np.zeros_like(r)
-    else:
-        raise ValueError(f"unknown cutoff {cutoff!r}")
+    t = np.clip(2.0 * r - 1.0, 0.0, 1.0)
+    eta = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
+    deta = 2.0 * 30.0 * t ** 2 * (1.0 - t) ** 2
+    d2eta = 4.0 * 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
 
     coeff = 2.0 * trace.kappa - trace.alpha          # (n_theta,)
     dcoeff = theta_derivative(coeff[None, :])[0]
@@ -198,6 +151,69 @@ def balance_source(u: VectorField, pressure: ScalarField, nu: float,
     return -quad + press + cross + lap
 
 
+# ---------------------------------------------------------------------------
+# the weak momentum balance and the shifted enstrophy balance, in one walk
+# ---------------------------------------------------------------------------
+
+def _rigid_rotation(grid: PolarGrid) -> VectorField:
+    """The rigid rotation r e_theta, diagnose's weak-form test field."""
+    return VectorField(grid, np.zeros(grid.shape),
+                       np.tile(grid.r[:, None], (1, grid.n_theta)))
+
+
+def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
+    """(Navier curve maxima, weak-form residual against v per snapshot,
+    balance defect with tau_bar per interval) from one pass over the
+    batches. Per batch, one recover_pressure's (u.grad)u and velocity
+    gradient serve the weak form and the balance source alike."""
+    check_tangent_field(v, "test field")
+    grid = traj.grid
+    nu = traj.config.nu
+    gv = vector_gradient(v)
+    weight = (traj.trace.kappa - traj.trace.alpha) * boundary_values(v.u_theta, grid)
+
+    times = np.asarray(traj.times)
+    mass, rest, z, dissip, source = (np.empty(times.size) for _ in range(5))
+    worst = {}
+    for sl, om, u in traj._batches():
+        for k, value in navier_residuals(u, om, traj.trace).items():
+            worst[k] = max(worst.get(k, 0.0), value)
+        ps = recover_pressure(u, om, nu, traj.trace)
+        a, gu = ps.acceleration, ps.gradient
+        mass[sl] = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
+        adv = integrate(grid, a.u_r * v.u_r + a.u_theta * v.u_theta)
+        visc = nu * integrate(grid, gradient_frobenius(gu, gv))
+        bnd = nu * np.sum(weight * boundary_values(u.u_theta, grid), axis=-1) * grid.dtheta
+        rest[sl] = adv + visc - bnd
+        bar = shifted_vorticity(om, u, tau_bar)
+        z[sl] = integrate(grid, bar.values ** 2)
+        gb = grad(bar)
+        dissip[sl] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
+        f = balance_source(u, ps.p, nu, tau_bar, gu)
+        source[sl] = integrate(grid, f * bar.values)
+    dmass = np.gradient(mass, times) if times.size > 1 else np.zeros(1)
+    dt = np.diff(times)
+    defect = (0.5 * np.diff(z)
+              + dt * nu * 0.5 * (dissip[:-1] + dissip[1:])
+              - dt * 0.5 * (source[:-1] + source[1:]))
+    return worst, np.abs(dmass + rest), np.abs(defect)
+
+
+def weak_form_residual(traj, v: VectorField) -> np.ndarray:
+    """Absolute residual per snapshot of the weak momentum balance against
+    a steady test field:
+
+        d/dt (u, v) + ((u.grad)u, v) + nu (grad u, grad v)
+            = nu * boundary integral of (kappa - alpha)(u.tau)(v.tau),
+
+    nu the trajectory's viscosity. v must pass check_tangent_field. The
+    time derivative uses centered differences on the snapshot times
+    (one-sided at the ends). (u.grad)u and grad u are those of the
+    snapshot's pressure recovery (see _walk).
+    """
+    return _walk(traj, v, extended_tangent(traj.grid, traj.trace))[1]
+
+
 def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
     """Absolute defect of the shifted enstrophy balance on each snapshot
     interval, one entry per consecutive pair of snapshots:
@@ -205,28 +221,33 @@ def enstrophy_balance_residual(traj, tau_bar: ExtendedTangent) -> np.ndarray:
         1/2 d/dt ||omega_bar||^2 + nu ||grad omega_bar||^2 = (f, omega_bar),
 
     nu the trajectory's viscosity, time integrals by the trapezoid rule on
-    the snapshot grid. f's pressures are recovered here, one batch per
-    recover_pressure call, and f reuses the velocity gradient it built.
+    the snapshot grid. f takes the pressure and the velocity gradient of
+    one recover_pressure per batch (see _walk).
     """
-    times = np.asarray(traj.times)
-    grid = traj.grid
-    nu = traj.config.nu
-    z = np.empty(times.size)
-    dissip = np.empty(times.size)
-    source = np.empty(times.size)
-    for sl, om, u in traj._batches():
-        bar = shifted_vorticity(om, u, tau_bar)
-        z[sl] = integrate(grid, bar.values ** 2)
-        gb = grad(bar)
-        dissip[sl] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
-        ps = recover_pressure(u, om, nu, traj.trace)
-        f = balance_source(u, ps.p, nu, tau_bar, ps.gradient)
-        source[sl] = integrate(grid, f * bar.values)
-    dt = np.diff(times)
-    defect = (0.5 * np.diff(z)
-              + dt * nu * 0.5 * (dissip[:-1] + dissip[1:])
-              - dt * 0.5 * (source[:-1] + source[1:]))
-    return np.abs(defect)
+    return _walk(traj, _rigid_rotation(traj.grid), tau_bar)[2]
+
+
+def diagnose(traj) -> dict:
+    """The diagnose verb's report of a trajectory with at least 2 snapshots,
+    from one _walk: the Navier curves' maxima over the snapshots, the weak
+    form against the rigid rotation r e_theta and the shifted enstrophy
+    balance, each with its max, the config's tolerance, and a pass verdict
+    when that is set."""
+    tol = traj.config.tol
+    worst, wf, eb = _walk(traj, _rigid_rotation(traj.grid),
+                          extended_tangent(traj.grid, traj.trace))
+
+    def section(value, key):
+        entry = {"max": value, "tolerance": tol.get(key)}
+        if key in tol:
+            entry["pass"] = bool(value <= tol[key])
+        return entry
+
+    return {"config": traj.config.to_dict(),
+            "navier": section(worst["navier_condition"], "navier"),
+            "navier_curves": worst,
+            "weak_form": section(float(wf.max()), "weakform"),
+            "balance": section(float(eb.max()), "balance")}
 
 
 # ---------------------------------------------------------------------------
@@ -300,39 +321,6 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
                                   * (-bump / t_final + transport))
     s = float(np.trapezoid(integrand, times))
     return s + float(integrate(grid, np.abs(traj.omegas[0].values) ** q * bump))
-
-
-# ---------------------------------------------------------------------------
-# the diagnose report of a trajectory
-# ---------------------------------------------------------------------------
-
-def diagnose(traj) -> dict:
-    """The diagnose verb's report of a trajectory with at least 2 snapshots:
-    the Navier curves' maxima over the snapshots, the weak form against the
-    rigid rotation r e_theta and the shifted enstrophy balance, each with
-    its max, the config's tolerance, and a pass verdict when that is set."""
-    grid = traj.grid
-    tol = traj.config.tol or {}
-    worst = {}
-    for _, om, u in traj._batches():
-        for k, v in navier_residuals(u, om, traj.trace).items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    rigid = VectorField(grid, np.zeros(grid.shape),
-                        np.tile(grid.r[:, None], (1, grid.n_theta)))
-    wf = weak_form_residual(traj, rigid)
-    eb = enstrophy_balance_residual(traj, extended_tangent(grid, traj.trace))
-
-    def section(value, key):
-        entry = {"max": value, "tolerance": tol.get(key)}
-        if tol.get(key) is not None:
-            entry["pass"] = bool(value <= tol[key])
-        return entry
-
-    return {"config": traj.config.to_dict(),
-            "navier": section(worst["navier_condition"], "navier"),
-            "navier_curves": worst,
-            "weak_form": section(float(wf.max()), "weakform"),
-            "balance": section(float(eb.max()), "balance")}
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ ensemble of one.
 
 A trajectory keeps each snapshot's vorticity and nothing else: the
 stream function and the velocity follow from it by the Biot-Savart law,
-and the Trajectory derives them on first use, SNAPSHOT_BATCH snapshots
-at a time (see Trajectory).
+and the Trajectory derives them on each walk over its snapshots,
+SNAPSHOT_BATCH snapshots at a time (see Trajectory).
 
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
 is a precondition of every step, checked per member before it is taken;
@@ -43,6 +43,7 @@ member bound every 10 steps.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass, field, fields
@@ -127,6 +128,13 @@ class SimConfig:
         self.lp_exponents = tuple(float(p) for p in self.lp_exponents)
         if not all(p >= 1 for p in self.lp_exponents):
             raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
+        if not isinstance(self.tol, dict):
+            raise ValueError(f"tol must be a table, got {self.tol!r}")
+        for key, value in self.tol.items():
+            if (key not in ("navier", "weakform", "balance") or isinstance(value, bool)
+                    or not isinstance(value, numbers.Real) or not 0 <= value < np.inf):
+                raise ValueError(f"tol {key!r}: {value!r}; tol takes the keys navier, "
+                                 f"weakform and balance, each a finite real >= 0")
         # Both specs are parsed here, by the code that builds them, so a
         # config that cannot be run is refused before any run starts.
         initial_profile(self.initial_condition)
@@ -146,8 +154,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {"nu", "t_end", "dt", "n_r", "n_theta", "alpha",
-                 "initial_condition", "output_stride", "lp_exponents", "tol"}
+        known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -372,10 +379,10 @@ class Trajectory:
     """Vorticity snapshots plus per-step scalar series of one simulation.
 
     A snapshot stores only its vorticity omega: the Biot-Savart law fixes
-    the rest. The velocity is derived on first use, one Poisson solve per
-    batch of SNAPSHOT_BATCH snapshots (_batches), and kept; a run in
-    memory and the same run loaded from disk take that one path and give
-    identical fields.
+    the rest. The velocity is derived one Poisson solve per batch of
+    SNAPSHOT_BATCH snapshots (_batches) and lives as long as its batch;
+    only us keeps every snapshot's velocity. A run in memory and the same
+    run loaded from disk take that one path and give identical fields.
     """
 
     config: SimConfig
@@ -387,21 +394,20 @@ class Trajectory:
 
     @cached_property
     def us(self) -> list:
-        """One VectorField per snapshot, viewing the velocity of _batches."""
+        """One VectorField per snapshot, viewing the velocity of one
+        _batches walk; computed once and kept."""
         return [VectorField(self.grid, r, t) for _, _, u in self._batches()
                 for r, t in zip(u.u_r, u.u_theta)]
 
     def _batches(self):
         """Yield (sl, omega, u) per batch of at most SNAPSHOT_BATCH snapshots:
         their index slice, and their vorticity and velocity as stacked
-        fields (b, n_r, n_theta); the velocity is derived once and kept."""
-        kept = self.__dict__.setdefault("_velocity_batches", [])
-        for k, start in enumerate(range(0, len(self.omegas), SNAPSHOT_BATCH)):
+        fields (b, n_r, n_theta). Each walk derives the velocity anew, one
+        biot_savart per batch, and keeps none of it."""
+        for start in range(0, len(self.omegas), SNAPSHOT_BATCH):
             sl = slice(start, start + SNAPSHOT_BATCH)
             omega = ScalarField(self.grid, np.stack([om.values for om in self.omegas[sl]]))
-            if k == len(kept):
-                kept.append(biot_savart(omega))
-            yield sl, omega, kept[k]
+            yield sl, omega, biot_savart(omega)
 
     def series_columns(self) -> list[str]:
         return _series_columns(self.config.lp_exponents)

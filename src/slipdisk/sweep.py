@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -58,8 +58,10 @@ class SweepConfig:
         for q in self.q_list + (self.slack_q,):
             if not 1.0 <= q < self.p:
                 raise ValueError(f"exponent q={q} must lie in [1, p={self.p})")
-        if self.euler_refinement_factor < 2:
-            raise ValueError("euler_refinement_factor must be >= 2")
+        factor = self.euler_refinement_factor
+        if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 2:
+            raise ValueError(f"euler_refinement_factor must be an integer >= 2, got {factor!r}")
+        self.euler_refinement_factor = int(factor)
         phi_bump(self.phi)
         if self.p not in self.base.lp_exponents:
             self.base = replace(self.base,
@@ -67,8 +69,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
-        known = {"base", "nu_list", "q_list", "p", "euler_refinement_factor",
-                 "slack_q", "phi"}
+        known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")

@@ -419,15 +419,21 @@ def test_python_m_slipdisk_runs_the_verbs(tmp_path):
 
 
 def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
-    # each bad config ended in a traceback instead of one line and exit 2
+    # each bad config ended in a traceback instead of one line and exit 2;
+    # the third entry is a field name the message must contain
     sweep = _rigid_sweep_config().to_dict()
     cases = [
-        ("simulate", {"nu": 0.1, "t_end": 0.1}),
-        ("simulate", {**_tiny_base().to_dict(), "t_end": float("nan")}),
-        ("simulate", {**_tiny_base().to_dict(), "typo": 1}),
-        ("sweep", {**sweep, "nu_list": [0.1, float("nan")]}),
-        ("sweep", {key: value for key, value in sweep.items() if key != "base"}),
-        ("sweep", {**sweep, "base": {"nu": 0.0}}),
+        ("simulate", {"nu": 0.1, "t_end": 0.1}, ""),
+        ("simulate", {**_tiny_base().to_dict(), "t_end": float("nan")}, ""),
+        ("simulate", {**_tiny_base().to_dict(), "typo": 1}, ""),
+        ("sweep", {**sweep, "nu_list": [0.1, float("nan")]}, ""),
+        ("sweep", {key: value for key, value in sweep.items() if key != "base"}, ""),
+        ("sweep", {**sweep, "base": {"nu": 0.0}}, ""),
+        # a tol value diagnose cannot compare, a misspelt tol key that
+        # diagnose silently ignored, a fractional refinement factor
+        ("simulate", {**_tiny_base().to_dict(), "tol": {"navier": "abc"}}, "navier"),
+        ("simulate", {**_tiny_base().to_dict(), "tol": {"weak_form": 1e-3}}, "weak_form"),
+        ("sweep", {**sweep, "euler_refinement_factor": 2.5}, "euler_refinement_factor"),
     ]
     # specs that passed the config read and failed mid-run: an unknown or
     # degenerate initial condition, an unparseable alpha, a fractional
@@ -437,16 +443,16 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                    {"alpha": "x"}, {"output_stride": 2.5},
                    {"alpha": float("nan")},
                    {"initial_condition": {"bump": {"amplitude": float("nan")}}}):
-        cases.append(("simulate", {**_tiny_base().to_dict(), **change}))
-        cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}))
-    for k, (verb, spec) in enumerate(cases):
+        cases.append(("simulate", {**_tiny_base().to_dict(), **change}, ""))
+        cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}, ""))
+    for k, (verb, spec, name) in enumerate(cases):
         cpath = tmp_path / f"bad{k}.json"
         cpath.write_text(json.dumps(spec))
         out = tmp_path / f"out{k}"
         capsys.readouterr()
         assert main([verb, str(cpath), "--out", str(out)]) == 2, (verb, spec)
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(cpath) in err, err
+        assert err.count("\n") == 1 and str(cpath) in err and name in err, err
         assert not out.exists()
     capsys.readouterr()
     assert main(["simulate", str(tmp_path / "missing.json")]) == 2

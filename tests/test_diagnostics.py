@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from slipdisk import (
+    ExtendedTangent,
     ScalarField,
     SimConfig,
     VectorField,
@@ -202,15 +203,6 @@ def test_extended_tangent_formulas_match_symbolic_oracle(grid64):
     assert np.max(np.abs(ext.gradient["rr"])) == 0.0
 
 
-def test_extended_tangent_zero_cutoff(grid48):
-    tr = boundary_trace(grid48, 1.0)
-    ext = extended_tangent(grid48, tr, cutoff="zero")
-    assert np.all(ext.field.u_theta == 0.0)
-    assert np.all(ext.laplacian.u_theta == 0.0)
-    with pytest.raises(ValueError, match="cutoff"):
-        extended_tangent(grid48, tr, cutoff="linear")
-
-
 def test_shifted_vorticity_trace_vanishes(grid64):
     # for a slip field, omega - u.tau_bar has zero trace: that is the
     # point of the extension
@@ -227,12 +219,18 @@ def test_shifted_vorticity_trace_vanishes(grid64):
 # shifted enstrophy balance
 # ---------------------------------------------------------------------------
 
-def _balance_setup(nu, alpha, cutoff, n=48, stride=40):
+def _balance_setup(nu, alpha, n=48, stride=40):
     config = SimConfig(nu=nu, t_end=0.2, initial_condition={
         "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 4.0}},
         alpha=alpha, n_r=n, n_theta=n, output_stride=stride)
-    traj = simulate(config)
-    return traj, extended_tangent(traj.grid, traj.trace, cutoff=cutoff)
+    return simulate(config)
+
+
+def _zero_tangent(grid):
+    # tau_bar = 0 reduces the shifted enstrophy balance to the plain one
+    zero = VectorField(grid, np.zeros(grid.shape), np.zeros(grid.shape))
+    return ExtendedTangent(field=zero, laplacian=zero,
+                           gradient={k: np.zeros(grid.shape) for k in ("rr", "rt", "tr", "tt")})
 
 
 def _subset(traj, sl):
@@ -248,7 +246,8 @@ def test_enstrophy_balance_viscous(grid48):
     # impulsive boundary layer and is excluded; on the settled tail the
     # per-interval defect is trapezoid-in-time and must inflate by about
     # four when the snapshot grid is thinned by two.
-    traj, tau_bar = _balance_setup(nu=0.05, alpha=1.0, cutoff="quintic", stride=10)
+    traj = _balance_setup(nu=0.05, alpha=1.0, stride=10)
+    tau_bar = extended_tangent(traj.grid, traj.trace)
     tail = _subset(traj, slice(1, None))
     defect = enstrophy_balance_residual(tail, tau_bar)
     assert defect.shape == (len(tail.times) - 1,)
@@ -301,11 +300,9 @@ def test_batched_trajectory_diagnostics_match_recorded_values():
     assert abs(slack - BUMP16_SLACK) <= 1e-12 * BUMP16_SLACK
 
 
-def test_enstrophy_balance_differentiates_each_velocity_once(monkeypatch):
-    # the pressure recovery's velocity gradient also feeds the balance
-    # source: one gradient per snapshot, summed over the stacks' leading axes
+def _count_gradients(monkeypatch):
+    """Leading sizes of the stacks passed to vector_gradient, in order."""
     from slipdisk import diagnostics, field, pressure
-    traj = _bump16()
     counted = []
 
     def counting(u):
@@ -314,15 +311,46 @@ def test_enstrophy_balance_differentiates_each_velocity_once(monkeypatch):
 
     for module in (diagnostics, pressure):
         monkeypatch.setattr(module, "vector_gradient", counting)
+    return counted
+
+
+def test_enstrophy_balance_differentiates_each_velocity_once(monkeypatch):
+    # the pressure recovery's velocity gradient also feeds the balance
+    # source: one gradient per snapshot, summed over the stacks' leading
+    # axes, plus one for the walk's rigid weak-form test field
+    traj = _bump16()
+    counted = _count_gradients(monkeypatch)
     enstrophy_balance_residual(traj, extended_tangent(traj.grid, traj.trace))
-    assert sum(counted) == len(traj.times)
+    assert sum(counted) == len(traj.times) + 1
+
+
+def test_diagnose_walks_the_trajectory_once(monkeypatch):
+    # one velocity solve, one pressure recovery and one gradient per
+    # snapshot batch serve the slip curves, the weak form and the balance
+    from slipdisk import diagnostics, ns_solver
+    from slipdisk.diagnostics import diagnose
+    traj = _bump16()
+    n_batches = -(-len(traj.times) // ns_solver.SNAPSHOT_BATCH)
+    assert n_batches > 1
+    counted = _count_gradients(monkeypatch)
+    calls = {"biot_savart": 0, "recover_pressure": 0}
+    for module, name in ((ns_solver, "biot_savart"), (diagnostics, "recover_pressure")):
+        def counting(*args, _inner=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counting)
+    report = diagnose(traj)
+    assert sum(counted) == len(traj.times) + 1  # the snapshots and the test field
+    assert calls == {"biot_savart": n_batches, "recover_pressure": n_batches}
+    assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
+    assert report["balance"]["max"] == pytest.approx(max(BUMP16_BALANCE), rel=1e-12)
 
 
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):
     # with tau_bar = 0 and nu = 0 the balance reduces to conservation of
     # enstrophy, which the scheme tracks to time-integration accuracy
-    traj, tau_bar = _balance_setup(nu=0.0, alpha=1.0, cutoff="zero")
-    assert enstrophy_balance_residual(traj, tau_bar).max() < 1e-5
+    traj = _balance_setup(nu=0.0, alpha=1.0)
+    assert enstrophy_balance_residual(traj, _zero_tangent(traj.grid)).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------

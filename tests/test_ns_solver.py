@@ -484,7 +484,6 @@ def test_trajectory_derives_psi_and_u_once_per_snapshot(monkeypatch):
     monkeypatch.setattr(ns_solver, "biot_savart", counting)
     us = traj.us
     assert traj.us is us
-    assert len(list(traj._batches())) == 1  # the batch walk reuses the velocities
     # every snapshot once, in one solve per batch of SNAPSHOT_BATCH
     assert [c.values.shape for c in calls] == [(len(traj.omegas),) + traj.grid.shape]
     assert len(traj.omegas) <= ns_solver.SNAPSHOT_BATCH
