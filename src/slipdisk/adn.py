@@ -309,7 +309,7 @@ class AdnReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def clean(obj):
             if isinstance(obj, complex):
                 return {"re": obj.real, "im": obj.imag}
@@ -320,13 +320,12 @@ class AdnReport:
             if isinstance(obj, dict):
                 return {k: clean(v) for k, v in obj.items()}
             return obj
-        payload = {"name": self.name, "passed": self.passed,
-                   "verdicts": self.verdicts, "m": self.m,
-                   "ellipticity_min": self.ellipticity_min,
-                   "ellipticity_max": self.ellipticity_max,
-                   "witnesses": clean(self.witnesses),
-                   "sample_counts": self.sample_counts}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return {"name": self.name, "passed": self.passed,
+                "verdicts": self.verdicts, "m": self.m,
+                "ellipticity_min": self.ellipticity_min,
+                "ellipticity_max": self.ellipticity_max,
+                "witnesses": clean(self.witnesses),
+                "sample_counts": self.sample_counts}
 
 
 def _directions(points) -> tuple[np.ndarray, np.ndarray]:

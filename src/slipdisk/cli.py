@@ -16,13 +16,12 @@ them, writes their reports and prints a summary.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import adn as adn_mod
 from .diagnostics import diagnose
-from .ns_solver import SimConfig, Trajectory, simulate
+from .ns_solver import SimConfig, Trajectory, simulate, write_json
 from .sweep import SweepConfig, _timed_run, run_sweep
 
 # Unused here: perfbench/ looks these two names up in this module.
@@ -55,9 +54,7 @@ def _cmd_simulate(args) -> int:
               "dt_first_step": float(times[1] - times[0]) if len(times) > 1 else None,
               "n_steps": len(times) - 1, "n_snapshots": len(traj.times),
               "wall_ms": wall_ms}
-    with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "report.json"), report)
     print(f"simulate: {report['n_steps']} steps, {len(traj.times)} snapshots -> {out}")
     return 0
 
@@ -81,7 +78,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_adn(args) -> int:
     try:
         problem = adn_mod.load_problem(args.problem)
-    except (json.JSONDecodeError, KeyError, ValueError, OSError, TypeError) as err:
+    except (KeyError, ValueError, OSError, TypeError) as err:
         print(f"cannot parse problem file {args.problem}: {err}", file=sys.stderr)
         return 2
     try:
@@ -90,9 +87,7 @@ def _cmd_adn(args) -> int:
         print(f"cannot check problem {args.problem}: {err}", file=sys.stderr)
         return 2
     out = args.out or os.path.splitext(args.problem)[0] + ".report.json"
-    with open(out, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    write_json(out, report.to_dict())
     status = "pass" if report.passed else "fail"
     print(f"{problem.name or 'problem'}: {status} "
           f"(m={report.m}, det in [{report.ellipticity_min:.3e}, "
@@ -112,9 +107,7 @@ def _cmd_diagnose(args) -> int:
         return 2
     report = diagnose(traj)
     out = args.out or os.path.join(args.run_dir, "diagnostics.json")
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, report)
     verdicts = [report[k].get("pass") for k in ("navier", "weak_form", "balance")]
     for key in ("navier", "weak_form", "balance"):
         entry = report[key]

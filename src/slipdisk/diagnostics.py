@@ -29,7 +29,7 @@ from .biot_savart import biot_savart
 from .field import (ScalarField, VectorField, boundary_values, curl,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
-from .geometry import BoundaryTrace, PolarGrid, integrate
+from .geometry import BoundaryTrace, PolarGrid, finite, integrate
 from .ns_solver import bump_values
 from .pressure import check_tangent_field, recover_pressure
 
@@ -277,9 +277,9 @@ def phi_bump(phi_spec: dict) -> tuple | None:
     if "bump" not in phi_spec:
         raise ValueError("phi_spec must be {'bump': {...}} or {'zero': {}}")
     spec = phi_spec["bump"]
-    center = tuple(spec.get("center", (0.0, 0.0)))
-    radius = float(spec["radius"])
-    amplitude = float(spec.get("amplitude", 1.0))
+    center = tuple(finite(v, "phi center") for v in spec.get("center", (0.0, 0.0)))
+    radius = finite(spec["radius"], "phi radius")
+    amplitude = finite(spec.get("amplitude", 1.0), "phi amplitude")
     if not amplitude >= 0.0:
         raise ValueError(f"phi must be nonnegative: amplitude {amplitude}")
     if not (radius > 0.0 and np.hypot(*center) + radius < 1.0):

@@ -161,10 +161,9 @@ def dealias_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
 # vector calculus
 # ---------------------------------------------------------------------------
 
-def perp_grad(psi: ScalarField, modes: np.ndarray | None = None) -> VectorField:
-    """Velocity of a stream function; modes is to_modes(psi.values) when
-    the caller already holds it."""
-    return VectorField(psi.grid, *perp_grad_values(psi.values, psi.grid, modes))
+def perp_grad(psi: ScalarField) -> VectorField:
+    """Velocity of a stream function."""
+    return VectorField(psi.grid, *perp_grad_values(psi.values, psi.grid))
 
 
 def perp_grad_values(psi: np.ndarray, grid: PolarGrid,

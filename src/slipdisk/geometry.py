@@ -16,6 +16,7 @@ separate frame.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,12 +83,36 @@ class BoundaryTrace:
     kappa: np.ndarray = field(repr=False)
 
 
+def real(value, name: str) -> float:
+    """float(value), or ValueError naming the entry unless it is a real
+    number; a bool or a numeric string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def reals(values, name: str) -> tuple:
+    """The entries of a list or tuple as real() floats, or ValueError
+    naming the entry."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be an array of numbers, got {values!r}")
+    return tuple(real(v, name) for v in values)
+
+
 def finite(value, name: str) -> float:
-    """float(value), or ValueError naming the spec entry unless it is finite."""
-    value = float(value)
+    """real(value), or ValueError naming the entry unless it is finite."""
+    value = real(value, name)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def integer(value, name: str) -> int:
+    """int(value), or ValueError naming the entry unless it is an integer;
+    a bool or an integral float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def alpha_function(alpha_spec):
@@ -106,7 +131,7 @@ def alpha_function(alpha_spec):
         c = finite(alpha_spec, "alpha")
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
     if isinstance(alpha_spec, dict) and "fourier" in alpha_spec:
-        terms = [(int(k), finite(a, "alpha fourier coefficient"),
+        terms = [(integer(k, "alpha fourier k"), finite(a, "alpha fourier coefficient"),
                   finite(b, "alpha fourier coefficient"))
                  for k, a, b in alpha_spec["fourier"]]
 

@@ -60,7 +60,7 @@ from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
-                       build_grid, finite)
+                       build_grid, finite, integer, reals)
 
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
@@ -107,17 +107,18 @@ class SimConfig:
     tol: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.isfinite(self.nu) and self.nu >= 0):
+        self.nu = finite(self.nu, "nu")
+        if not self.nu >= 0:
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
+        self.t_end = finite(self.t_end, "t_end")
+        if not self.t_end > 0:
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        if self.dt != "auto" and not (np.isfinite(float(self.dt)) and float(self.dt) > 0):
-            raise ValueError(f"dt must be 'auto' or finite and positive, got {self.dt}")
+        if self.dt != "auto":
+            self.dt = finite(self.dt, "dt")
+            if not self.dt > 0:
+                raise ValueError(f"dt must be 'auto' or finite and positive, got {self.dt}")
         for name in ("n_r", "n_theta", "output_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, integer(getattr(self, name), name))
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if self.n_r < 4:
@@ -125,7 +126,7 @@ class SimConfig:
         if self.n_theta <= 0 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be positive and even for the pole "
                              f"parity ghosts, got {self.n_theta}")
-        self.lp_exponents = tuple(float(p) for p in self.lp_exponents)
+        self.lp_exponents = reals(self.lp_exponents, "lp_exponents")
         if not all(p >= 1 for p in self.lp_exponents):
             raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
         if not isinstance(self.tol, dict):
@@ -158,9 +159,7 @@ class SimConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {k: d[k] for k in known & set(d)}
-        kwargs["lp_exponents"] = tuple(kwargs.get("lp_exponents", (2.0, 4.0)))
-        return cls(**kwargs)
+        return cls(**{k: d[k] for k in known & set(d)})
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":
@@ -201,9 +200,9 @@ def initial_profile(spec: dict):
             return lambda grid: np.full(grid.shape, c)
         if kind == "bump":
             cx, cy = (finite(v, "bump center") for v in params.get("center", (0.0, 0.0)))
-            radius = float(params.get("radius", 0.5))
+            radius = finite(params.get("radius", 0.5), "bump radius")
             amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
-            if not (np.isfinite(radius) and radius > 0.0):
+            if not radius > 0.0:
                 raise ValueError(f"bump radius must be finite and positive, got {radius}")
             return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)
         if kind == "singular":
@@ -222,7 +221,8 @@ def initial_profile(spec: dict):
 
             return singular
         if kind == "modes":
-            terms = [(int(entry[0]), [finite(c, "modes coefficient") for c in entry[1]],
+            terms = [(integer(entry[0], "modes k"),
+                      [finite(c, "modes coefficient") for c in entry[1]],
                       finite(entry[2], "modes phase") if len(entry) > 2 else 0.0)
                      for entry in params]
 
@@ -417,29 +417,15 @@ class Trajectory:
         snapshots.npz, which holds times, omega (n_snapshots, n_r,
         n_theta), series_names and series_values."""
         os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "config-resolved.json"), "w") as fh:
-            json.dump(self.config.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(run_dir, "config-resolved.json"), self.config.to_dict())
         cols = self.series_columns()
-        with open(os.path.join(run_dir, "series.csv"), "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in zip(*(self.series[c] for c in cols)):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        # Written under a temporary name and renamed into place, so an
-        # interrupted save never leaves a partial snapshots.npz behind.
-        path = os.path.join(run_dir, "snapshots.npz")
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, times=self.times,
-                         omega=np.stack([f.values for f in self.omegas]),
-                         series_names=np.array(cols),
-                         series_values=np.stack([self.series[c] for c in cols]))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        rows = zip(*(self.series[c] for c in cols))
+        write_atomically(os.path.join(run_dir, "series.csv"), ",".join(cols) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        write_atomically(os.path.join(run_dir, "snapshots.npz"), lambda fh: np.savez(
+            fh, times=self.times, omega=np.stack([f.values for f in self.omegas]),
+            series_names=np.array(cols),
+            series_values=np.stack([self.series[c] for c in cols])))
 
     @classmethod
     def load(cls, run_dir) -> "Trajectory":
@@ -476,6 +462,30 @@ class Trajectory:
         return cls(config=config, grid=grid, trace=trace, times=times,
                    omegas=[ScalarField(grid, v) for v in omega],
                    series=dict(zip(names, values)))
+
+
+def write_atomically(path, content) -> None:
+    """Write content (text, or a function that writes into the open binary
+    file) to path under a temporary name, renamed into place: an
+    interrupted write leaves the earlier file, never part of the new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """write_atomically the JSON of payload, indented by 2 with sorted
+    keys and a trailing newline: the layout of every report and config file."""
+    write_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt_p(p: float) -> str:

@@ -22,9 +22,9 @@ from scipy.interpolate import CubicSpline
 from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
 from .field import lp_norms
-from .geometry import build_grid
+from .geometry import build_grid, integer, real, reals
 from .ns_solver import (CflError, SimConfig, cfl_bound, initial_vorticity, simulate,
-                        simulate_ensemble)
+                        simulate_ensemble, write_atomically, write_json)
 
 ENERGY_RATE_TOL = 1e-6
 DEFAULT_PHI = {"bump": {"center": (0.0, 0.0), "radius": 0.9, "amplitude": 1.0}}
@@ -45,9 +45,10 @@ class SweepConfig:
     phi: dict = dataclass_field(default_factory=lambda: dict(DEFAULT_PHI))
 
     def __post_init__(self):
-        self.nu_list = tuple(float(v) for v in self.nu_list)
-        self.q_list = tuple(float(q) for q in self.q_list)
-        self.p = float(self.p)
+        self.nu_list = reals(self.nu_list, "nu_list")
+        self.q_list = reals(self.q_list, "q_list")
+        self.p = real(self.p, "p")
+        self.slack_q = real(self.slack_q, "slack_q")
         if not self.nu_list or not all(np.isfinite(v) and v > 0 for v in self.nu_list):
             raise ValueError(f"nu_list must be nonempty finite positive reals, "
                              f"got {self.nu_list}")
@@ -58,10 +59,11 @@ class SweepConfig:
         for q in self.q_list + (self.slack_q,):
             if not 1.0 <= q < self.p:
                 raise ValueError(f"exponent q={q} must lie in [1, p={self.p})")
-        factor = self.euler_refinement_factor
-        if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 2:
-            raise ValueError(f"euler_refinement_factor must be an integer >= 2, got {factor!r}")
-        self.euler_refinement_factor = int(factor)
+        self.euler_refinement_factor = integer(self.euler_refinement_factor,
+                                               "euler_refinement_factor")
+        if self.euler_refinement_factor < 2:
+            raise ValueError(f"euler_refinement_factor must be an integer >= 2, "
+                             f"got {self.euler_refinement_factor}")
         phi_bump(self.phi)
         if self.p not in self.base.lp_exponents:
             self.base = replace(self.base,
@@ -112,21 +114,15 @@ class ConvergenceReport:
                 else repr(float(row[c])) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        payload = {"rows": list(self.rows), "euler_floor": self.euler_floor,
-                   "config": self.config, "metadata": self.metadata}
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"rows": list(self.rows), "euler_floor": self.euler_floor,
+                "config": self.config, "metadata": self.metadata}
 
     def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "series.csv"), "w") as fh:
-            fh.write(self.to_csv())
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-        with open(os.path.join(out_dir, "config-resolved.json"), "w") as fh:
-            json.dump(self.config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomically(os.path.join(out_dir, "series.csv"), self.to_csv())
+        write_json(os.path.join(out_dir, "report.json"), self.to_dict())
+        write_json(os.path.join(out_dir, "config-resolved.json"), self.config)
 
 
 def _energy_ok(series: dict) -> bool:

@@ -431,7 +431,7 @@ def test_check_all_matches_reports_recorded_before_batching(key):
     problem = _RECORDED[key]
     if isinstance(problem, dict):
         problem = load_problem(problem)
-    report = json.loads(check_all(problem, 64, 16).to_json())
+    report = check_all(problem, 64, 16).to_dict()
     for field in ("name", "passed", "verdicts", "m", "sample_counts"):
         assert report[field] == recorded[field], field
     for name, witness in recorded["witnesses"].items():
@@ -488,9 +488,9 @@ def test_check_all_flags_degenerate_supplementary():
     assert not report.passed
 
 
-def test_report_to_json_roundtrips():
+def test_report_to_dict_roundtrips_through_json():
     report = check_all(navier_laplacian_problem(1.0))
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps(report.to_dict()))
     assert parsed["verdicts"]["complementing"] is True
     assert parsed["m"] == 2
     assert abs(parsed["ellipticity_min"] - 1.0) < 1e-12

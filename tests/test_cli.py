@@ -182,7 +182,7 @@ def test_sweep_report_keeps_its_runs():
     assert set(runs) == {"viscous", "euler_base", "euler_refined"}
     assert len(runs["viscous"]) == 2
     assert runs["euler_refined"].grid.n_r == 32
-    assert "runs" not in json.loads(report.to_json())
+    assert "runs" not in report.to_dict()
     assert "runs" not in repr(report)
 
 
@@ -445,6 +445,26 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                    {"initial_condition": {"bump": {"amplitude": float("nan")}}}):
         cases.append(("simulate", {**_tiny_base().to_dict(), **change}, ""))
         cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}, ""))
+    # values read wrongly: a bool taken as 1, a numeric string taken as its
+    # number, a string iterated into exponents, a mode number truncated,
+    # or a refusal whose message did not name the field
+    for change, name in (({"nu": True}, "nu"), ({"t_end": True}, "t_end"),
+                         ({"dt": True}, "dt"), ({"alpha": True}, "alpha"),
+                         ({"dt": "0.01"}, "dt"), ({"lp_exponents": "24"}, "lp_exponents"),
+                         ({"initial_condition": {"const": True}}, "const"),
+                         ({"initial_condition": {"bump": {"radius": True}}}, "radius"),
+                         ({"initial_condition": {"singular": {"gamma": 0.5, "p": True}}},
+                          "singular p"),
+                         ({"initial_condition": {"modes": [[1.7, [0.0, 1.0]]]}}, "modes k"),
+                         ({"alpha": {"fourier": [[2.5, 0.1, 0.0]]}}, "fourier k"),
+                         ({"nu": "0.1"}, "nu"), ({"dt": "abc"}, "dt"),
+                         ({"lp_exponents": 4.0}, "lp_exponents")):
+        cases.append(("simulate", {**_tiny_base().to_dict(), **change}, name))
+        cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}, name))
+    for change, name in (({"nu_list": "1"}, "nu_list"), ({"nu_list": [True]}, "nu_list"),
+                         ({"q_list": "2"}, "q_list"), ({"p": "4"}, "p must"),
+                         ({"slack_q": True}, "slack_q")):
+        cases.append(("sweep", {**sweep, **change}, name))
     for k, (verb, spec, name) in enumerate(cases):
         cpath = tmp_path / f"bad{k}.json"
         cpath.write_text(json.dumps(spec))
@@ -452,7 +472,8 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
         capsys.readouterr()
         assert main([verb, str(cpath), "--out", str(out)]) == 2, (verb, spec)
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(cpath) in err and name in err, err
+        assert err.count("\n") == 1 and str(cpath) in err, err
+        assert name in err.replace(str(cpath), ""), (name, err)
         assert not out.exists()
     capsys.readouterr()
     assert main(["simulate", str(tmp_path / "missing.json")]) == 2

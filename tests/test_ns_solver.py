@@ -7,7 +7,9 @@ must refuse to run outside its advective stability bound), initial
 condition construction, and trajectory serialization.
 """
 
+import builtins
 import json
+import os
 import pickle
 import weakref
 import zipfile
@@ -18,6 +20,7 @@ import pytest
 
 from slipdisk import (
     CflError,
+    ConvergenceReport,
     DivergenceError,
     ScalarField,
     SimConfig,
@@ -27,6 +30,7 @@ from slipdisk import (
     build_grid,
     initial_vorticity,
     lp_norm,
+    main,
     simulate,
     solve_poisson_dirichlet,
 )
@@ -534,24 +538,93 @@ def test_trajectory_load_rejects_inconsistent_snapshots(tmp_path):
             Trajectory.load(run_dir)
 
 
-def test_trajectory_save_replaces_the_snapshot_file_atomically(tmp_path, monkeypatch):
-    traj = simulate(SimConfig(nu=0.02, t_end=0.02, initial_condition={"const": 2.0},
-                              dt=0.005, n_r=16, n_theta=16, output_stride=2))
-    run_dir = tmp_path / "run"
-    traj.save(run_dir)
-    before = (run_dir / "snapshots.npz").read_bytes()
+_TINY = dict(nu=0.02, t_end=0.02, initial_condition={"const": 2.0}, dt=0.005,
+             n_r=16, n_theta=16, output_stride=2)
 
-    def interrupted(fh, **arrays):
-        fh.write(b"PK\x03\x04 partial")
+
+def _write_save(tmp_path, out):
+    simulate(SimConfig(**_TINY)).save(out)
+
+
+def _write_simulate(tmp_path, out):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(_TINY))
+    assert main(["simulate", str(config), "--out", str(out)]) == 0
+
+
+def _write_sweep(tmp_path, out):
+    row = {"nu": 0.1, "q": 2.0, "sup_lq_diff": 1e-3, "sup_lp_enstrophy": 2.0,
+           "energy_ok": True, "renorm_slack": 0.0, "wall_ms": 1.0}
+    ConvergenceReport(rows=(row,), euler_floor={2.0: 1e-4}, config={"p": 4.0},
+                      metadata={"n_steps": 1}).write(out)
+
+
+def _write_diagnose(tmp_path, out):
+    if not out.exists():
+        simulate(SimConfig(**_TINY)).save(out)
+    assert main(["diagnose", str(out)]) == 0
+
+
+def _write_adn(tmp_path, out):
+    out.mkdir(exist_ok=True)
+    problem = out / "slip.json"
+    problem.write_text(json.dumps({"builtin": "navier_laplacian", "alpha": 1.0}))
+    assert main(["adn", str(problem), "--out", str(out / "slip.report.json")]) == 0
+
+
+_WRITERS = {"save": _write_save, "simulate": _write_simulate, "sweep": _write_sweep,
+            "diagnose": _write_diagnose, "adn": _write_adn}
+
+
+class _TornFile:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez", interrupted)
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("writer, name", [
+    ("save", "config-resolved.json"), ("save", "series.csv"), ("save", "snapshots.npz"),
+    ("simulate", "report.json"),
+    ("sweep", "series.csv"), ("sweep", "report.json"), ("sweep", "config-resolved.json"),
+    ("diagnose", "diagnostics.json"), ("adn", "slip.report.json"),
+])
+def test_output_files_are_replaced_atomically(tmp_path, monkeypatch, writer, name):
+    # every output file but snapshots.npz used to be opened in place, so
+    # a write that failed midway left the file cut short
+    out = tmp_path / "out"
+    _WRITERS[writer](tmp_path, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert name in before
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        base = os.path.basename(str(file))
+        if "w" in mode and (base == name or base.startswith(name + ".")):
+            return _TornFile(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
     with pytest.raises(OSError, match="disk full"):
-        traj.save(run_dir)
+        _WRITERS[writer](tmp_path, out)
+    monkeypatch.undo()
     # the earlier file is untouched and no temporary file is left behind
-    assert (run_dir / "snapshots.npz").read_bytes() == before
-    assert sorted(p.name for p in run_dir.iterdir()) == [
-        "config-resolved.json", "series.csv", "snapshots.npz"]
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys() and after[name] == before[name]
 
 
 def test_bump_values_signature(grid32):
