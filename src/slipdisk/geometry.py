@@ -107,6 +107,14 @@ def finite(value, name: str) -> float:
     return value
 
 
+def point(values, name: str) -> tuple:
+    """A point (x, y) of two finite() floats, or ValueError naming the
+    entry."""
+    if not isinstance(values, (list, tuple)) or len(values) != 2:
+        raise ValueError(f"{name} must be an array of two numbers, got {values!r}")
+    return tuple(finite(v, name) for v in values)
+
+
 def integer(value, name: str) -> int:
     """int(value), or ValueError naming the entry unless it is an integer;
     a bool or an integral float is not."""
@@ -131,9 +139,14 @@ def alpha_function(alpha_spec):
         c = finite(alpha_spec, "alpha")
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
     if isinstance(alpha_spec, dict) and "fourier" in alpha_spec:
+        terms = alpha_spec["fourier"]
+        if not (isinstance(terms, (list, tuple))
+                and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in terms)):
+            raise ValueError(f"alpha fourier must be an array of [k, a_k, b_k] "
+                             f"triples, got {terms!r}")
         terms = [(integer(k, "alpha fourier k"), finite(a, "alpha fourier coefficient"),
                   finite(b, "alpha fourier coefficient"))
-                 for k, a, b in alpha_spec["fourier"]]
+                 for k, a, b in terms]
 
         def alpha(theta, terms=terms):
             theta = np.asarray(theta, dtype=float)

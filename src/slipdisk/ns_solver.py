@@ -60,7 +60,7 @@ from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
-                       build_grid, finite, integer, reals)
+                       build_grid, finite, integer, point, reals)
 
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
@@ -199,7 +199,7 @@ def initial_profile(spec: dict):
             c = finite(params, "const initial condition")
             return lambda grid: np.full(grid.shape, c)
         if kind == "bump":
-            cx, cy = (finite(v, "bump center") for v in params.get("center", (0.0, 0.0)))
+            cx, cy = point(params.get("center", (0.0, 0.0)), "bump center")
             radius = finite(params.get("radius", 0.5), "bump radius")
             amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
             if not radius > 0.0:
@@ -211,7 +211,7 @@ def initial_profile(spec: dict):
             if not (gamma > 0 and 0 < gamma * p < 2.0):
                 raise ValueError(f"singular profile needs 0 < gamma*p < 2, "
                                  f"got gamma={gamma}, p={p}")
-            cx, cy = (finite(v, "singular center") for v in params.get("center", (0.0, 0.0)))
+            cx, cy = point(params.get("center", (0.0, 0.0)), "singular center")
 
             def singular(grid):
                 r, th = grid.r_col, grid.theta

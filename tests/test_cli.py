@@ -122,6 +122,56 @@ def test_interpolate_to_base_accuracy():
     assert np.max(np.abs(got - want)) < 1e-5
 
 
+@pytest.mark.parametrize("n_base", [16, 32])
+def test_interpolate_to_base_reproduces_radial_cubics(n_base):
+    # a not-a-knot spline is exact on cubics, whatever the node spacing
+    base, fine = build_grid(n_base, 8), build_grid(2 * n_base, 16)
+
+    def cubic(r):
+        return 0.3 - 1.7 * r + 2.2 * r ** 2 - 0.9 * r ** 3
+
+    vals = np.stack([k * cubic(fine.r)[:, None] * np.ones(16) for k in (1.0, -2.0)])
+    got = _interpolate_to_base(vals, 2, base, fine)
+    want = np.stack([k * cubic(base.r)[:, None] * np.ones(8) for k in (1.0, -2.0)])
+    assert got.shape == (2,) + base.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_base", [16, 32])
+def test_interpolate_to_base_matches_scipy_cubic_spline(n_base):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    base, fine = build_grid(n_base, 8), build_grid(2 * n_base, 16)
+    stack = np.random.default_rng(n_base).standard_normal((5, 2 * n_base, 16))
+    got = _interpolate_to_base(stack, 2, base, fine)
+    want = interpolate.CubicSpline(fine.r, stack[..., ::2], axis=-2)(base.r)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_import_and_sweep_load_no_scipy_beyond_linalg():
+    # scipy.interpolate alone pulled in optimize, special, sparse, spatial,
+    # fft and constants, about 270 modules and 22 MB on every import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """if True:
+        import sys
+        import slipdisk
+        base = slipdisk.SimConfig(nu=0.0, t_end=0.02, initial_condition={"const": 1.0},
+                                  n_r=8, n_theta=8, output_stride=10)
+        slipdisk.run_sweep(slipdisk.SweepConfig(base=base, nu_list=(0.1,),
+                                                q_list=(2.0,), p=4.0))
+        print(" ".join(name for name in sys.modules if name.startswith("scipy.")))
+    """
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "scipy.linalg" in loaded
+    for name in ("scipy.interpolate", "scipy.optimize", "scipy.special",
+                 "scipy.sparse", "scipy.spatial"):
+        assert name not in loaded
+
+
 # ---------------------------------------------------------------------------
 # the sweep
 # ---------------------------------------------------------------------------
@@ -458,12 +508,18 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"initial_condition": {"modes": [[1.7, [0.0, 1.0]]]}}, "modes k"),
                          ({"alpha": {"fourier": [[2.5, 0.1, 0.0]]}}, "fourier k"),
                          ({"nu": "0.1"}, "nu"), ({"dt": "abc"}, "dt"),
-                         ({"lp_exponents": 4.0}, "lp_exponents")):
+                         ({"lp_exponents": 4.0}, "lp_exponents"),
+                         ({"alpha": {"fourier": 3}}, "alpha"),
+                         ({"alpha": {"fourier": [[1, 0.5]]}}, "alpha"),
+                         ({"initial_condition": {"bump": {"center": [0.1]}}}, "bump center")):
         cases.append(("simulate", {**_tiny_base().to_dict(), **change}, name))
         cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}, name))
     for change, name in (({"nu_list": "1"}, "nu_list"), ({"nu_list": [True]}, "nu_list"),
                          ({"q_list": "2"}, "q_list"), ({"p": "4"}, "p must"),
-                         ({"slack_q": True}, "slack_q")):
+                         ({"slack_q": True}, "slack_q"), ({"base": 3}, "base"),
+                         ({"phi": 3}, "phi"), ({"phi": "zero"}, "phi"),
+                         ({"phi": {"bump": {}}}, "phi"),
+                         ({"phi": {"bump": {"radius": 0.3, "center": [0.1]}}}, "phi center")):
         cases.append(("sweep", {**sweep, **change}, name))
     for k, (verb, spec, name) in enumerate(cases):
         cpath = tmp_path / f"bad{k}.json"
