@@ -22,6 +22,15 @@ from slipdisk.geometry import build_grid
 from slipdisk.sweep import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 
 
+def _env_with_src_on_path():
+    """os.environ with this checkout's src/ first on PYTHONPATH, for
+    subprocesses."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _tiny_base(**kw):
     defaults = dict(nu=0.05, t_end=0.05,
                     initial_condition={"bump": {"center": (0.2, 0.0),
@@ -148,11 +157,9 @@ def test_interpolate_to_base_matches_scipy_cubic_spline(n_base):
 
 
 def test_import_and_sweep_load_no_scipy_beyond_linalg():
-    # scipy.interpolate alone pulled in optimize, special, sparse, spatial,
-    # fft and constants, about 270 modules and 22 MB on every import
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # scipy.interpolate pulls in optimize, special, sparse, spatial, fft
+    # and constants: about 270 modules and 22 MB on every import
+    env = _env_with_src_on_path()
     script = """if True:
         import sys
         import slipdisk
@@ -459,9 +466,7 @@ def test_diagnose_verb_rejects_runs_with_fewer_than_two_snapshots(tmp_path, caps
 def test_python_m_slipdisk_runs_the_verbs(tmp_path):
     problem = tmp_path / "slip.json"
     problem.write_text(json.dumps({"builtin": "navier_laplacian", "alpha": 1.0}))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src_on_path()
     done = subprocess.run([sys.executable, "-m", "slipdisk", "adn", str(problem)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
