@@ -1,12 +1,13 @@
 """Executable ellipticity theory for boundary value systems with weights.
 
-Given a matrix operator L, boundary operators B, and integer weights
-(s, t, r), this module checks the four conditions that make the system
-elliptic in the weighted sense: degree-correct principal parts, a
-nonvanishing and two-sided-bounded determinant on the unit sphere, the
-root-count (supplementary) condition for the pencil sigma -> L(xi + sigma n),
-and the complementing condition that the boundary rows stay linearly
-independent modulo the stable factor M+ of that pencil.
+Given a matrix operator L, boundary operators B on the unit circle, and
+integer weights (s, t, r), this module checks the conditions that make the
+system elliptic in the weighted sense: a nonvanishing and two-sided-bounded
+determinant on the unit sphere, the root-count (supplementary) condition
+for the pencil sigma -> L(xi + sigma n), and the complementing condition
+that the boundary rows stay linearly independent modulo the stable factor
+M+ of that pencil. Degree-correct principal parts are not a verdict: an
+AdnProblem that breaks its weights is refused when it is built.
 
 Everything is numeric sampling: quantifiers over boundary points and
 cotangent directions are replaced by finite deterministic sample sets,
@@ -20,19 +21,16 @@ below (product, cofactor determinant and adjugate, matrix product,
 division by a monic M+, roots) broadcast over them, so check_all builds
 the pencils of every boundary point and tangential frequency as one
 (samples, rows, cols, K) array and evaluates all samples in one pass;
-the per-sample entry points call the same kernels on one (rows, cols, K)
-array.
+complementing_check runs the same chain on a batch of one sample.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
-
 import numpy as np
 
-from .geometry import alpha_function
+from .geometry import alpha_function, finite, integer, table
 
 REAL_AXIS_TOL = 1e-9
 CLUSTER_TOL = 1e-7
@@ -165,32 +163,23 @@ def disk_boundary(theta: float) -> BoundaryPoint:
     return BoundaryPoint(x=(c, s), n=(c, s), tau=(-s, c), theta=theta)
 
 
-def _const(value):
-    v = complex(value)
-    return lambda point: v
-
-
-def _as_coeff(c) -> Callable[[BoundaryPoint], complex]:
-    return c if callable(c) else _const(c)
-
-
 def _is_order(p) -> bool:
     return isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0
 
 
 @dataclass(frozen=True)
 class AdnProblem:
-    """A weighted boundary value system.
+    """A weighted boundary value system on the unit circle (disk_boundary).
 
     L_coeffs entries are (i, j, multi_index, coefficient), 0-indexed rows
     and columns, coefficient a number or a function of a BoundaryPoint;
-    B_coeffs likewise with boundary row l. Weights follow the usual
-    bookkeeping: deg L_ij <= s_i + t_j, deg B_lj <= r_l + t_j, and the
-    number of boundary rows equals the half-order m.
+    B_coeffs likewise with boundary row l, one row per weight in r.
 
-    Construction rejects weight lists that do not match M, rows and
-    columns out of range, and multi-indices that are not two
-    non-negative integers; messages count entries and indices from 1.
+    Construction refuses a problem the checkers cannot read: non-integer
+    M, weights, rows or columns; s or t not of length M; rows or columns
+    out of range; multi-indices that are not two non-negative integers;
+    and entries above their weight, deg L_ij > s_i + t_j or
+    deg B_lj > r_l + t_j. Messages count entries and indices from 1.
     """
     M: int
     L_coeffs: tuple
@@ -198,30 +187,35 @@ class AdnProblem:
     s: tuple
     t: tuple
     r: tuple
-    boundary: Callable[[float], BoundaryPoint] = disk_boundary
     name: str = ""
 
     def __post_init__(self):
-        if not _is_order(self.M) or self.M < 1:
+        if integer(self.M, "M") < 1:
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
+        for label in ("s", "t", "r"):
+            for weight in getattr(self, label):
+                integer(weight, label)
         if len(self.s) != self.M or len(self.t) != self.M:
             raise ValueError(f"s and t need M={self.M} weights each, "
                              f"got {len(self.s)} and {len(self.t)}")
-        for label, entries, n_rows in (("L", self.L_coeffs, self.M),
-                                       ("B", self.B_coeffs, len(self.r))):
+        for label, entries, weights, bound in (("L", self.L_coeffs, self.s, "s_i"),
+                                               ("B", self.B_coeffs, self.r, "r_l")):
             for k, (i, j, mi, _) in enumerate(entries):
+                i = integer(i, f"{label} entry {k + 1} row")
+                j = integer(j, f"{label} entry {k + 1} column")
                 entry = f"{label} entry {k + 1} ({i + 1},{j + 1})"
-                if not 0 <= i < n_rows:
-                    raise ValueError(f"{entry}: row {i + 1} is outside 1..{n_rows}")
+                if not 0 <= i < len(weights):
+                    raise ValueError(f"{entry}: row {i + 1} is outside 1..{len(weights)}")
                 if not 0 <= j < self.M:
                     raise ValueError(f"{entry}: column {j + 1} is outside 1..{self.M}")
                 if len(mi) != 2 or not all(_is_order(p) for p in mi):
                     raise ValueError(f"{entry}: multi-index {tuple(mi)} must be two "
                                      f"non-negative integers")
-
-    @property
-    def n_boundary_rows(self) -> int:
-        return len(self.r)
+                limit = weights[i] + self.t[j]
+                if sum(mi) > limit:
+                    raise ValueError(f"{label} entry ({i + 1},{j + 1}) multi-index "
+                                     f"{tuple(mi)} has order {sum(mi)} > {bound} + t_j "
+                                     f"= {limit}")
 
 
 def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
@@ -243,7 +237,8 @@ def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
     out = np.zeros(xi.shape[:2] + (len(weights), problem.M,
                                    order * (lin.shape[-1] - 1) + 1), dtype=complex)
     for (i, j, mi, coeff) in terms:
-        values = np.array([_as_coeff(coeff)(p) for p in points], dtype=complex)
+        values = np.array([coeff(p) if callable(coeff) else coeff for p in points],
+                          dtype=complex)
         mono = np.ones(xi.shape[:2] + (1,))
         for d, power in enumerate(mi):
             for _ in range(power):
@@ -253,30 +248,13 @@ def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
 
 
 def principal_parts(problem: AdnProblem):
-    """Validate the weight bookkeeping and return the two principal-part
-    evaluators.
+    """The principal-part evaluators of L and of B, in that order.
 
     Each evaluator maps (point, xi) to a numeric complex matrix, or
     (point, xi, xi_prime) to the (rows, M, K) coefficient array of the
     pencil along xi + sigma xi_prime. Only terms of exact weighted degree
-    survive.
+    survive; the weights were checked when the problem was built.
     """
-    for (i, j, mi, _) in problem.L_coeffs:
-        order = int(sum(mi))
-        limit = problem.s[i] + problem.t[j]
-        if limit < 0:
-            raise ValueError(f"L entry ({i + 1},{j + 1}) with weights s+t={limit} < 0 "
-                             f"must vanish, got multi-index {tuple(mi)}")
-        if order > limit:
-            raise ValueError(f"L entry ({i + 1},{j + 1}) multi-index {tuple(mi)} has "
-                             f"order {order} > s_i + t_j = {limit}")
-    for (l, j, mi, _) in problem.B_coeffs:
-        order = int(sum(mi))
-        limit = problem.r[l] + problem.t[j]
-        if order > limit:
-            raise ValueError(f"B entry ({l + 1},{j + 1}) multi-index {tuple(mi)} has "
-                             f"order {order} > r_l + t_j = {limit}")
-
     def build(boundary):
         def evaluate(point, xi, xi_prime=None):
             xi = np.asarray(xi, dtype=float)[None, None]
@@ -340,7 +318,6 @@ def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
     The half-order m comes from the pencil determinant degree."""
     if not len(x_samples) or not len(xi_samples):
         raise ValueError("need at least one x sample and one xi sample")
-    principal_parts(problem)  # validates the weights
     points = list(x_samples)
     tau, normal = _directions(points)
 
@@ -370,24 +347,6 @@ def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
                      ellipticity_max=det_max, m=m, witnesses=witnesses,
                      sample_counts={"x": len(x_samples), "xi": len(xi_samples)},
                      name=problem.name)
-
-
-def _require_independent(xi: np.ndarray, xi_prime: np.ndarray) -> None:
-    cross = xi[..., 0] * xi_prime[..., 1] - xi[..., 1] * xi_prime[..., 0]
-    scale = np.maximum(1.0, np.linalg.norm(xi, axis=-1) * np.linalg.norm(xi_prime, axis=-1))
-    if np.any(np.abs(cross) < 1e-12 * scale):
-        raise ValueError("xi and xi_prime must be linearly independent")
-
-
-def _require_tangential(xi: np.ndarray, normal: np.ndarray) -> None:
-    norm = np.linalg.norm(xi, axis=-1)
-    if np.any(norm < 1e-14):
-        raise ValueError("xi must be nonzero")
-    dot = np.sum(xi * normal, axis=-1)
-    bad = np.abs(dot) > 1e-12 * norm
-    if np.any(bad):
-        raise ValueError(f"xi must be orthogonal to the normal at the sample: "
-                         f"xi.n = {dot[bad][0]:.3e}")
 
 
 def _upper_roots(roots: np.ndarray, theta: float, xi: np.ndarray) -> list:
@@ -425,7 +384,9 @@ def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
     """
     xi = np.asarray(xi, dtype=float)
     xip = np.asarray(xi_prime, dtype=float)
-    _require_independent(xi, xip)
+    cross = xi[0] * xip[1] - xi[1] * xip[0]
+    if abs(cross) < 1e-12 * max(1.0, np.linalg.norm(xi) * np.linalg.norm(xip)):
+        raise ValueError("xi and xi_prime must be linearly independent")
     det = _det(lp_eval(point, xi, xip))
     return _upper_roots(_roots(det[None])[0], point.theta, xi)
 
@@ -483,15 +444,21 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
     coefficients row by row, and tests full row rank by the singular
     value ratio (threshold RANK_RATIO_TOL after per-row max
     normalization). A failing verdict carries the vanishing row
-    combination as witness.
+    combination as witness. This is check_all's chain on a batch of one
+    sample, so the verdicts agree bit for bit.
     """
     xi = np.asarray(xi, dtype=float)
-    _require_tangential(xi, np.asarray(point.n, dtype=float))
-    lp, bp = principal_parts(problem)
-    roots = np.array(roots_positive_imag(lp, point, xi, point.n), dtype=complex)
-    stacked = _remainder_rows(lp(point, xi, point.n)[None],
-                              bp(point, xi, point.n)[None], roots[None])
-    passed, ratio, combination = _rank_test(stacked)
+    normal = np.asarray(point.n, dtype=float)
+    if np.linalg.norm(xi) < 1e-14:
+        raise ValueError("xi must be nonzero")
+    if abs(xi @ normal) > 1e-12 * np.linalg.norm(xi):
+        raise ValueError(f"xi must be orthogonal to the normal at the sample: "
+                         f"xi.n = {xi @ normal:.3e}")
+    lpen = _principal_array(problem, False, [point], xi[None, None], normal[None, None])
+    bpen = _principal_array(problem, True, [point], xi[None, None], normal[None, None])
+    roots = _upper_roots(_roots(_det(lpen))[0], point.theta, xi)
+    passed, ratio, combination = _rank_test(
+        _remainder_rows(lpen, bpen, np.array([roots], dtype=complex)))
     return ComplementingVerdict(bool(passed[0]), float(ratio[0]),
                                 None if passed[0] else combination(0),
                                 point, tuple(xi.tolist()))
@@ -519,22 +486,20 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     if n_boundary_samples < 8 or n_xi_samples < 8:
         raise ValueError("need at least 8 boundary and 8 xi samples")
     angles = np.linspace(0.0, 2.0 * np.pi, n_boundary_samples, endpoint=False)
-    points = [problem.boundary(float(a)) for a in angles]
+    points = [disk_boundary(float(a)) for a in angles]
     sphere = [(np.cos(p), np.sin(p))
               for p in np.linspace(0.0, 2.0 * np.pi, n_xi_samples, endpoint=False)]
     report = check_ellipticity(problem, points, sphere)
     verdicts = dict(report.verdicts)
     witnesses = dict(report.witnesses)
     m = report.m
-    if problem.n_boundary_rows != m:
-        raise ValueError(f"{problem.n_boundary_rows} boundary rows for half-order "
+    if len(problem.r) != m:
+        raise ValueError(f"{len(problem.r)} boundary rows for half-order "
                          f"m={m}: the counts must agree")
 
     tau, normal = _directions(points)
     xi = _xi_scalings(n_xi_samples)[None, :, None] * tau[:, None, :]
     normal = np.broadcast_to(normal[:, None, :], xi.shape)
-    _require_independent(xi, normal)
-    _require_tangential(xi, normal)
     lpen = _principal_array(problem, False, points, xi, normal)
     bpen = _principal_array(problem, True, points, xi, normal)
     xi = xi.reshape(-1, 2)
@@ -584,20 +549,21 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
 # instances and JSON I/O
 # ---------------------------------------------------------------------------
 
-def navier_laplacian_problem(alpha_spec=0.0, kappa: float = 1.0) -> AdnProblem:
+def navier_laplacian_problem(alpha_spec=0.0) -> AdnProblem:
     """The velocity Laplacian with impermeability and slip rows.
 
     L = I2 Laplace, weights s = (0,0), t = (2,2). Boundary row 1 is the
     normal trace n.u (weight -2); row 2 is tau.(n.grad)u + (alpha - kappa)
-    tau.u (weight -1), whose zeroth-order term drops from the principal
-    part, making every verdict independent of alpha.
+    tau.u (weight -1) with the unit circle's curvature kappa = 1. Its
+    zeroth-order term drops from the principal part, so no verdict depends
+    on alpha or kappa; the alpha spec is still parsed, and refused if bad.
     """
     alpha = alpha_function(alpha_spec)
     lap = [(i, i, mi, 1.0) for i in range(2) for mi in ((2, 0), (0, 2))]
     b = [(0, 0, (0, 0), lambda p: complex(p.n[0])),
          (0, 1, (0, 0), lambda p: complex(p.n[1])),
-         (1, 0, (0, 0), lambda p: complex((alpha(p.theta) - kappa) * p.tau[0])),
-         (1, 1, (0, 0), lambda p: complex((alpha(p.theta) - kappa) * p.tau[1])),
+         (1, 0, (0, 0), lambda p: complex((alpha(p.theta) - 1.0) * p.tau[0])),
+         (1, 1, (0, 0), lambda p: complex((alpha(p.theta) - 1.0) * p.tau[1])),
          (1, 0, (1, 0), lambda p: complex(p.n[0] * p.tau[0])),
          (1, 1, (1, 0), lambda p: complex(p.n[0] * p.tau[1])),
          (1, 0, (0, 1), lambda p: complex(p.n[1] * p.tau[0])),
@@ -611,11 +577,12 @@ _SYMBOLS = {"n1": lambda p: complex(p.n[0]), "n2": lambda p: complex(p.n[1]),
             "tau1": lambda p: complex(p.tau[0]), "tau2": lambda p: complex(p.tau[1])}
 
 
-def _parse_coeff(c):
+def _parse_coeff(c, name: str):
     """Numbers stay numbers; strings are '*'-separated products of the
-    geometric symbols n1, n2, tau1, tau2 and numeric literals."""
+    geometric symbols n1, n2, tau1, tau2 and numeric literals. Every
+    number must be finite."""
     if not isinstance(c, str):
-        return complex(c)
+        return finite(c, name)
     factors = []
     for token in c.split("*"):
         token = token.strip()
@@ -623,6 +590,8 @@ def _parse_coeff(c):
             factors.append(_SYMBOLS[token])
         else:
             value = complex(token)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {c!r}")
             factors.append(lambda p, v=value: v)
     def coeff(point):
         out = 1.0 + 0.0j
@@ -641,21 +610,31 @@ def load_problem(source) -> AdnProblem:
          "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": "n1"}, ...]}
 
     or name a built-in: {"builtin": "navier_laplacian", "alpha": 1.0}.
+    Every object is read strictly: a key outside these is refused, rows
+    and columns must be integers and a numeric coefficient finite.
     """
-    if isinstance(source, (str,)):
+    if isinstance(source, str):
         with open(source) as fh:
             data = json.load(fh)
     else:
         data = source
-    if "builtin" in data:
+    if isinstance(data, dict) and "builtin" in data:
+        table(data, "builtin problem", ("builtin", "alpha"))
         if data["builtin"] != "navier_laplacian":
             raise ValueError(f"unknown builtin problem {data['builtin']!r}")
-        return navier_laplacian_problem(data.get("alpha", 0.0),
-                                        float(data.get("kappa", 1.0)))
-    def entries(rows):
-        return tuple((int(e["i"]) - 1, int(e["j"]) - 1, tuple(e["mi"]),
-                      _parse_coeff(e["c"])) for e in rows)
-    return AdnProblem(M=int(data["M"]), L_coeffs=entries(data["L"]),
-                      B_coeffs=entries(data["B"]), s=tuple(data["s"]),
-                      t=tuple(data["t"]), r=tuple(data["r"]),
+        return navier_laplacian_problem(data.get("alpha", 0.0))
+    table(data, "ADN problem", ("M", "s", "t", "r", "L", "B", "name"))
+
+    def entries(label):
+        out = []
+        for k, e in enumerate(data[label], 1):
+            name = f"{label} entry {k}"
+            table(e, name, ("i", "j", "mi", "c"))
+            out.append((integer(e["i"], f"{name} row") - 1,
+                        integer(e["j"], f"{name} column") - 1,
+                        tuple(e["mi"]), _parse_coeff(e["c"], f"{name} coefficient")))
+        return tuple(out)
+
+    return AdnProblem(M=data["M"], L_coeffs=entries("L"), B_coeffs=entries("B"),
+                      s=tuple(data["s"]), t=tuple(data["t"]), r=tuple(data["r"]),
                       name=str(data.get("name", "")))

@@ -29,7 +29,7 @@ from .biot_savart import biot_savart
 from .field import (ScalarField, VectorField, boundary_values, curl,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
-from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point
+from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point, table
 from .ns_solver import bump_values
 from .pressure import check_tangent_field, recover_pressure
 
@@ -270,17 +270,17 @@ def _bump_profile(grid: PolarGrid, center, radius: float, amplitude: float):
 
 def phi_bump(phi_spec: dict) -> tuple | None:
     """Validated (center, radius, amplitude) of renormalized_slack's test
-    function spec: None for {'zero': {}}; ValueError unless the spec is a
-    nonnegative bump of positive radius supported strictly inside the disk."""
-    if not (isinstance(phi_spec, dict) and len(phi_spec) == 1
-            and set(phi_spec) <= {"bump", "zero"}):
-        raise ValueError(f"phi_spec must be {{'bump': {{...}}}} or {{'zero': {{}}}}, "
-                         f"got {phi_spec!r}")
+    function spec: None for {'zero': {}}. ValueError unless the spec is a
+    nonnegative bump of positive radius supported strictly inside the disk;
+    an object holding a key it does not take is refused too."""
+    if len(table(phi_spec, "phi_spec", ("bump", "zero"))) != 1:
+        raise ValueError(f"phi_spec must hold exactly one of bump or zero, got {phi_spec!r}")
     if "zero" in phi_spec:
+        table(phi_spec["zero"], "phi zero", ())
         return None
-    spec = phi_spec["bump"]
-    if not isinstance(spec, dict) or "radius" not in spec:
-        raise ValueError(f"phi bump must be an object with a radius, got {spec!r}")
+    spec = table(phi_spec["bump"], "phi bump", ("center", "radius", "amplitude"))
+    if "radius" not in spec:
+        raise ValueError(f"phi bump must hold a radius, got {spec!r}")
     center = point(spec.get("center", (0.0, 0.0)), "phi center")
     radius = finite(spec["radius"], "phi radius")
     amplitude = finite(spec.get("amplitude", 1.0), "phi amplitude")

@@ -123,22 +123,37 @@ def integer(value, name: str) -> int:
     return int(value)
 
 
+def table(value, name: str, keys) -> dict:
+    """value, or ValueError naming the entry unless it is an object whose
+    keys all lie in keys; the message names the unknown keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"malformed {name}: must be an object, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return value
+
+
 def alpha_function(alpha_spec):
     """Turn a friction-coefficient spec into a callable of theta.
 
-    Accepted specs: a finite number (constant), a dict {"const": c} or
-    {"fourier": [[k, a_k, b_k], ...]} meaning sum of a_k cos(k theta)
-    + b_k sin(k theta) with finite coefficients, or an already-callable
-    theta -> alpha.
+    Accepted specs: a finite number (constant), an object holding exactly
+    one of {"const": c} or {"fourier": [[k, a_k, b_k], ...]}, the latter
+    meaning sum of a_k cos(k theta) + b_k sin(k theta) with finite
+    coefficients, or an already-callable theta -> alpha.
     """
     if callable(alpha_spec):
         return alpha_spec
-    if isinstance(alpha_spec, dict) and "const" in alpha_spec:
-        alpha_spec = alpha_spec["const"]
+    if isinstance(alpha_spec, dict):
+        if len(table(alpha_spec, "alpha", ("const", "fourier"))) != 1:
+            raise ValueError(f"alpha must hold exactly one of const or fourier, "
+                             f"got {alpha_spec!r}")
+        if "const" in alpha_spec:
+            alpha_spec = finite(alpha_spec["const"], "alpha")
     if isinstance(alpha_spec, (int, float)):
         c = finite(alpha_spec, "alpha")
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), c)
-    if isinstance(alpha_spec, dict) and "fourier" in alpha_spec:
+    if isinstance(alpha_spec, dict):
         terms = alpha_spec["fourier"]
         if not (isinstance(terms, (list, tuple))
                 and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in terms)):

@@ -43,7 +43,6 @@ member bound every 10 steps.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import zipfile
 from dataclasses import dataclass, field, fields
@@ -60,7 +59,7 @@ from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
-                       build_grid, finite, integer, point, reals)
+                       build_grid, finite, integer, point, reals, table)
 
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
@@ -129,13 +128,9 @@ class SimConfig:
         self.lp_exponents = reals(self.lp_exponents, "lp_exponents")
         if not all(p >= 1 for p in self.lp_exponents):
             raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
-        if not isinstance(self.tol, dict):
-            raise ValueError(f"tol must be a table, got {self.tol!r}")
-        for key, value in self.tol.items():
-            if (key not in ("navier", "weakform", "balance") or isinstance(value, bool)
-                    or not isinstance(value, numbers.Real) or not 0 <= value < np.inf):
-                raise ValueError(f"tol {key!r}: {value!r}; tol takes the keys navier, "
-                                 f"weakform and balance, each a finite real >= 0")
+        for key, value in table(self.tol, "tol", ("navier", "weakform", "balance")).items():
+            if not finite(value, f"tol {key}") >= 0:
+                raise ValueError(f"tol {key} must be >= 0, got {value}")
         # Both specs are parsed here, by the code that builds them, so a
         # config that cannot be run is refused before any run starts.
         initial_profile(self.initial_condition)
@@ -155,11 +150,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: d[k] for k in known & set(d)})
+        return cls(**table(d, "config", [f.name for f in fields(cls)]))
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":
@@ -189,7 +180,8 @@ def initial_profile(spec: dict):
     power-law min(dr^-gamma, |x - x0|^-gamma), requiring 0 < gamma * p < 2
     so the profile lies in L^p; {"modes": [[k, coeffs(, phase)], ...]} for
     radial polynomials sum_m coeffs[m] r^m times cos(k theta - phase).
-    Every number in the spec must be finite.
+    Every number in the spec must be finite, and a bump or singular object
+    takes no keys beyond those listed.
     """
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"initial condition spec must have exactly one key, got {spec!r}")
@@ -199,6 +191,7 @@ def initial_profile(spec: dict):
             c = finite(params, "const initial condition")
             return lambda grid: np.full(grid.shape, c)
         if kind == "bump":
+            params = table(params, "'bump' initial condition", ("center", "radius", "amplitude"))
             cx, cy = point(params.get("center", (0.0, 0.0)), "bump center")
             radius = finite(params.get("radius", 0.5), "bump radius")
             amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
@@ -206,6 +199,7 @@ def initial_profile(spec: dict):
                 raise ValueError(f"bump radius must be finite and positive, got {radius}")
             return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)
         if kind == "singular":
+            params = table(params, "'singular' initial condition", ("center", "gamma", "p"))
             gamma = finite(params["gamma"], "singular gamma")
             p = finite(params["p"], "singular p")
             if not (gamma > 0 and 0 < gamma * p < 2.0):

@@ -24,7 +24,7 @@ import numpy as np
 from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
 from .field import lp_norms
-from .geometry import build_grid, integer, real, reals
+from .geometry import build_grid, integer, real, reals, table
 from .ns_solver import (CflError, SimConfig, cfl_bound, initial_vorticity, simulate,
                         simulate_ensemble, write_atomically, write_json)
 
@@ -73,14 +73,10 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
+        kwargs = dict(table(d, "sweep config", [f.name for f in fields(cls)]))
         if not isinstance(d.get("base"), dict):
             raise ValueError(f"base must be an object of simulation settings, "
                              f"got {d.get('base')!r}")
-        kwargs = dict(d)
         kwargs["base"] = SimConfig.from_dict(d["base"])
         return cls(**kwargs)
 

@@ -29,7 +29,7 @@ from slipdisk import (
     roots_positive_imag,
 )
 from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _degrees, _det,
-                          _matmul, _monic, _polydiv, _polymul, _roots)
+                          _matmul, _monic, _polydiv, _polymul, _roots, _xi_scalings)
 
 DATA = Path(__file__).parent / "data"
 
@@ -191,16 +191,14 @@ def test_numeric_symbol_matches_pencil_at_sigma_zero():
 
 def test_degree_bookkeeping_violations_are_named():
     problem = navier_laplacian_problem(0.0)
-    bad_l = problem.__class__(M=2, L_coeffs=((0, 0, (3, 0), 1.0),),
-                              B_coeffs=problem.B_coeffs, s=problem.s,
-                              t=problem.t, r=problem.r)
     with pytest.raises(ValueError, match=r"L entry \(1,1\).*order 3"):
-        principal_parts(bad_l)
-    bad_b = problem.__class__(M=2, L_coeffs=problem.L_coeffs,
-                              B_coeffs=((1, 0, (2, 0), 1.0),), s=problem.s,
-                              t=problem.t, r=problem.r)
+        problem.__class__(M=2, L_coeffs=((0, 0, (3, 0), 1.0),),
+                          B_coeffs=problem.B_coeffs, s=problem.s,
+                          t=problem.t, r=problem.r)
     with pytest.raises(ValueError, match=r"B entry \(2,1\)"):
-        principal_parts(bad_b)
+        problem.__class__(M=2, L_coeffs=problem.L_coeffs,
+                          B_coeffs=((1, 0, (2, 0), 1.0),), s=problem.s,
+                          t=problem.t, r=problem.r)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +439,25 @@ def test_check_all_matches_reports_recorded_before_batching(key):
     _assert_close(report, recorded, key)
 
 
+def test_complementing_check_agrees_with_check_all_per_sample():
+    # complementing_check runs check_all's pencil chain on a batch of one
+    # sample: at the batched witness it finds the same combination and
+    # the same singular ratio, bit for bit
+    problem = load_problem(_RECORDED["duplicated_rows"])
+    witness = check_all(problem, 64, 16).witnesses["complementing"]
+    verdict = complementing_check(problem, disk_boundary(witness["theta"]), witness["xi"])
+    assert not verdict.passed
+    assert verdict.witness == witness["combination"]
+    assert verdict.singular_ratio == witness["singular_ratio"]
+    # and the slip problem passes at every sample where check_all passes
+    problem = navier_laplacian_problem(1.0)
+    assert check_all(problem, 8, 8).passed
+    for theta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+        point = disk_boundary(float(theta))
+        for c in _xi_scalings(8):
+            assert complementing_check(problem, point, c * np.asarray(point.tau)).passed
+
+
 def test_check_all_row_scaling_invariance():
     # scaling a boundary row must not change any verdict (rows are
     # normalized before the rank test)
@@ -528,6 +545,34 @@ def test_load_problem_unknown_builtin():
                  r"multi-index \(-1, 3\) must be two", id="negative-order"),
     pytest.param(lambda d: d["B"][1].update(mi=[0.5, 0]),
                  r"B entry 2 \(2,2\): multi-index", id="fractional-order"),
+    # a fractional or string index was truncated or parsed, a fractional M
+    # truncated, a bool weight taken as 1, a fractional weight or a NaN
+    # coefficient failed late with "pencil determinant degree -1", and a
+    # NaN literal in a symbol product with "SVD did not converge"
+    pytest.param(lambda d: d["L"][0].update(i=1.7),
+                 r"L entry 1 row must be an integer, got 1.7", id="fractional-row"),
+    pytest.param(lambda d: d["B"][1].update(j="2"),
+                 r"B entry 2 column must be an integer, got '2'", id="string-column"),
+    pytest.param(lambda d: d.update(M=2.9), r"M must be an integer, got 2.9",
+                 id="fractional-M"),
+    pytest.param(lambda d: d.update(r=[-2, True]), r"r must be an integer, got True",
+                 id="bool-weight"),
+    pytest.param(lambda d: d.update(s=[0, 0.5]), r"s must be an integer, got 0.5",
+                 id="fractional-weight"),
+    pytest.param(lambda d: d["L"][0].update(c=float("nan")),
+                 r"L entry 1 coefficient must be finite", id="nan-coefficient"),
+    pytest.param(lambda d: d["B"][0].update(c="nan*n1"),
+                 r"B entry 1 coefficient must be finite", id="nan-literal"),
+    # unknown keys were ignored: a misspelt built-in alpha ran alpha = 0,
+    # and a misspelt entry or problem key went unnoticed
+    pytest.param(lambda d: (d.clear(), d.update(builtin="navier_laplacian", alpah=1.0)),
+                 r"unknown builtin problem keys: \['alpah'\]", id="builtin-alpah"),
+    pytest.param(lambda d: d["B"][0].update(coef=2.0),
+                 r"unknown B entry 1 keys: \['coef'\]", id="entry-coef"),
+    pytest.param(lambda d: d.update(nmae="dirichlet"),
+                 r"unknown ADN problem keys: \['nmae'\]", id="problem-nmae"),
+    pytest.param(lambda d: d["L"].append(3), r"malformed L entry 5: must be an object",
+                 id="entry-not-object"),
 ])
 def test_load_problem_rejects_malformed_entries(edit, message):
     # 1-indexed entries outside the weights' range used to wrap around

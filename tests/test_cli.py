@@ -9,6 +9,7 @@ main() with their exit code contract.
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,8 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slipdisk import (CflError, ScalarField, SimConfig, SweepConfig, Trajectory, lp_norm,
-                      main, run_sweep, simulate, sweep)
+from slipdisk import (CflError, ScalarField, SimConfig, SweepConfig, Trajectory,
+                      load_problem, lp_norm, main, run_sweep, simulate, sweep)
 from slipdisk.geometry import build_grid
 from slipdisk.sweep import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 
@@ -516,7 +517,13 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"lp_exponents": 4.0}, "lp_exponents"),
                          ({"alpha": {"fourier": 3}}, "alpha"),
                          ({"alpha": {"fourier": [[1, 0.5]]}}, "alpha"),
-                         ({"initial_condition": {"bump": {"center": [0.1]}}}, "bump center")):
+                         ({"initial_condition": {"bump": {"center": [0.1]}}}, "bump center"),
+                         # unknown keys inside a spec, which used to be ignored
+                         ({"initial_condition": {"bump": {"radius": 0.3, "amplitud": 5.0}}},
+                          "amplitud"),
+                         ({"initial_condition": {"singular": {"gamma": 0.4, "p": 3.0,
+                                                              "centre": [0.2, 0.0]}}}, "centre"),
+                         ({"alpha": {"const": 1.0, "fourier": [[1, 2, 3]]}}, "alpha")):
         cases.append(("simulate", {**_tiny_base().to_dict(), **change}, name))
         cases.append(("sweep", {**sweep, "base": {**sweep["base"], **change}}, name))
     for change, name in (({"nu_list": "1"}, "nu_list"), ({"nu_list": [True]}, "nu_list"),
@@ -524,7 +531,8 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"slack_q": True}, "slack_q"), ({"base": 3}, "base"),
                          ({"phi": 3}, "phi"), ({"phi": "zero"}, "phi"),
                          ({"phi": {"bump": {}}}, "phi"),
-                         ({"phi": {"bump": {"radius": 0.3, "center": [0.1]}}}, "phi center")):
+                         ({"phi": {"bump": {"radius": 0.3, "center": [0.1]}}}, "phi center"),
+                         ({"phi": {"bump": {"radius": 0.3, "amplitde": 2.0}}}, "amplitde")):
         cases.append(("sweep", {**sweep, **change}, name))
     for k, (verb, spec, name) in enumerate(cases):
         cpath = tmp_path / f"bad{k}.json"
@@ -609,3 +617,23 @@ def test_adn_verb_custom_out(tmp_path):
     assert main(["adn", str(good), "--out", str(out)]) == 0
     parsed = json.loads(out.read_text())
     assert parsed["verdicts"]["ellipticity"] is True
+
+
+def test_readme_json_examples_are_accepted():
+    # every complete JSON example in README.md goes through its reader, so
+    # an example that drifts from the strict config tables fails here
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    readers = {"builtin": load_problem, "base": SweepConfig.from_dict,
+               "nu": SimConfig.from_dict}
+    read = []
+    for block in blocks:
+        if '"..."' in block:
+            continue  # an excerpt, not a complete config
+        data = json.loads(block)
+        key = next(k for k in readers if k in data)
+        readers[key](data)
+        read.append(key)
+    assert sorted(read) == ["base", "builtin", "nu"]

@@ -116,6 +116,14 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     ({"lp_exponents": (2.0, NAN)}, "lp exponents must be >= 1"),
     # the profile lies in L^p only for 0 < gamma p; a negative p slipped through
     ({"initial_condition": {"singular": {"gamma": 0.4, "p": -1.0}}}, "0 < gamma\\*p < 2"),
+    # unknown keys inside a spec were ignored: a misspelt amplitude ran 1.0,
+    # a misspelt center ran the origin, and const silently beat fourier
+    ({"initial_condition": {"bump": {"radius": 0.3, "amplitud": 5.0}}},
+     r"unknown 'bump' initial condition keys: \['amplitud'\]"),
+    ({"initial_condition": {"singular": {"gamma": 0.4, "p": 3.0, "centre": [0.2, 0.0]}}},
+     r"unknown 'singular' initial condition keys: \['centre'\]"),
+    ({"alpha": {"const": 1.0, "fourier": [[1, 2, 3]]}}, "exactly one of const or fourier"),
+    ({"alpha": {"cnst": 1.0}}, r"unknown alpha keys: \['cnst'\]"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
