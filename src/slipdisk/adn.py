@@ -610,8 +610,9 @@ def load_problem(source) -> AdnProblem:
          "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": "n1"}, ...]}
 
     or name a built-in: {"builtin": "navier_laplacian", "alpha": 1.0}.
-    Every object is read strictly: a key outside these is refused, rows
-    and columns must be integers and a numeric coefficient finite.
+    Every object is read strictly: a key outside these, or a missing one
+    but "name", is refused; s, t, r, L, B and each mi must be arrays, rows
+    and columns integers and a numeric coefficient finite.
     """
     if isinstance(source, str):
         with open(source) as fh:
@@ -625,16 +626,28 @@ def load_problem(source) -> AdnProblem:
         return navier_laplacian_problem(data.get("alpha", 0.0))
     table(data, "ADN problem", ("M", "s", "t", "r", "L", "B", "name"))
 
+    def read(obj, key, name, convert):
+        """convert(obj[key], name), or a ValueError naming the missing key."""
+        if key not in obj:
+            raise ValueError(f"{name} is missing (key {key!r})")
+        return convert(obj[key], name)
+
+    def array(value, name):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be an array, got {value!r}")
+        return tuple(value)
+
     def entries(label):
         out = []
-        for k, e in enumerate(data[label], 1):
+        for k, e in enumerate(read(data, label, label, array), 1):
             name = f"{label} entry {k}"
             table(e, name, ("i", "j", "mi", "c"))
-            out.append((integer(e["i"], f"{name} row") - 1,
-                        integer(e["j"], f"{name} column") - 1,
-                        tuple(e["mi"]), _parse_coeff(e["c"], f"{name} coefficient")))
+            out.append((read(e, "i", f"{name} row", integer) - 1,
+                        read(e, "j", f"{name} column", integer) - 1,
+                        read(e, "mi", f"{name} multi-index", array),
+                        read(e, "c", f"{name} coefficient", _parse_coeff)))
         return tuple(out)
 
-    return AdnProblem(M=data["M"], L_coeffs=entries("L"), B_coeffs=entries("B"),
-                      s=tuple(data["s"]), t=tuple(data["t"]), r=tuple(data["r"]),
-                      name=str(data.get("name", "")))
+    s, t, r = (read(data, label, label, array) for label in ("s", "t", "r"))
+    return AdnProblem(M=read(data, "M", "M", integer), L_coeffs=entries("L"),
+                      B_coeffs=entries("B"), s=s, t=t, r=r, name=str(data.get("name", "")))

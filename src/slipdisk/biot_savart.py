@@ -11,9 +11,11 @@ nodes,
 
 so the pole needs no ghost value (the inner face of the first cell sits at
 r = 0 where the flux vanishes) and radial quadratics are differentiated
-exactly. The boundary closure eliminates a ghost node behind r = 1 by the
-quadratic interpolant through the last two nodes and the boundary value,
-which keeps quadratics exact through the Dirichlet solve as well.
+exactly. The last row's outer-face flux is a closure, passed as data to
+the one band builder flux_laplacian_bands, which the pressure module's
+Neumann solve shares. The Dirichlet closure eliminates a ghost node behind
+r = 1 by the quadratic interpolant through the last two nodes and the
+boundary value, which keeps quadratics exact through the Dirichlet solve.
 """
 
 from __future__ import annotations
@@ -27,39 +29,31 @@ from .field import ScalarField, VectorField, boundary_values, from_modes, perp_g
 from .geometry import PolarGrid, build_grid
 
 
-def flux_laplacian_bands(grid: PolarGrid):
-    """Tridiagonal bands of L_k for every rfft mode, shape (n_theta//2 + 1,
-    n_r), with the interior flux-form stencil in every row and no upper
-    entry in the last; a boundary closure overwrites the last row's lower
-    and diagonal entries.
+def flux_laplacian_bands(grid: PolarGrid, outer):
+    """Read-only tridiagonal bands T_k of L_k for every rfft mode, shape
+    (n_theta//2 + 1, n_r), and the coefficient d that carries the boundary
+    datum g_k into the last row: L_k psi = T_k psi + d g_k.
 
-    Returns (lower, diag, upper, k2), k2 the squared mode numbers.
+    The last row's outer-face difference psi_ghost - psi_n is the closure
+    outer = (a, b, c, m): a psi_{n-1} + b psi_n + c dr^m g_k, for a datum
+    g_k that prescribes the m-th radial derivative at r = 1. Returns
+    (lower, diag, upper, d).
     """
     dr, r, faces = grid.dr, grid.r, grid.r_face
+    a, b, c, m = outer
     k2 = np.arange(grid.n_theta // 2 + 1, dtype=float) ** 2
     shape = (k2.size, grid.n_r)
     lower = np.broadcast_to(faces[:-1] / (r * dr ** 2), shape).copy()
     upper = np.broadcast_to(faces[1:] / (r * dr ** 2), shape).copy()
     diag = np.broadcast_to(-(faces[:-1] + faces[1:]) / (r * dr ** 2), shape).copy()
     diag -= k2[:, None] / r[None, :] ** 2
+    rn, face = r[-1], faces[-2]
+    lower[:, -1] = (face + a) / (rn * dr ** 2)
+    diag[:, -1] = (b - face) / (rn * dr ** 2) - k2 / rn ** 2
     upper[:, -1] = 0.0
-    return lower, diag, upper, k2
-
-
-def dirichlet_laplacian_bands(grid: PolarGrid):
-    """Tridiagonal bands of L_k for every rfft mode, plus the coefficient
-    that carries the Dirichlet boundary value into the last row.
-
-    Returns (lower, diag, upper, data_coeff) with band shape
-    (n_theta//2 + 1, n_r); the full operator action on mode k is
-    L_k psi = T_k psi + data_coeff * g_k with g_k the boundary value.
-    """
-    lower, diag, upper, k2 = flux_laplacian_bands(grid)
-    dr, rn, face = grid.dr, grid.r[-1], grid.r_face[-2]
-    # ghost elimination at the outer node: psi_ghost = (8/3) g - 2 psi_{n-1} + (1/3) psi_{n-2}
-    lower[:, -1] = (face + 1.0 / 3.0) / (rn * dr ** 2)
-    diag[:, -1] = -(face + 3.0) / (rn * dr ** 2) - k2 / rn ** 2
-    return lower, diag, upper, (8.0 / 3.0) / (rn * dr ** 2)
+    for band in (lower, diag, upper):
+        band.flags.writeable = False
+    return lower, diag, upper, c / (rn * dr ** (2 - m))
 
 
 @functools.cache
@@ -83,14 +77,16 @@ class PoissonDirichletSolver:
     rotation exact. The exponent parity matches the half-turn pole
     symmetry of mode k.
 
-    Immutable after construction; solves on distinct right-hand sides may
-    run concurrently.
+    bands is flux_laplacian_bands(grid, Dirichlet closure), read-only, for
+    every operator built on the same T_k. Immutable after construction;
+    solves on distinct right-hand sides may run concurrently.
     """
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        lower, diag, upper, _ = dirichlet_laplacian_bands(grid)
-        self._lu = TridiagonalBatch(lower, diag, upper)
+        # Dirichlet closure: psi_ghost = (8/3) g - 2 psi_n + (1/3) psi_{n-1}
+        self.bands = flux_laplacian_bands(grid, (1.0 / 3.0, -3.0, 8.0 / 3.0, 0))
+        self._lu = TridiagonalBatch(*self.bands[:3])
         r = grid.r
         n_modes = grid.n_theta // 2 + 1
         parity = np.arange(n_modes) % 2

@@ -140,10 +140,9 @@ def alpha_function(alpha_spec):
     Accepted specs: a finite number (constant), an object holding exactly
     one of {"const": c} or {"fourier": [[k, a_k, b_k], ...]}, the latter
     meaning sum of a_k cos(k theta) + b_k sin(k theta) with finite
-    coefficients, or an already-callable theta -> alpha.
+    coefficients. Any other spec, a callable included, is refused: a run
+    records its alpha in config-resolved.json.
     """
-    if callable(alpha_spec):
-        return alpha_spec
     if isinstance(alpha_spec, dict):
         if len(table(alpha_spec, "alpha", ("const", "fourier"))) != 1:
             raise ValueError(f"alpha must hold exactly one of const or fourier, "

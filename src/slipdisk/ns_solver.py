@@ -51,8 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
-from .biot_savart import (PoissonDirichletSolver, biot_savart, cached_solver,
-                          dirichlet_laplacian_bands)
+from .biot_savart import PoissonDirichletSolver, biot_savart, cached_solver
 from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
                     from_modes, lp_norms, perp_grad_values,
                     radial_derivative, theta_derivative, to_modes, wall_derivative)
@@ -289,10 +288,11 @@ def _advection(s: _State) -> np.ndarray:
 class _DiffusionCN:
     """Crank-Nicolson solve of the diffusion half with Dirichlet data g,
     every member at once: (I - lam T) omega' = (I + lam T) omega + 2 lam d g,
-    lam = nu dt / 2 per member."""
+    lam = nu dt / 2 per member, on the Dirichlet bands (lower, diag, upper, d)
+    of the Poisson solver."""
 
-    def __init__(self, grid: PolarGrid, nus: np.ndarray, dt: float):
-        lower, diag, upper, data_coeff = dirichlet_laplacian_bands(grid)
+    def __init__(self, bands, nus: np.ndarray, dt: float):
+        lower, diag, upper, data_coeff = bands
         lam = (0.5 * nus * dt)[:, None, None]
         self._explicit = (lam * lower, 1.0 + lam * diag, lam * upper)
         self._lu = TridiagonalBatch(-lam * lower, 1.0 - lam * diag, -lam * upper)
@@ -323,7 +323,7 @@ class _Stepper:
         """The Crank-Nicolson solve for step dt. Only the latest is kept:
         an automatic dt moves every few steps and never returns."""
         if self._diffusion is None or self._diffusion.dt != dt:
-            self._diffusion = _DiffusionCN(self.grid, self.nus, dt)
+            self._diffusion = _DiffusionCN(self.poisson.bands, self.nus, dt)
         return self._diffusion
 
     def state(self, omega_modes: np.ndarray, omega: np.ndarray | None = None) -> _State:

@@ -11,10 +11,13 @@ where (Laplace u).r on the boundary is evaluated as the rotated gradient
 of the vorticity, -(1/r) d_theta omega, so no second radial derivatives
 of u are needed at the wall.
 
-The right-hand side is assembled in flux form with the same staggered
-faces as the stream-function solver, and the boundary face value of the
-radial acceleration equals the trace used in the Neumann data. With that
-shared value the discrete compatibility identity
+The operator is the stream-function solver's flux-form radial Laplacian,
+built by the one flux_laplacian_bands with the Neumann closure passed as
+data: the outer-face flux is the datum itself, so the last row is exact
+for radial quadratics with exact data. The right-hand side is assembled
+in flux form on the same staggered faces, and the boundary face value of
+the radial acceleration equals the trace used in the Neumann data. With
+that shared value the discrete compatibility identity
 
     integral(rhs) + boundary integral(g) = 0
 
@@ -99,20 +102,6 @@ def flux_divergence(a: VectorField) -> tuple[np.ndarray, np.ndarray]:
     return div, a_r1
 
 
-def neumann_laplacian_bands(grid: PolarGrid):
-    """Tridiagonal bands of the flux-form radial Laplacian per rfft mode
-    with a Neumann closure: the outer face flux is the boundary datum
-    itself, so the last row is exact for radial quadratics with exact
-    data. Returns (lower, diag, upper, data_coeff); the datum g_k enters
-    the last row of the right-hand side as -data_coeff * g_k.
-    """
-    lower, diag, upper, k2 = flux_laplacian_bands(grid)
-    dr, rn, face = grid.dr, grid.r[-1], grid.r_face[-2]
-    lower[:, -1] = face / (rn * dr ** 2)
-    diag[:, -1] = -face / (rn * dr ** 2) - k2 / rn ** 2
-    return lower, diag, upper, 1.0 / (rn * dr)
-
-
 class PoissonNeumannSolver:
     """Factorized mode-wise solver for Laplace(p) = f, dp/dr(1) = g.
 
@@ -123,13 +112,13 @@ class PoissonNeumannSolver:
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        lower, diag, upper, self._data_coeff = neumann_laplacian_bands(grid)
-        self._lower, self._diag, self._upper = lower, diag, upper
-        pinned = (lower.copy(), diag.copy(), upper.copy())
-        pinned[0][0, 0] = 0.0
-        pinned[1][0, 0] = 1.0
-        pinned[2][0, 0] = 0.0
-        self._lu = TridiagonalBatch(*pinned)
+        # Neumann closure: the outer-face flux is the datum itself, dr g_k
+        *self._bands, self._data_coeff = flux_laplacian_bands(grid, (0.0, 0.0, 1.0, 1))
+        lower, diag, upper = self._bands
+        # the gauge row of mode 0; TridiagonalBatch zeroes lower[..., 0] itself
+        diag, upper = diag.copy(), upper.copy()
+        diag[0, 0], upper[0, 0] = 1.0, 0.0
+        self._lu = TridiagonalBatch(lower, diag, upper)
 
     def solve(self, rhs: ScalarField, neumann: np.ndarray) -> ScalarField:
         grid = self.grid
@@ -145,8 +134,7 @@ class PoissonNeumannSolver:
 
     def apply(self, p: ScalarField, neumann: np.ndarray) -> ScalarField:
         """Unpinned operator action plus boundary data, for residual checks."""
-        out = apply_tridiagonal(self._lower, self._diag, self._upper,
-                                to_modes(p.values))
+        out = apply_tridiagonal(*self._bands, to_modes(p.values))
         out[..., -1] += self._data_coeff * np.fft.rfft(neumann, axis=-1)
         return ScalarField(self.grid, from_modes(out, self.grid.n_theta))
 

@@ -573,6 +573,21 @@ def test_load_problem_unknown_builtin():
                  r"unknown ADN problem keys: \['nmae'\]", id="problem-nmae"),
     pytest.param(lambda d: d["L"].append(3), r"malformed L entry 5: must be an object",
                  id="entry-not-object"),
+    # a number where an array belongs failed with "'int' object is not
+    # iterable", and a missing key with a bare KeyError
+    pytest.param(lambda d: d.update(s=0), r"^s must be an array, got 0$", id="scalar-s"),
+    pytest.param(lambda d: d.update(t=2), r"^t must be an array, got 2$", id="scalar-t"),
+    pytest.param(lambda d: d.update(r=-2), r"^r must be an array, got -2$", id="scalar-r"),
+    pytest.param(lambda d: d.update(L=1), r"^L must be an array, got 1$", id="scalar-L"),
+    pytest.param(lambda d: d.update(B=1), r"^B must be an array, got 1$", id="scalar-B"),
+    pytest.param(lambda d: d["L"][2].update(mi=2),
+                 r"^L entry 3 multi-index must be an array, got 2$", id="scalar-mi"),
+    pytest.param(lambda d: d["B"][1].pop("c"),
+                 r"^B entry 2 coefficient is missing \(key 'c'\)$", id="missing-c"),
+    pytest.param(lambda d: d.pop("B"), r"^B is missing \(key 'B'\)$", id="missing-B"),
+    pytest.param(lambda d: d.pop("M"), r"^M is missing \(key 'M'\)$", id="missing-M"),
+    pytest.param(lambda d: d["L"][0].pop("j"),
+                 r"^L entry 1 column is missing \(key 'j'\)$", id="missing-j"),
 ])
 def test_load_problem_rejects_malformed_entries(edit, message):
     # 1-indexed entries outside the weights' range used to wrap around

@@ -594,6 +594,12 @@ def test_adn_verb_exit_codes(tmp_path, capsys):
                      "L": laplace + [{"i": 0, "j": 0, "mi": [2, 0], "c": 1}],
                      "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
                            {"i": 2, "j": 2, "mi": [0, 0], "c": 1}]},
+        "scalar_s": {"M": 2, "s": 0, "t": [2, 2], "r": [-2, -2], "L": laplace,
+                     "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                           {"i": 2, "j": 2, "mi": [0, 0], "c": 1}]},
+        "missing_c": {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2], "L": laplace,
+                      "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                            {"i": 2, "j": 2, "mi": [0, 0]}]},
     }
     for stem, data in unusable.items():
         path = tmp_path / f"{stem}.json"

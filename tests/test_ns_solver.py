@@ -34,6 +34,7 @@ from slipdisk import (
     simulate,
     solve_poisson_dirichlet,
 )
+from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
 from slipdisk.field import boundary_values, to_modes
 from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, bump_values,
                                 cfl_bound, simulate_ensemble)
@@ -124,6 +125,9 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
      r"unknown 'singular' initial condition keys: \['centre'\]"),
     ({"alpha": {"const": 1.0, "fourier": [[1, 2, 3]]}}, "exactly one of const or fourier"),
     ({"alpha": {"cnst": 1.0}}, r"unknown alpha keys: \['cnst'\]"),
+    # a callable alpha ran, then failed in Trajectory.save, which cannot
+    # write a function into config-resolved.json
+    ({"alpha": lambda theta: 1.0 + 0.5 * np.cos(theta)}, "unrecognized alpha spec"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
@@ -248,6 +252,43 @@ def test_auto_dt_run_holds_one_diffusion_factorization(monkeypatch):
     simulate(config)
     assert len(built) >= 10
     assert max(held) == 1
+
+
+def test_crank_nicolson_step_matches_dense_solve():
+    # (I - lam T) omega' = (I + lam T) omega + 2 lam d g per mode, lam = nu dt / 2,
+    # for a viscous and an inviscid member on the Poisson solver's Dirichlet bands
+    grid = build_grid(8, 8)
+    bands = cached_solver(PoissonDirichletSolver, *grid.shape).bands
+    lower, diag, upper, d = bands
+    nus, dt = np.array([0.05, 0.0]), 0.01
+    rng = np.random.default_rng(3)
+    n_modes = grid.n_theta // 2 + 1
+    omega = (rng.standard_normal((2, n_modes, grid.n_r))
+             + 1j * rng.standard_normal((2, n_modes, grid.n_r)))
+    g = 1.0 + rng.standard_normal((2, grid.n_theta))
+    got = _DiffusionCN(bands, nus, dt).step(omega, g)
+    g_modes = np.fft.rfft(g, axis=-1)
+    eye = np.eye(grid.n_r)
+    for b, nu in enumerate(nus):
+        lam = 0.5 * nu * dt
+        for k in range(n_modes):
+            T = np.diag(diag[k]) + np.diag(lower[k, 1:], -1) + np.diag(upper[k, :-1], 1)
+            rhs = (eye + lam * T) @ omega[b, k]
+            rhs[-1] += 2.0 * lam * d * g_modes[b, k]
+            want = np.linalg.solve(eye - lam * T, rhs)
+            assert np.max(np.abs(got[b, k] - want)) <= 1e-12, (nu, k)
+    assert np.array_equal(got[1], omega[1])
+
+
+def test_viscous_run_leaves_the_shared_dirichlet_bands_unchanged():
+    bands = cached_solver(PoissonDirichletSolver, 16, 16).bands
+    before = [band.copy() for band in bands[:3]]
+    simulate(SimConfig(nu=0.05, t_end=0.02, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
+        alpha=1.0, n_r=16, n_theta=16, output_stride=10))
+    for band, old in zip(bands[:3], before):
+        assert not band.flags.writeable
+        assert np.array_equal(band, old)
 
 
 # ---------------------------------------------------------------------------
