@@ -4,12 +4,15 @@ Every per-Fourier-mode radial operator in this package is tridiagonal.
 A batch of them is one block-diagonal tridiagonal matrix: the modes'
 bands are laid end to end and the entries that would couple the last
 row of one block to the first row of the next are zero. LAPACK's
-`dgttrf` factors that matrix once (LU with partial pivoting; a row
+`zgttrf` factors that matrix once (LU with partial pivoting; a row
 interchange never crosses a block boundary, because the coupling entry
-there is zero) and `dgttrs` solves every mode in one compiled call.
-Complex right-hand sides go in as two real ones, Re and Im, since the
-bands are real, and right-hand sides with further leading axes (several
-states of one operator) go in as further columns of the same call.
+there is zero) and `zgttrs` solves every mode in one compiled call.
+The bands are real and enter as complex numbers with zero imaginary
+part, so a complex right-hand side is solved in one pass with the same
+bits as its Re and Im solved apart by `dgttrf`/`dgttrs`; a real one
+goes in as complex and comes back real. Right-hand sides with further
+leading axes (several states of one operator) go in as further columns
+of the same call.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class TridiagonalBatch:
             raise ValueError("bands must share a common (..., n_batch, n) shape")
         lower[..., 0] = 0.0
         upper[..., -1] = 0.0
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(
+        dl, d, du, du2, ipiv, info = lapack.zgttrf(
             lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
         if info > 0 or not (np.all(np.isfinite(d)) and np.all(np.isfinite(du))):
             raise ZeroDivisionError("singular tridiagonal system in the batch")
@@ -51,22 +54,15 @@ class TridiagonalBatch:
         rhs = np.asarray(rhs)
         if rhs.shape[-len(self.shape):] != self.shape:
             raise ValueError(f"rhs shape {rhs.shape} does not match bands {self.shape}")
-        parts = (rhs.real, rhs.imag) if np.iscomplexobj(rhs) else (rhs,)
-        # One column per real right-hand side, in LAPACK's column-major layout.
-        b = np.empty((len(parts),) + rhs.shape)
-        for column, part in zip(b, parts):
-            column[...] = part
-        x, info = lapack.dgttrs(*self._factors, b.reshape(-1, self._rows).T,
+        # A private copy whose transpose is LAPACK's column-major layout,
+        # one column per right-hand side; zgttrs overwrites it.
+        b = np.array(rhs, dtype=complex, order="C")
+        x, info = lapack.zgttrs(*self._factors, b.reshape(-1, self._rows).T,
                                 overwrite_b=True)
         if info != 0:
-            raise ValueError(f"dgttrs rejected argument {-info}")
-        x = x.T.reshape(b.shape)
-        if len(parts) == 1:
-            return x[0]
-        out = np.empty(rhs.shape, dtype=complex)
-        out.real = x[0]
-        out.imag = x[1]
-        return out
+            raise ValueError(f"zgttrs rejected argument {-info}")
+        x = x.T.reshape(rhs.shape)
+        return x if np.iscomplexobj(rhs) else x.real.copy()
 
 
 def apply_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,

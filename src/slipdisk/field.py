@@ -28,6 +28,7 @@ components (u = grad^perp psi), and curl(u) = (1/r)(d(r u_theta)/dr
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,19 +97,24 @@ def from_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
     return np.fft.irfft(modes.swapaxes(-1, -2), n=n_theta, axis=-1)
 
 
-def theta_derivative(values: np.ndarray, order: int = 1,
-                     modes: np.ndarray | None = None) -> np.ndarray:
-    """Spectral d/dtheta along the last axis. The Nyquist mode of
-    odd-order derivatives is dropped (its sine partner is not
-    representable). A caller that already holds to_modes(values) passes
-    it as modes."""
-    n = values.shape[-1]
-    coeffs = np.fft.rfft(values, axis=-1) if modes is None else modes.swapaxes(-1, -2)
-    k = np.arange(n // 2 + 1)
+@functools.cache
+def theta_multiplier(n_theta: int, order: int = 1) -> np.ndarray:
+    """(ik)^order for the rfft modes k of n_theta angles: the spectral
+    d^order/dtheta^order. The Nyquist entry of an odd order is zero (its
+    sine partner is not representable). Shared by every caller; read-only."""
+    k = np.arange(n_theta // 2 + 1)
     ik = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
+    if order % 2 == 1 and n_theta % 2 == 0:
         ik[-1] = 0.0
-    return np.fft.irfft(coeffs * ik, n=n, axis=-1)
+    ik.flags.writeable = False
+    return ik
+
+
+def theta_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
+    """Spectral d/dtheta along the last axis (see theta_multiplier)."""
+    n = values.shape[-1]
+    return np.fft.irfft(np.fft.rfft(values, axis=-1) * theta_multiplier(n, order),
+                        n=n, axis=-1)
 
 
 def _pole_ghost(row: np.ndarray, parity: float) -> np.ndarray:
@@ -163,16 +169,9 @@ def dealias_modes(modes: np.ndarray, n_theta: int) -> np.ndarray:
 
 def perp_grad(psi: ScalarField) -> VectorField:
     """Velocity of a stream function."""
-    return VectorField(psi.grid, *perp_grad_values(psi.values, psi.grid))
-
-
-def perp_grad_values(psi: np.ndarray, grid: PolarGrid,
-                     modes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """perp_grad on node arrays: (u_r, u_theta) of the stream-function
-    values psi (..., n_r, n_theta), whose to_modes the caller may pass."""
-    u_r = -theta_derivative(psi, modes=modes) / grid.r_col
-    u_theta = radial_derivative(psi, grid, SCALAR_PARITY)
-    return u_r, u_theta
+    grid = psi.grid
+    return VectorField(grid, -theta_derivative(psi.values) / grid.r_col,
+                       radial_derivative(psi.values, grid, SCALAR_PARITY))
 
 
 def curl(u: VectorField) -> ScalarField:

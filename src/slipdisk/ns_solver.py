@@ -11,11 +11,17 @@ boundary value by the first diffusion solve rather than by projection.
 A step runs in theta-mode space: the state carries the vorticity's rfft
 modes, and the RK stages, the Poisson solves, the dealiasing and the
 Crank-Nicolson solve act on modes. Fields go to the nodes only where a
-product or a radial stencil needs them: each stage transforms its
-advection product forward once, and the boundary data is transformed as
-one ring. Each time level carries its velocity, built once from the
-stream function's modes, and that velocity serves the CFL check, the
-first RK stage, the per-step record and the automatic dt.
+product or a radial stencil needs them. A time level (the step's start,
+its midpoint stage and its end) goes to the nodes in one inverse
+transform of the stacked modes of the vorticity, the stream function
+and their theta derivatives, and takes the radial derivatives of the
+vorticity and the stream function in one stencil call; each stage
+transforms its advection product forward once, and the boundary data is
+transformed as one ring. A step thus makes five transforms, four when
+every member is inviscid. Each time level computes its speed |u| at
+most once, when first asked, and that one array serves the CFL check,
+the per-step record and the automatic dt; the midpoint stage never
+needs it.
 
 The stepper advances an ensemble: members that share the grid, the
 slip coefficient, the initial datum and the time steps and differ only
@@ -53,8 +59,8 @@ import numpy as np
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .biot_savart import PoissonDirichletSolver, biot_savart, cached_solver
 from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
-                    from_modes, lp_norms, perp_grad_values,
-                    radial_derivative, theta_derivative, to_modes, wall_derivative)
+                    from_modes, lp_norms, radial_derivative, theta_multiplier,
+                    to_modes, wall_derivative)
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
@@ -249,7 +255,7 @@ def cfl_bound(u) -> float | np.ndarray:
     one bound per member.
     """
     grid = u.grid
-    max_u = np.max(np.hypot(u.u_r, u.u_theta), axis=(-2, -1))
+    max_u = np.max(u.magnitude(), axis=(-2, -1))
     h = min(grid.dr, grid.r[0] * grid.dtheta)
     with np.errstate(divide="ignore"):
         return 0.5 * h / max_u
@@ -265,23 +271,33 @@ def _boundary_vorticity(psi: np.ndarray, grid: PolarGrid,
 @dataclass
 class _State:
     """One time level of every member, the member axis leading: the
-    vorticity as modes (B, n_modes, n_r) and on the nodes (B, n_r,
-    n_theta), and the stream function and velocity it induces."""
+    vorticity as modes (B, n_modes, n_r), and on the nodes (B, n_r,
+    n_theta) the vorticity, its radial and theta derivatives, and the
+    stream function and velocity it induces. The arrays view the buffers
+    of _Stepper.state; a caller that keeps one past the level copies it."""
 
     grid: PolarGrid
     omega_modes: np.ndarray
     omega: np.ndarray
     psi: np.ndarray
     u_r: np.ndarray
+    omega_theta: np.ndarray
+    omega_r: np.ndarray
     u_theta: np.ndarray
+    _speed: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def magnitude(self) -> np.ndarray:
+        """|u| on the nodes, computed on the first call and kept."""
+        if self._speed is None:
+            self._speed = np.hypot(self.u_r, self.u_theta)
+        return self._speed
 
 
 def _advection(s: _State) -> np.ndarray:
     """to_modes of u . grad(omega) in advective form, dealiased in theta,
     for every member of the time level s."""
     grid = s.grid
-    adv = (s.u_r * radial_derivative(s.omega, grid)
-           + s.u_theta / grid.r_col * theta_derivative(s.omega, modes=s.omega_modes))
+    adv = s.u_r * s.omega_r + s.u_theta / grid.r_col * s.omega_theta
     return dealias_modes(to_modes(adv), grid.n_theta)
 
 
@@ -327,22 +343,26 @@ class _Stepper:
         return self._diffusion
 
     def state(self, omega_modes: np.ndarray, omega: np.ndarray | None = None) -> _State:
-        """The time level of the vorticity modes omega_modes, whose node
-        values omega the caller may already hold."""
-        n = self.grid.n_theta
-        if omega is None:
-            omega = from_modes(omega_modes, n)
+        """The time level of the vorticity modes omega_modes. A caller that
+        holds their node values passes them as omega, which the level
+        keeps: the rfft/irfft round trip does not return the same bits."""
+        grid = self.grid
         psi_modes = self.poisson.solve_modes(omega_modes)
-        psi = from_modes(psi_modes, n)
-        return _State(self.grid, omega_modes, omega, psi,
-                      *perp_grad_values(psi, self.grid, psi_modes))
+        ik = theta_multiplier(grid.n_theta)[:, None]
+        nodes = from_modes(np.stack((omega_modes, psi_modes, psi_modes * ik,
+                                     omega_modes * ik)), grid.n_theta)
+        if omega is not None:
+            nodes[0] = omega
+        # u_r = -(1/r) dpsi/dtheta, in place of the psi derivative
+        nodes[2] /= -grid.r_col
+        return _State(grid, omega_modes, *nodes, *radial_derivative(nodes[:2], grid))
 
     def advance(self, s: _State, dt: float) -> _State:
         bound = cfl_bound(s)
         over = np.flatnonzero(dt > bound)
         if over.size:
             k = over[0]
-            max_u = float(np.max(np.hypot(s.u_r[k], s.u_theta[k])))
+            max_u = float(np.max(s.magnitude()[k]))
             raise CflError(dt, float(bound[k]), max_u, float(self.nus[k]))
         mid = self.state(s.omega_modes - 0.5 * dt * _advection(s))
         star_modes = s.omega_modes - dt * _advection(mid)
@@ -351,17 +371,17 @@ class _Stepper:
             new_modes = self.diffusion(dt).step(star_modes, g)
         else:
             new_modes = star_modes
-        w_new = from_modes(new_modes, self.grid.n_theta)
-        if not np.all(np.isfinite(w_new)):
+        del mid  # so that its buffers are free before the new level is built
+        if not np.all(np.isfinite(new_modes)):
             # The stacked Crank-Nicolson solve carries one member's inf or
             # nan into the others (0 * inf), so a member whose solve input
             # was already non-finite is the source.
             bad = ~np.all(np.isfinite(star_modes), axis=(-2, -1))
             if not np.any(bad):
-                bad = ~np.all(np.isfinite(w_new), axis=(-2, -1))
+                bad = ~np.all(np.isfinite(new_modes), axis=(-2, -1))
             raise DivergenceError(f"non-finite vorticity after step in the member(s) "
                                   f"nu={self.nus[bad].tolist()}")
-        return self.state(new_modes, w_new)
+        return self.state(new_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +550,16 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     def record(t, s: _State):
         """The series columns after t, one entry per member in each."""
         bc = boundary_values(s.omega, grid) - _boundary_vorticity(s.psi, grid, trace)
+        abs_omega = np.abs(s.omega)
         record_times.append(t)
-        records.append([lp_norms(np.hypot(s.u_r, s.u_theta), grid, 2.0) ** 2,
-                        *(lp_norms(np.abs(s.omega), grid, p) for p in first.lp_exponents),
+        records.append([lp_norms(s.magnitude(), grid, 2.0) ** 2,
+                        *(lp_norms(abs_omega, grid, p) for p in first.lp_exponents),
                         np.max(np.abs(bc), axis=-1)])
 
     def snapshot(t, s: _State):
         times.append(t)
-        snapshots.append(s.omega)
+        # A copy, so that the snapshot does not keep the level's buffers.
+        snapshots.append(s.omega.copy())
 
     snapshot(0.0, state)
     record(0.0, state)

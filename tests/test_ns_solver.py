@@ -25,6 +25,7 @@ from slipdisk import (
     ScalarField,
     SimConfig,
     Trajectory,
+    VectorField,
     biot_savart,
     boundary_trace,
     build_grid,
@@ -217,6 +218,47 @@ def test_cfl_bound_scales():
     assert abs(bound - 0.5 * h / np.max(u.magnitude())) < 1e-15
     zero = biot_savart(initial_vorticity({"const": 0.0}, grid))
     assert cfl_bound(zero) == np.inf
+
+
+def test_each_recorded_level_evaluates_its_speed_once(monkeypatch):
+    # One |u| per recorded time level serves the CFL check, the automatic
+    # dt and the record; the midpoint stage never needs one.
+    evaluations = []
+    hypot = np.hypot
+
+    def counting(*args, **kwargs):
+        evaluations.append(1)
+        return hypot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counting)
+    config = SimConfig(nu=0.01, t_end=0.1, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
+        alpha=1.0, n_r=16, n_theta=16, output_stride=3)
+    traj = simulate(config)
+    assert len(traj.series["t"]) > 10
+    assert len(evaluations) == len(traj.series["t"])
+
+
+def test_level_cfl_bound_matches_its_velocity_field():
+    # sweep.run_sweep takes the bound of a VectorField; simulate takes it of a level.
+    grid = build_grid(16, 16)
+    omega = initial_vorticity({"bump": {"center": (0.3, 0.0), "radius": 0.4,
+                                        "amplitude": 8.0}}, grid).values[None]
+    level = _Stepper(grid, boundary_trace(grid, 1.0), [0.01]).state(to_modes(omega), omega)
+    u = VectorField(grid, level.u_r[0], level.u_theta[0])
+    assert cfl_bound(level)[0] == cfl_bound(u)
+    assert cfl_bound(level)[0] == cfl_bound(biot_savart(ScalarField(grid, omega[0])))
+
+
+def test_snapshots_own_their_memory():
+    # A snapshot that viewed its time level's node buffer would keep the
+    # whole buffer (vorticity, stream function and derivatives) alive.
+    config = SimConfig(nu=0.01, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    for omega in simulate(config).omegas:
+        values = omega.values
+        owner = values if values.base is None else values.base
+        assert owner.flags.owndata and owner.nbytes == values.nbytes
 
 
 def test_simulate_rejects_oversized_fixed_dt():

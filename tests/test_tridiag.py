@@ -1,10 +1,13 @@
 """The batched tridiagonal solve behind every radial operator: agreement
-with a dense solve per batch row, shape checking, and singular rows."""
+with a dense solve per batch row and, bit for bit, with the real solve of
+a complex right-hand side's parts; shape checking, and singular rows."""
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from slipdisk._tridiag import TridiagonalBatch
+from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
 
 
 def _bands(seed: int, n_batch: int = 5, n: int = 9):
@@ -43,6 +46,51 @@ def test_solve_accepts_transposed_rhs_and_leaves_it_unchanged():
     batch = TridiagonalBatch(lower, diag, upper)
     assert np.array_equal(batch.solve(rhs), batch.solve(before))
     assert np.array_equal(rhs, before)
+
+
+def test_solve_leaves_a_contiguous_complex_rhs_unchanged():
+    # zgttrs overwrites its right-hand side; the caller's must not be it.
+    lower, diag, upper = _bands(seed=10)
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal((3,) + diag.shape) + 1j * rng.standard_normal((3,) + diag.shape)
+    assert rhs.flags.c_contiguous
+    before = rhs.copy()
+    x = TridiagonalBatch(lower, diag, upper).solve(rhs)
+    assert np.array_equal(rhs, before)
+    assert not np.shares_memory(x, rhs)
+
+
+def _parts_solved_apart(lower, diag, upper, rhs):
+    """rhs solved as Re and Im apart by dgttrf/dgttrs on the bands laid
+    end to end, the members' right-hand sides as further columns."""
+    lower, upper = np.array(lower), np.array(upper)
+    lower[..., 0] = 0.0
+    upper[..., -1] = 0.0
+    *factors, info = lapack.dgttrf(lower.ravel()[1:], np.ravel(diag), upper.ravel()[:-1])
+    assert info == 0
+    rows = np.size(diag)
+    out = np.empty(rhs.shape, dtype=complex)
+    for part, dest in ((rhs.real, out.real), (rhs.imag, out.imag)):
+        x, info = lapack.dgttrs(*factors, part.reshape(-1, rows).T.copy())
+        assert info == 0
+        dest[...] = x.T.reshape(rhs.shape)
+    return out
+
+
+@pytest.mark.parametrize("members", [1, 6])
+@pytest.mark.parametrize("operator", ["dirichlet", "crank_nicolson"])
+def test_complex_solve_gives_the_bits_of_its_parts_solved_apart(operator, members):
+    # On the 64^2 Dirichlet bands (members as further right-hand sides) and
+    # on stacked Crank-Nicolson bands 1 - lam T (one lam per member).
+    lower, diag, upper, _ = cached_solver(PoissonDirichletSolver, 64, 64).bands
+    if operator == "crank_nicolson":
+        lam = (0.5 * np.linspace(0.001, 0.1, members) * 4e-4)[:, None, None]
+        lower, diag, upper = -lam * lower, 1.0 - lam * diag, -lam * upper
+    rng = np.random.default_rng(members)
+    shape = (members,) + lower.shape[-2:]
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = TridiagonalBatch(lower, diag, upper).solve(rhs)
+    assert np.array_equal(x, _parts_solved_apart(lower, diag, upper, rhs))
 
 
 def test_shape_mismatch_raises():
