@@ -13,12 +13,46 @@ bits as its Re and Im solved apart by `dgttrf`/`dgttrs`; a real one
 goes in as complex and comes back real. Right-hand sides with further
 leading axes (several states of one operator) go in as further columns
 of the same call.
+
+`zgttrf` and `zgttrs` are all this package takes from SciPy. They live in
+the compiled f2py wrapper `scipy.linalg._flapack`, which
+`scipy.linalg.lapack` only re-exports, so `_load_flapack` loads that
+extension module on its own: importing the `scipy.linalg` package would
+load about 290 further modules and 23 MB into every process for
+nothing this package calls.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import lapack
+import scipy
+
+
+def _load_flapack():
+    """Return `scipy.linalg._flapack` without importing `scipy.linalg`.
+
+    The module is registered under its own name, so a later import of
+    `scipy.linalg` reuses it, and an earlier one is reused here.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"SciPy {scipy.__version__} has no {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 class TridiagonalBatch:

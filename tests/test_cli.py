@@ -159,7 +159,9 @@ def test_interpolate_to_base_matches_scipy_cubic_spline(n_base):
 
 def test_import_and_sweep_load_no_scipy_beyond_linalg():
     # scipy.interpolate pulls in optimize, special, sparse, spatial, fft
-    # and constants: about 270 modules and 22 MB on every import
+    # and constants: about 270 modules and 22 MB on every import; the
+    # scipy.linalg package about 290 more and 23 MB, where the LAPACK
+    # wrapper module alone is all the solver calls
     env = _env_with_src_on_path()
     script = """if True:
         import sys
@@ -174,10 +176,28 @@ def test_import_and_sweep_load_no_scipy_beyond_linalg():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
-    assert "scipy.linalg" in loaded
-    for name in ("scipy.interpolate", "scipy.optimize", "scipy.special",
+    assert "scipy.linalg._flapack" in loaded
+    for name in ("scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.special",
                  "scipy.sparse", "scipy.spatial"):
         assert name not in loaded
+
+
+@pytest.mark.parametrize("first, second", [("slipdisk", "scipy.linalg"),
+                                           ("scipy.linalg", "slipdisk")])
+def test_one_lapack_module_whichever_is_imported_first(first, second):
+    # the solver's wrapper module and scipy.linalg's are one object, so
+    # neither import loads the extension a second time
+    script = f"""if True:
+        import sys
+        import {first}
+        import {second}
+        from slipdisk import _tridiag
+        assert _tridiag.lapack is sys.modules["scipy.linalg._flapack"]
+        assert scipy.linalg.lapack.zgttrs is _tridiag.lapack.zgttrs
+    """
+    done = subprocess.run([sys.executable, "-c", script], env=_env_with_src_on_path(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
