@@ -6,8 +6,10 @@ system elliptic in the weighted sense: a nonvanishing and two-sided-bounded
 determinant on the unit sphere, the root-count (supplementary) condition
 for the pencil sigma -> L(xi + sigma n), and the complementing condition
 that the boundary rows stay linearly independent modulo the stable factor
-M+ of that pencil. Degree-correct principal parts are not a verdict: an
-AdnProblem that breaks its weights is refused when it is built.
+M+ of that pencil. The weights fix the half-order m = (sum s + sum t) / 2:
+det L(xi) has degree 2m and the system takes m boundary rows. An
+AdnProblem that breaks its weights, has no half-order or has another row
+count is refused when it is built, not given a failing verdict.
 
 Everything is numeric sampling: quantifiers over boundary points and
 cotangent directions are replaced by finite deterministic sample sets,
@@ -176,10 +178,12 @@ class AdnProblem:
     B_coeffs likewise with boundary row l, one row per weight in r.
 
     Construction refuses a problem the checkers cannot read: non-integer
-    M, weights, rows or columns; s or t not of length M; rows or columns
-    out of range; multi-indices that are not two non-negative integers;
-    and entries above their weight, deg L_ij > s_i + t_j or
-    deg B_lj > r_l + t_j. Messages count entries and indices from 1.
+    M, weights, rows or columns; s or t not of length M; a weight sum
+    sum s + sum t that is not an even positive integer 2m; a row count
+    len(r) other than m; rows or columns out of range; multi-indices that
+    are not two non-negative integers; and entries above their weight,
+    deg L_ij > s_i + t_j or deg B_lj > r_l + t_j. Messages count entries
+    and indices from 1.
     """
     M: int
     L_coeffs: tuple
@@ -198,6 +202,12 @@ class AdnProblem:
         if len(self.s) != self.M or len(self.t) != self.M:
             raise ValueError(f"s and t need M={self.M} weights each, "
                              f"got {len(self.s)} and {len(self.t)}")
+        order = sum(self.s) + sum(self.t)
+        if order <= 0 or order % 2:
+            raise ValueError(f"weight sum s + t = {order} is not an even positive integer")
+        if len(self.r) != self.m:
+            raise ValueError(f"{len(self.r)} boundary rows for half-order "
+                             f"m={self.m}: the counts must agree")
         for label, entries, weights, bound in (("L", self.L_coeffs, self.s, "s_i"),
                                                ("B", self.B_coeffs, self.r, "r_l")):
             for k, (i, j, mi, _) in enumerate(entries):
@@ -216,6 +226,11 @@ class AdnProblem:
                     raise ValueError(f"{label} entry ({i + 1},{j + 1}) multi-index "
                                      f"{tuple(mi)} has order {sum(mi)} > {bound} + t_j "
                                      f"= {limit}")
+
+    @property
+    def m(self) -> int:
+        """The half-order: det L(xi) is homogeneous of degree 2m."""
+        return (sum(self.s) + sum(self.t)) // 2
 
 
 def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
@@ -306,30 +321,13 @@ class AdnReport:
                 "sample_counts": self.sample_counts}
 
 
-def _directions(points) -> tuple[np.ndarray, np.ndarray]:
-    """Tangents and normals of the points, shape (P, 2) each."""
-    return (np.array([p.tau for p in points], dtype=float),
-            np.array([p.n for p in points], dtype=float))
-
-
 def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
     """Conditions on the determinant alone: nonvanishing on the unit
-    sphere (tolerance DET_TOL) and the measured two-sided constants.
-    The half-order m comes from the pencil determinant degree."""
+    sphere (tolerance DET_TOL) and the measured two-sided constants,
+    from one batch of numeric symbols. The report's m is problem.m."""
     if not len(x_samples) or not len(xi_samples):
         raise ValueError("need at least one x sample and one xi sample")
     points = list(x_samples)
-    tau, normal = _directions(points)
-
-    # Degenerate directions can drop the pencil degree, so the half-order
-    # is the max over samples; for elliptic systems every sample agrees.
-    pencils = _principal_array(problem, False, points, tau[:, None], normal[:, None])
-    deg = int(_degrees(_det(pencils)).max())
-    if deg <= 0 or deg % 2:
-        raise ValueError(f"pencil determinant degree {deg} is not an even "
-                         f"positive integer")
-    m = deg // 2
-
     xi = np.asarray(xi_samples, dtype=float)
     unit = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
     symbols = _principal_array(problem, False, points,
@@ -344,7 +342,7 @@ def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
     verdicts = {"ellipticity": bool(det_min >= DET_TOL),
                 "uniform_ellipticity": bool(det_min >= DET_TOL and np.isfinite(det_max))}
     return AdnReport(verdicts=verdicts, ellipticity_min=det_min,
-                     ellipticity_max=det_max, m=m, witnesses=witnesses,
+                     ellipticity_max=det_max, m=problem.m, witnesses=witnesses,
                      sample_counts={"x": len(x_samples), "xi": len(xi_samples)},
                      name=problem.name)
 
@@ -445,7 +443,9 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
     value ratio (threshold RANK_RATIO_TOL after per-row max
     normalization). A failing verdict carries the vanishing row
     combination as witness. This is check_all's chain on a batch of one
-    sample, so the verdicts agree bit for bit.
+    sample, so the verdicts agree bit for bit. A sample whose stable root
+    count is not problem.m has no M+ of degree m: check_all fails the
+    root-count condition there, and this check raises ValueError.
     """
     xi = np.asarray(xi, dtype=float)
     normal = np.asarray(point.n, dtype=float)
@@ -457,6 +457,10 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
     lpen = _principal_array(problem, False, [point], xi[None, None], normal[None, None])
     bpen = _principal_array(problem, True, [point], xi[None, None], normal[None, None])
     roots = _upper_roots(_roots(_det(lpen))[0], point.theta, xi)
+    if len(roots) != problem.m:
+        raise ValueError(f"{len(roots)} stable pencil roots for half-order m={problem.m} "
+                         f"at theta={point.theta:.4f}, xi={tuple(xi.tolist())}: the "
+                         f"root-count condition fails")
     passed, ratio, combination = _rank_test(
         _remainder_rows(lpen, bpen, np.array([roots], dtype=complex)))
     return ComplementingVerdict(bool(passed[0]), float(ratio[0]),
@@ -492,39 +496,30 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     report = check_ellipticity(problem, points, sphere)
     verdicts = dict(report.verdicts)
     witnesses = dict(report.witnesses)
-    m = report.m
-    if len(problem.r) != m:
-        raise ValueError(f"{len(problem.r)} boundary rows for half-order "
-                         f"m={m}: the counts must agree")
 
-    tau, normal = _directions(points)
+    tau = np.array([p.tau for p in points], dtype=float)
+    normal = np.array([p.n for p in points], dtype=float)
     xi = _xi_scalings(n_xi_samples)[None, :, None] * tau[:, None, :]
     normal = np.broadcast_to(normal[:, None, :], xi.shape)
     lpen = _principal_array(problem, False, points, xi, normal)
     bpen = _principal_array(problem, True, points, xi, normal)
     xi = xi.reshape(-1, 2)
 
-    root_ok, valid, stable = True, [], []
+    valid, stable = [], []
     for s, roots in enumerate(_roots(_det(lpen))):
         theta = points[s // n_xi_samples].theta
         try:
             upper = _upper_roots(roots, theta, xi[s])
+            failure = None if len(upper) == problem.m else {"roots": upper}
         except DegenerateConfigurationError as err:
-            if root_ok:
-                witnesses["supplementary"] = {"theta": theta, "xi": tuple(xi[s].tolist()),
-                                              "error": str(err)}
-            root_ok = False
-            continue
-        if len(upper) != m:
-            if root_ok:
-                witnesses["supplementary"] = {"theta": theta, "xi": tuple(xi[s].tolist()),
-                                              "roots": upper}
-            root_ok = False
-            continue
-        valid.append(s)
-        stable.append(upper)
+            failure = {"error": str(err)}
+        if failure is None:
+            valid.append(s)
+            stable.append(upper)
+        else:
+            witnesses.setdefault("supplementary", {"theta": theta,
+                                                   "xi": tuple(xi[s].tolist()), **failure})
 
-    comp_ok = True
     if valid:
         passed, ratio, combination = _rank_test(_remainder_rows(
             lpen[valid], bpen[valid], np.array(stable, dtype=complex)))
@@ -535,13 +530,13 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
                                           "xi": tuple(xi[s].tolist()),
                                           "combination": combination(k),
                                           "singular_ratio": float(ratio[k])}
-            comp_ok = False
-    verdicts["supplementary"] = root_ok
-    verdicts["complementing"] = comp_ok and root_ok
+    verdicts["supplementary"] = "supplementary" not in witnesses
+    verdicts["complementing"] = (verdicts["supplementary"]
+                                 and "complementing" not in witnesses)
     counts = dict(report.sample_counts)
     counts["pencil"] = len(xi)
     return AdnReport(verdicts=verdicts, ellipticity_min=report.ellipticity_min,
-                     ellipticity_max=report.ellipticity_max, m=m,
+                     ellipticity_max=report.ellipticity_max, m=problem.m,
                      witnesses=witnesses, sample_counts=counts, name=problem.name)
 
 
@@ -589,7 +584,11 @@ def _parse_coeff(c, name: str):
         if token in _SYMBOLS:
             factors.append(_SYMBOLS[token])
         else:
-            value = complex(token)
+            try:
+                value = complex(token)
+            except ValueError:
+                raise ValueError(f"{name} {c!r}: factor {token!r} is neither a number "
+                                 f"nor one of {', '.join(_SYMBOLS)}") from None
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {c!r}")
             factors.append(lambda p, v=value: v)

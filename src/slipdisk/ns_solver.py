@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -142,15 +142,9 @@ class SimConfig:
         alpha_function(self.alpha)
 
     def to_dict(self) -> dict:
-        d = {
-            "nu": self.nu, "t_end": self.t_end, "dt": self.dt,
-            "n_r": self.n_r, "n_theta": self.n_theta,
-            "alpha": self.alpha, "initial_condition": self.initial_condition,
-            "output_stride": self.output_stride,
-            "lp_exponents": list(self.lp_exponents),
-        }
-        if self.tol:
-            d["tol"] = self.tol
+        d = asdict(self)
+        if not self.tol:
+            del d["tol"]
         return d
 
     @classmethod
@@ -220,6 +214,12 @@ def initial_profile(spec: dict):
 
             return singular
         if kind == "modes":
+            if not (isinstance(params, (list, tuple)) and all(
+                    isinstance(e, (list, tuple)) and len(e) in (2, 3)
+                    and isinstance(e[1], (list, tuple)) and e[1] for e in params)):
+                raise ValueError(f"malformed 'modes' initial condition {params!r}: must be "
+                                 f"an array of [k, coeffs] or [k, coeffs, phase] entries "
+                                 f"with at least one coefficient")
             terms = [(integer(entry[0], "modes k"),
                       [finite(c, "modes coefficient") for c in entry[1]],
                       finite(entry[2], "modes phase") if len(entry) > 2 else 0.0)

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, fields, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class SweepConfig:
         if not self.nu_list or not all(np.isfinite(v) and v > 0 for v in self.nu_list):
             raise ValueError(f"nu_list must be nonempty finite positive reals, "
                              f"got {self.nu_list}")
+        if not self.q_list:
+            raise ValueError(f"q_list must be a nonempty array of exponents, "
+                             f"got {self.q_list}")
         if any(a <= b for a, b in zip(self.nu_list, self.nu_list[1:])):
             raise ValueError(f"nu_list must be strictly descending, got {self.nu_list}")
         if self.p <= 2:
@@ -86,10 +89,7 @@ class SweepConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {"base": self.base.to_dict(), "nu_list": list(self.nu_list),
-                "q_list": list(self.q_list), "p": self.p,
-                "euler_refinement_factor": self.euler_refinement_factor,
-                "slack_q": self.slack_q, "phi": self.phi}
+        return {**asdict(self), "base": self.base.to_dict()}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ viscosity sweep) come from session fixtures in conftest.py and are
 shared across criteria.
 """
 
+import json
+
 import numpy as np
+import pytest
 from concurrent.futures import ThreadPoolExecutor
 
 from _fields import sample_navier_field
@@ -39,6 +42,7 @@ from slipdisk import (
     solve_poisson_dirichlet,
 )
 from slipdisk.adn import _adjugate, _degrees, _matmul, _monic, _polydiv, _polymul
+from slipdisk.cli import main
 from slipdisk.sweep import _energy_ok
 
 XI_SCALINGS = (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0)
@@ -246,11 +250,13 @@ def test_criterion_09_slip_boundary_system_is_elliptic_for_each_alpha():
     assert worst_root <= 1e-9
 
 
-def test_criterion_10_degenerate_problems_fail_with_witnesses():
+def test_criterion_10_degenerate_problems_fail_with_witnesses(tmp_path):
     # Negative controls: duplicated boundary rows fail the complementing
     # condition with the (1, -1) combination as witness; diag(d1^2, d2^2)
-    # fails ellipticity at xi = (1, 0); and the Dirichlet system passes,
-    # with its boundary remainders matching the hand reduction
+    # fails ellipticity at xi = (1, 0); the singular L with every entry
+    # d1^2 fails it with det 0; the Bitsadze operator (d1 + i d2)^2 and its
+    # conjugate fail the root-count condition; and the Dirichlet system
+    # passes, with its boundary remainders matching the hand reduction
     # (sigma^2 + k^2) mod (sigma - ik)^2 = 2k^2 + 2ik sigma.
     laplacian_rows = [{"i": i, "j": i, "mi": mi, "c": 1}
                       for i in (1, 2) for mi in ([2, 0], [0, 2])]
@@ -278,6 +284,36 @@ def test_criterion_10_degenerate_problems_fail_with_witnesses():
     w = report.witnesses["ellipticity"]
     assert abs(w["xi"][0] - 1.0) <= 1e-12 and abs(w["xi"][1]) <= 1e-12
     assert w["det"] < 1e-10
+
+    # det L = 0 everywhere: a failed verdict with a witness, not an
+    # unusable problem, so the adn verb exits 1
+    singular = {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
+                "L": [{"i": i, "j": j, "mi": [2, 0], "c": 1} for i in (1, 2) for j in (1, 2)],
+                "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1},
+                      {"i": 2, "j": 2, "mi": [0, 0], "c": 1}]}
+    report = check_all(load_problem(singular))
+    assert not report.verdicts["ellipticity"]
+    assert report.witnesses["ellipticity"]["det"] == 0.0
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(singular))
+    assert main(["adn", str(path), "--out", str(tmp_path / "singular.report.json")]) == 1
+
+    # (d1 +- i d2)^2 is elliptic with m = 1, but its pencil has a double
+    # root on one side of the real axis: no stable factor of degree m
+    for imag in ("2j", "-2j"):
+        bitsadze = load_problem({"M": 1, "s": [0], "t": [2], "r": [-2],
+                                 "L": [{"i": 1, "j": 1, "mi": [2, 0], "c": 1},
+                                       {"i": 1, "j": 1, "mi": [1, 1], "c": imag},
+                                       {"i": 1, "j": 1, "mi": [0, 2], "c": -1}],
+                                 "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}]})
+        report = check_all(bitsadze)
+        assert report.verdicts["ellipticity"] and report.m == 1
+        assert not report.verdicts["supplementary"], imag
+        assert len(report.witnesses["supplementary"]["roots"]) in (0, 2), imag
+        for c in (1.0, -1.0):
+            point = disk_boundary(0.4)
+            with pytest.raises(ValueError, match=r"[02] stable pencil roots for half-order m=1"):
+                complementing_check(bitsadze, point, c * np.asarray(point.tau))
 
     dirichlet = load_problem({"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
                               "L": laplacian_rows,

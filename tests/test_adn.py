@@ -28,6 +28,7 @@ from slipdisk import (
     principal_parts,
     roots_positive_imag,
 )
+from slipdisk import adn
 from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _degrees, _det,
                           _matmul, _monic, _polydiv, _polymul, _roots, _xi_scalings)
 
@@ -282,6 +283,21 @@ def test_ellipticity_constants_scaled_laplacian():
     assert abs(report.ellipticity_max - 9.0) < 1e-12
 
 
+def test_check_ellipticity_builds_one_symbol_batch(monkeypatch):
+    # the half-order comes from the weights, so the determinant check
+    # builds its numeric symbols and no pencils
+    calls, principal_array = [], adn._principal_array
+
+    def counting(problem, boundary, points, xi, xi_prime=None):
+        calls.append(xi_prime)
+        return principal_array(problem, boundary, points, xi, xi_prime)
+
+    monkeypatch.setattr(adn, "_principal_array", counting)
+    report = check_ellipticity(navier_laplacian_problem(0.0), _points(8), _sphere(8))
+    assert calls == [None]
+    assert report.m == 2
+
+
 def test_degenerate_diagonal_fails_with_witness():
     # L = diag(d_1^2, d_2^2) vanishes at xi = (1, 0): not elliptic
     data = {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
@@ -483,6 +499,7 @@ def test_check_all_rejects_small_sample_counts():
 
 
 def test_check_all_rejects_row_count_mismatch():
+    # refused when the problem is built, before check_all runs
     data = {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2],
             "L": [{"i": i, "j": i, "mi": mi, "c": 1}
                   for i in (1, 2) for mi in ([2, 0], [0, 2])],
@@ -588,6 +605,21 @@ def test_load_problem_unknown_builtin():
     pytest.param(lambda d: d.pop("M"), r"^M is missing \(key 'M'\)$", id="missing-M"),
     pytest.param(lambda d: d["L"][0].pop("j"),
                  r"^L entry 1 column is missing \(key 'j'\)$", id="missing-j"),
+    # a string coefficient that is neither a number nor a symbol product
+    # failed with a bare "complex() arg is a malformed string"
+    pytest.param(lambda d: d["B"][0].update(c="n3"),
+                 r"^B entry 1 coefficient 'n3': factor 'n3' is neither", id="unknown-symbol"),
+    pytest.param(lambda d: d["L"][1].update(c="2*x"),
+                 r"^L entry 2 coefficient '2\*x': factor 'x' is neither", id="unknown-factor"),
+    pytest.param(lambda d: d["B"][1].update(c=""),
+                 r"^B entry 2 coefficient '': factor '' is neither", id="empty-string"),
+    pytest.param(lambda d: d["L"][3].update(c="n1*"),
+                 r"^L entry 4 coefficient 'n1\*': factor '' is neither", id="dangling-star"),
+    # the half-order is read from the weights when the problem is built
+    pytest.param(lambda d: d.update(t=[2, 1]),
+                 r"s \+ t = 3 is not an even positive integer", id="odd-order"),
+    pytest.param(lambda d: d.update(r=[-2, -2, -1]),
+                 r"3 boundary rows for half-order m=2", id="three-rows"),
 ])
 def test_load_problem_rejects_malformed_entries(edit, message):
     # 1-indexed entries outside the weights' range used to wrap around
@@ -603,7 +635,8 @@ def test_load_problem_rejects_malformed_entries(edit, message):
 
 
 def test_check_all_rejects_zero_order_systems():
-    # a zeroth-order L has half-order 0 and no boundary rows to check
+    # a zeroth-order L has half-order 0 and no boundary rows to check;
+    # refused when the problem is built, before check_all runs
     data = {"M": 1, "s": [0], "t": [0], "r": [],
             "L": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}], "B": []}
     with pytest.raises(ValueError, match="not an even positive integer"):
@@ -611,9 +644,9 @@ def test_check_all_rejects_zero_order_systems():
 
 
 def test_load_problem_symbol_products():
-    data = {"M": 1, "s": [0], "t": [1], "r": [0],
-            "L": [{"i": 1, "j": 1, "mi": [1, 0], "c": "2*n1"},
-                  {"i": 1, "j": 1, "mi": [0, 1], "c": "2*n2"}],
+    data = {"M": 1, "s": [0], "t": [2], "r": [-1],
+            "L": [{"i": 1, "j": 1, "mi": [2, 0], "c": "2*n1"},
+                  {"i": 1, "j": 1, "mi": [0, 2], "c": "2*n2"}],
             "B": [{"i": 1, "j": 1, "mi": [1, 0], "c": "n1*tau1"}]}
     problem = load_problem(data)
     lp, _ = principal_parts(problem)

@@ -55,6 +55,9 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "nu_list": (0.1, -0.01)})
     with pytest.raises(ValueError, match="must exceed 2"):
         SweepConfig(**{**good, "p": 2.0})
+    # an empty q_list ran every simulation and reported no rows
+    with pytest.raises(ValueError, match="q_list must be a nonempty"):
+        SweepConfig(**{**good, "q_list": ()})
     with pytest.raises(ValueError, match="must lie in"):
         SweepConfig(**{**good, "q_list": (4.0,)})
     with pytest.raises(ValueError, match="must lie in"):

@@ -129,6 +129,12 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     # a callable alpha ran, then failed in Trajectory.save, which cannot
     # write a function into config-resolved.json
     ({"alpha": lambda theta: 1.0 + 0.5 * np.cos(theta)}, "unrecognized alpha spec"),
+    # a fourth item was dropped, an object's keys were read as mode numbers,
+    # and an empty coefficient list failed only when the run started
+    ({"initial_condition": {"modes": [[1, [1.0], 0.0, 9]]}}, "malformed 'modes'"),
+    ({"initial_condition": {"modes": {"a": 1}}}, "malformed 'modes'"),
+    ({"initial_condition": {"modes": [[1, 2.0]]}}, "malformed 'modes'"),
+    ({"initial_condition": {"modes": [[1, []]]}}, "malformed 'modes'"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
