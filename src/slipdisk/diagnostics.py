@@ -16,7 +16,11 @@ The trajectory diagnostics walk the snapshots in batches
 (Trajectory._batches): every stencil, quadrature and pressure solve
 acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
 per-snapshot numbers outlive the batch. diagnose() walks a trajectory
-once (_walk), differentiating each snapshot's velocity once.
+once (_walk), differentiating each snapshot's velocity once. A
+trajectory of at least FORK_NODE_VALUES node values is walked in two
+processes: a forked child takes the second half of the batches, so each
+process holds one batch in flight, and the results are bitwise those of
+the walk in one process.
 """
 
 from __future__ import annotations
@@ -25,13 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._forked import ForkedCall
 from .biot_savart import biot_savart
 from .field import (ScalarField, VectorField, boundary_values, curl,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point, table
-from .ns_solver import bump_values
+from .ns_solver import SNAPSHOT_BATCH, bump_values
 from .pressure import check_tangent_field, recover_pressure
+
+# A trajectory of at least this many node values (snapshots x n_r x
+# n_theta) is walked in two processes (see _walk). Below it, the fork,
+# the round trip and the pages both processes copy on their first writes
+# cost more than half the walk saves: on two CPUs the forked walk of a
+# 64^2 run tied at 20 snapshots (81,920 values) and won from 24 on.
+FORK_NODE_VALUES = 90_000
 
 
 # ---------------------------------------------------------------------------
@@ -161,36 +173,60 @@ def _rigid_rotation(grid: PolarGrid) -> VectorField:
                        np.tile(grid.r[:, None], (1, grid.n_theta)))
 
 
-def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
-    """(Navier curve maxima, weak-form residual against v per snapshot,
-    balance defect with tau_bar per interval) from one pass over the
-    batches. Per batch, one recover_pressure's (u.grad)u and velocity
-    gradient serve the weak form and the balance source alike."""
-    check_tangent_field(v, "test field")
+def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent, part: slice):
+    """(Navier curve maxima, [(sl, block)]) over the batches part of
+    traj._batches(): block (5, b) holds, per snapshot of sl, the mass
+    (u, v), the rest of the weak form against v, and the shifted
+    enstrophy, its dissipation and its balance source with tau_bar. Per
+    batch, one recover_pressure's (u.grad)u and velocity gradient serve
+    the weak form and the balance source alike."""
     grid = traj.grid
     nu = traj.config.nu
     gv = vector_gradient(v)
     weight = (traj.trace.kappa - traj.trace.alpha) * boundary_values(v.u_theta, grid)
-
-    times = np.asarray(traj.times)
-    mass, rest, z, dissip, source = (np.empty(times.size) for _ in range(5))
-    worst = {}
-    for sl, om, u in traj._batches():
+    worst, blocks = {}, []
+    for sl, om, u in traj._batches(part):
         for k, value in navier_residuals(u, om, traj.trace).items():
             worst[k] = max(worst.get(k, 0.0), value)
         ps = recover_pressure(u, om, nu, traj.trace)
         a, gu = ps.acceleration, ps.gradient
-        mass[sl] = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
+        mass = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
         adv = integrate(grid, a.u_r * v.u_r + a.u_theta * v.u_theta)
         visc = nu * integrate(grid, gradient_frobenius(gu, gv))
         bnd = nu * np.sum(weight * boundary_values(u.u_theta, grid), axis=-1) * grid.dtheta
-        rest[sl] = adv + visc - bnd
         bar = shifted_vorticity(om, u, tau_bar)
-        z[sl] = integrate(grid, bar.values ** 2)
         gb = grad(bar)
-        dissip[sl] = integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2)
         f = balance_source(u, ps.p, nu, tau_bar, gu)
-        source[sl] = integrate(grid, f * bar.values)
+        blocks.append((sl, np.stack([mass, adv + visc - bnd,
+                                     integrate(grid, bar.values ** 2),
+                                     integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2),
+                                     integrate(grid, f * bar.values)])))
+    return worst, blocks
+
+
+def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
+    """(Navier curve maxima, weak-form residual against v per snapshot,
+    balance defect with tau_bar per interval) from one pass over the
+    batches. A trajectory of at least FORK_NODE_VALUES node values is
+    walked in two processes: a forked child takes the second half of the
+    batches while this one takes the first, and the per-snapshot numbers
+    are the same bits either way."""
+    check_tangent_field(v, "test field")
+    nu = traj.config.nu
+    times = np.asarray(traj.times)
+    if times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES:
+        parts = [_walk_batches(traj, v, tau_bar, slice(None))]
+    else:
+        mid = -(-times.size // (2 * SNAPSHOT_BATCH))  # this process's half, rounded up
+        with ForkedCall(lambda: _walk_batches(traj, v, tau_bar, slice(mid, None))) as child:
+            parts = [_walk_batches(traj, v, tau_bar, slice(mid)), child.result()]
+    worst, rows = {}, np.empty((5, times.size))
+    for part_worst, blocks in parts:
+        for k, value in part_worst.items():
+            worst[k] = max(worst.get(k, 0.0), value)
+        for sl, block in blocks:
+            rows[:, sl] = block
+    mass, rest, z, dissip, source = rows
     dmass = np.gradient(mass, times) if times.size > 1 else np.zeros(1)
     dt = np.diff(times)
     defect = (0.5 * np.diff(z)

@@ -3,6 +3,11 @@ viscosities, and inviscidly on the base grid and on a refined grid. The
 report reads each viscous run's distance from the refined inviscid run
 against the base-grid inviscid run's own (the Euler floor).
 
+The ensemble of base-grid runs steps in this process while the refined
+run steps in a forked child, which has its own interpreter lock; an
+attempt that the ensemble fails kills its child instead of waiting for
+it.
+
 The post-processing works on each trajectory's snapshot stack
 (n_snapshots, n_r, n_theta): the refined run reaches the base grid
 through one cached not-a-knot cubic spline matrix in the radius, applied
@@ -16,11 +21,11 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
+from ._forked import ForkedCall
 from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
 from .field import lp_norms
@@ -199,10 +204,12 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     shrinks only linearly, so the refined run is the binding constraint.
     The viscous runs and the base-grid inviscid run share everything but
     the viscosity and are stepped as one ensemble in this process, while
-    the refined run executes beside it in one worker process, which has
-    its own interpreter lock; euler_refined_wall_ms is the worker's own
-    time for it. A CflError from the ensemble is reported before one from
-    the refined run.
+    the refined run executes beside it in a forked child (ForkedCall),
+    which has its own interpreter lock; euler_refined_wall_ms is the
+    child's own time for it. A CflError from the ensemble is reported
+    before one from the refined run. A refined run that an ensemble
+    failure abandons is killed, so none outlives the attempt that
+    started it.
     """
     base = config.base
     m = config.euler_refinement_factor
@@ -221,23 +228,21 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     else:
         candidates = [float(base.dt)]
 
-    # Leaving the with block joins the worker, so none outlives the sweep.
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        for attempt, dt_try in enumerate(candidates, start=1):
-            n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
-            dt = base.t_end / n_steps
-            members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
-            refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
-                              n_theta=m * base.n_theta,
-                              output_stride=m * base.output_stride)
-            refined_run = pool.submit(_timed_run, simulate, refined)
+    for attempt, dt_try in enumerate(candidates, start=1):
+        n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
+        dt = base.t_end / n_steps
+        members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
+        refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
+                          n_theta=m * base.n_theta,
+                          output_stride=m * base.output_stride)
+        # Leaving the with block stops the child, so a refined run that an
+        # ensemble failure abandons is killed, not waited for.
+        with ForkedCall(functools.partial(_timed_run, simulate, refined)) as refined_run:
             try:
                 base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
                 euler_fine, euler_fine_ms = refined_run.result()
                 break
             except CflError as err:
-                # An abandoned refined run finishes in the worker before the
-                # next attempt's starts there; its outcome is dropped.
                 if attempt == len(candidates):
                     raise RuntimeError(f"sweep failed at its smallest step "
                                        f"dt={dt}: {err}") from err

@@ -6,19 +6,21 @@ whose differences must be roundoff, and the four verbs driven through
 main() with their exit code contract.
 """
 
+import functools
 import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slipdisk import (CflError, ScalarField, SimConfig, SweepConfig, Trajectory,
-                      load_problem, lp_norm, main, run_sweep, simulate, sweep)
+from slipdisk import (CflError, DivergenceError, ScalarField, SimConfig, SweepConfig,
+                      Trajectory, load_problem, lp_norm, main, run_sweep, simulate, sweep)
 from slipdisk.geometry import build_grid
 from slipdisk.sweep import CSV_COLUMNS, _energy_ok, _interpolate_to_base
 
@@ -328,6 +330,47 @@ def test_sweep_fails_when_every_candidate_step_trips(monkeypatch):
     # both runs trip; the ensemble's error, naming its first member, is reported
     assert isinstance(info.value.__cause__, CflError)
     assert info.value.__cause__.nu == 0.1
+    assert multiprocessing.active_children() == []
+
+
+def _simulate_unless_slept(trips, config):
+    """simulate(config), after sleeping 60 s if trips is empty. Defined at
+    module level, so that a pool that pickles its tasks can send it too."""
+    if not trips:
+        time.sleep(60.0)
+    return simulate(config)
+
+
+def test_sweep_kills_the_refined_run_of_a_failed_ensemble(monkeypatch):
+    def diverge(members):
+        raise DivergenceError("non-finite vorticity")
+
+    monkeypatch.setattr(sweep, "simulate", functools.partial(_simulate_unless_slept, []))
+    monkeypatch.setattr(sweep, "simulate_ensemble", diverge)
+    start = time.perf_counter()
+    with pytest.raises(DivergenceError, match="non-finite vorticity"):
+        run_sweep(_rigid_sweep_config())
+    assert time.perf_counter() - start < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_restart_does_not_wait_for_the_abandoned_refined_run(monkeypatch):
+    # the first attempt's ensemble trips while its refined run sleeps; the
+    # second attempt's refined run, started after the trip, does not sleep
+    true_ensemble, trips = sweep.simulate_ensemble, []
+
+    def trip_once(members):
+        if not trips:
+            trips.append(members[0].dt)
+            raise CflError(dt=members[0].dt, bound=0.0, max_u=1.0, nu=members[0].nu)
+        return true_ensemble(members)
+
+    monkeypatch.setattr(sweep, "simulate", functools.partial(_simulate_unless_slept, trips))
+    monkeypatch.setattr(sweep, "simulate_ensemble", trip_once)
+    start = time.perf_counter()
+    report = run_sweep(_rigid_sweep_config())
+    assert time.perf_counter() - start < 10.0
+    assert report.metadata["attempts"] == 2
     assert multiprocessing.active_children() == []
 
 

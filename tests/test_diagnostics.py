@@ -7,6 +7,9 @@ slip fields check that the wall functionals hold at roundoff while the
 purely diagnostic curl identity converges at the stencil order.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -344,6 +347,84 @@ def test_diagnose_walks_the_trajectory_once(monkeypatch):
     assert calls == {"biot_savart": n_batches, "recover_pressure": n_batches}
     assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
     assert report["balance"]["max"] == pytest.approx(max(BUMP16_BALANCE), rel=1e-12)
+
+
+def _walk_split_in_two(monkeypatch):
+    """_walk of _bump16() against the rigid rotation, with the threshold
+    at 0 so that a forked child walks the second half of its batches;
+    returns the walk's outputs and the number of children started."""
+    from slipdisk import diagnostics
+    from slipdisk.diagnostics import _rigid_rotation, _walk
+    traj = _bump16()
+    started = []
+
+    class Counted(diagnostics.ForkedCall):
+        def __init__(self, fn):
+            started.append(fn)
+            super().__init__(fn)
+
+    monkeypatch.setattr(diagnostics, "FORK_NODE_VALUES", 0)
+    monkeypatch.setattr(diagnostics, "ForkedCall", Counted)
+    try:
+        out = _walk(traj, _rigid_rotation(traj.grid), extended_tangent(traj.grid, traj.trace))
+    finally:
+        assert multiprocessing.active_children() == []
+    return out, len(started)
+
+
+def test_split_walk_equals_the_walk_in_one_process(monkeypatch):
+    from slipdisk.diagnostics import _rigid_rotation, _walk
+    from slipdisk.ns_solver import SNAPSHOT_BATCH
+    traj = _bump16()
+    assert -(-len(traj.times) // SNAPSHOT_BATCH) == 3
+    worst, weak, balance = _walk(traj, _rigid_rotation(traj.grid),
+                                 extended_tangent(traj.grid, traj.trace))
+    (split_worst, split_weak, split_balance), children = _walk_split_in_two(monkeypatch)
+    assert children == 1
+    assert split_worst == worst
+    assert np.array_equal(split_weak, weak)
+    assert np.array_equal(split_balance, balance)
+
+
+def _in_the_child(monkeypatch, act):
+    """Make diagnostics.navier_residuals call act() in any process but this one."""
+    from slipdisk import diagnostics
+    parent, inner = os.getpid(), diagnostics.navier_residuals
+
+    def navier_residuals(*args):
+        if os.getpid() != parent:
+            act()
+        return inner(*args)
+
+    monkeypatch.setattr(diagnostics, "navier_residuals", navier_residuals)
+
+
+def test_split_walk_raises_the_childs_error(monkeypatch):
+    def fail():
+        raise ValueError("bad batch in the child")
+
+    _in_the_child(monkeypatch, fail)
+    with pytest.raises(ValueError, match="bad batch in the child"):
+        _walk_split_in_two(monkeypatch)
+
+
+def test_split_walk_names_the_exit_code_of_a_child_that_dies(monkeypatch):
+    _in_the_child(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        _walk_split_in_two(monkeypatch)
+
+
+def test_diagnose_below_the_threshold_starts_no_child(monkeypatch):
+    from slipdisk import diagnostics
+
+    def refuse(fn):
+        raise AssertionError("a trajectory below the threshold started a child")
+
+    traj = _bump16()
+    assert len(traj.times) * traj.grid.n_r * traj.grid.n_theta < diagnostics.FORK_NODE_VALUES
+    monkeypatch.setattr(diagnostics, "ForkedCall", refuse)
+    report = diagnostics.diagnose(traj)
+    assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
 
 
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):
