@@ -29,6 +29,7 @@ complementing_check runs the same chain on a batch of one sample.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
@@ -613,7 +614,7 @@ def load_problem(source) -> AdnProblem:
     but "name", is refused; s, t, r, L, B and each mi must be arrays, rows
     and columns integers and a numeric coefficient finite.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             data = json.load(fh)
     else:

@@ -10,7 +10,9 @@ Run directories hold config-resolved.json, series.csv, and (simulate)
 snapshots.npz with the vorticity snapshots; diagnose takes everything
 from the run directory. The engines live in ns_solver (simulate), sweep,
 adn and diagnostics (diagnose); this module reads their inputs, calls
-them, writes their reports and prints a summary.
+them, writes their reports and prints a summary. Each verb's input is
+read by _load, which refuses it in one line; each output file goes
+through ns_solver.write_atomically, which makes a missing --out directory.
 """
 
 from __future__ import annotations
@@ -33,17 +35,18 @@ from .sweep import _energy_ok  # noqa: F401
 # verbs
 # ---------------------------------------------------------------------------
 
-def _read_config(cls, path):
-    """cls.from_json(path), or None after a one-line message on stderr."""
+def _load(what, loader, path):
+    """loader(path), or None after the one line "cannot <what> <path>: <err>"
+    on stderr: the refusal of every verb's unusable input."""
     try:
-        return cls.from_json(path)
+        return loader(path)
     except (KeyError, ValueError, OSError, TypeError) as err:
-        print(f"cannot read config {path}: {err}", file=sys.stderr)
+        print(f"cannot {what} {path}: {err}", file=sys.stderr)
         return None
 
 
 def _cmd_simulate(args) -> int:
-    config = _read_config(SimConfig, args.config)
+    config = _load("read config", SimConfig.from_json, args.config)
     if config is None:
         return 2
     out = args.out or os.path.join("runs", _stem(args.config))
@@ -60,7 +63,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _read_config(SweepConfig, args.config)
+    config = _load("read config", SweepConfig.from_json, args.config)
     if config is None:
         return 2
     out = args.out or os.path.join("runs", _stem(args.config))
@@ -76,10 +79,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_adn(args) -> int:
-    try:
-        problem = adn_mod.load_problem(args.problem)
-    except (KeyError, ValueError, OSError, TypeError) as err:
-        print(f"cannot parse problem file {args.problem}: {err}", file=sys.stderr)
+    problem = _load("parse problem file", adn_mod.load_problem, args.problem)
+    if problem is None:
         return 2
     report = adn_mod.check_all(problem, args.boundary_samples, args.xi_samples)
     out = args.out or os.path.splitext(args.problem)[0] + ".report.json"
@@ -92,10 +93,8 @@ def _cmd_adn(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    try:
-        traj = Trajectory.load(args.run_dir)
-    except (KeyError, ValueError, OSError, TypeError) as err:
-        print(f"cannot load run directory {args.run_dir}: {err}", file=sys.stderr)
+    traj = _load("load run directory", Trajectory.load, args.run_dir)
+    if traj is None:
         return 2
     if len(traj.times) < 2:
         print(f"cannot diagnose run directory {args.run_dir}: {len(traj.times)} "

@@ -16,11 +16,11 @@ The trajectory diagnostics walk the snapshots in batches
 (Trajectory._batches): every stencil, quadrature and pressure solve
 acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
 per-snapshot numbers outlive the batch. diagnose() walks a trajectory
-once (_walk), differentiating each snapshot's velocity once. A
-trajectory of at least FORK_NODE_VALUES node values is walked in two
-processes: a forked child takes the second half of the batches, so each
-process holds one batch in flight, and the results are bitwise those of
-the walk in one process.
+once (_walk), differentiating each snapshot's velocity once. A run of
+more than one batch and at least FORK_NODE_VALUES node values is walked
+in two processes: a forked child takes the second half of the batches,
+so each process holds one batch in flight. The halves' rows, joined in
+order, are bitwise those of the walk in one process.
 """
 
 from __future__ import annotations
@@ -174,9 +174,9 @@ def _rigid_rotation(grid: PolarGrid) -> VectorField:
 
 
 def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent, part: slice):
-    """(Navier curve maxima, [(sl, block)]) over the batches part of
-    traj._batches(): block (5, b) holds, per snapshot of sl, the mass
-    (u, v), the rest of the weak form against v, and the shifted
+    """(Navier curve maxima, rows) over the batches part of traj._batches():
+    rows (5, n_part) holds, per snapshot of those batches in order, the
+    mass (u, v), the rest of the weak form against v, and the shifted
     enstrophy, its dissipation and its balance source with tau_bar. Per
     batch, one recover_pressure's (u.grad)u and velocity gradient serve
     the weak form and the balance source alike."""
@@ -185,7 +185,7 @@ def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent, part: slice):
     gv = vector_gradient(v)
     weight = (traj.trace.kappa - traj.trace.alpha) * boundary_values(v.u_theta, grid)
     worst, blocks = {}, []
-    for sl, om, u in traj._batches(part):
+    for _, om, u in traj._batches(part):
         for k, value in navier_residuals(u, om, traj.trace).items():
             worst[k] = max(worst.get(k, 0.0), value)
         ps = recover_pressure(u, om, nu, traj.trace)
@@ -197,36 +197,33 @@ def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent, part: slice):
         bar = shifted_vorticity(om, u, tau_bar)
         gb = grad(bar)
         f = balance_source(u, ps.p, nu, tau_bar, gu)
-        blocks.append((sl, np.stack([mass, adv + visc - bnd,
-                                     integrate(grid, bar.values ** 2),
-                                     integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2),
-                                     integrate(grid, f * bar.values)])))
-    return worst, blocks
+        blocks.append(np.stack([mass, adv + visc - bnd,
+                                integrate(grid, bar.values ** 2),
+                                integrate(grid, gb.u_r ** 2 + gb.u_theta ** 2),
+                                integrate(grid, f * bar.values)]))
+    return worst, np.concatenate(blocks, axis=1)
 
 
 def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
     """(Navier curve maxima, weak-form residual against v per snapshot,
     balance defect with tau_bar per interval) from one pass over the
-    batches. A trajectory of at least FORK_NODE_VALUES node values is
-    walked in two processes: a forked child takes the second half of the
-    batches while this one takes the first, and the per-snapshot numbers
-    are the same bits either way."""
+    batches. A run of more than one batch and at least FORK_NODE_VALUES
+    node values is walked in two processes: a forked child takes the
+    second half of the batches while this one takes the first; one
+    concatenation and one max per Navier curve merge the halves."""
     check_tangent_field(v, "test field")
     nu = traj.config.nu
     times = np.asarray(traj.times)
-    if times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES:
+    if (times.size <= SNAPSHOT_BATCH
+            or times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES):
         parts = [_walk_batches(traj, v, tau_bar, slice(None))]
     else:
         mid = -(-times.size // (2 * SNAPSHOT_BATCH))  # this process's half, rounded up
         with ForkedCall(lambda: _walk_batches(traj, v, tau_bar, slice(mid, None))) as child:
             parts = [_walk_batches(traj, v, tau_bar, slice(mid)), child.result()]
-    worst, rows = {}, np.empty((5, times.size))
-    for part_worst, blocks in parts:
-        for k, value in part_worst.items():
-            worst[k] = max(worst.get(k, 0.0), value)
-        for sl, block in blocks:
-            rows[:, sl] = block
-    mass, rest, z, dissip, source = rows
+    worsts, rows = zip(*parts)
+    worst = {k: max(w[k] for w in worsts) for k in worsts[0]}
+    mass, rest, z, dissip, source = np.concatenate(rows, axis=1)
     dmass = np.gradient(mass, times) if times.size > 1 else np.zeros(1)
     dt = np.diff(times)
     defect = (0.5 * np.diff(z)

@@ -431,7 +431,6 @@ class Trajectory:
         """Write config-resolved.json, series.csv and the uncompressed
         snapshots.npz, which holds times, omega (n_snapshots, n_r,
         n_theta), series_names and series_values."""
-        os.makedirs(run_dir, exist_ok=True)
         write_json(os.path.join(run_dir, "config-resolved.json"), self.config.to_dict())
         cols = self.series_columns()
         rows = zip(*(self.series[c] for c in cols))
@@ -482,7 +481,9 @@ class Trajectory:
 def write_atomically(path, content) -> None:
     """Write content (text, or a function that writes into the open binary
     file) to path under a temporary name, renamed into place: an
-    interrupted write leaves the earlier file, never part of the new one."""
+    interrupted write leaves the earlier file, never part of the new one.
+    A missing parent directory of path is made first."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -125,7 +125,6 @@ class ConvergenceReport:
                 "config": self.config, "metadata": self.metadata}
 
     def write(self, out_dir) -> None:
-        os.makedirs(out_dir, exist_ok=True)
         write_atomically(os.path.join(out_dir, "series.csv"), self.to_csv())
         write_json(os.path.join(out_dir, "report.json"), self.to_dict())
         write_json(os.path.join(out_dir, "config-resolved.json"), self.config)

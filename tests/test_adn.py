@@ -538,6 +538,16 @@ def test_load_problem_from_file(tmp_path):
     assert check_all(problem).passed
 
 
+def test_load_problem_accepts_a_path(tmp_path):
+    path = tmp_path / "dirichlet.json"
+    path.write_text(json.dumps({
+        "M": 1, "s": [0], "t": [2], "r": [-2],
+        "L": [{"i": 1, "j": 1, "mi": [2, 0], "c": 1},
+              {"i": 1, "j": 1, "mi": [0, 2], "c": 1}],
+        "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}]}))
+    assert load_problem(path) == load_problem(str(path))
+
+
 def test_load_problem_unknown_builtin():
     with pytest.raises(ValueError, match="unknown builtin"):
         load_problem({"builtin": "stokes"})

@@ -430,6 +430,10 @@ def test_diagnose_verb_exit_codes(tmp_path):
     assert report["navier"]["pass"] is True
     assert report["weak_form"]["pass"] is True
     assert report["balance"]["pass"] is True
+    # an --out in a directory not made yet gets it made
+    elsewhere = tmp_path / "new" / "deeper" / "diagnostics.json"
+    assert main(["diagnose", str(run_dir), "--out", str(elsewhere)]) == 0
+    assert json.loads(elsewhere.read_text()) == report
 
     # an unreachable tolerance flips the exit code
     config2 = SimConfig(nu=0.1, t_end=0.05, initial_condition={"const": 2.0},
@@ -685,10 +689,11 @@ def test_adn_verb_exit_codes(tmp_path, capsys):
 def test_adn_verb_custom_out(tmp_path):
     good = tmp_path / "p.json"
     good.write_text(json.dumps({"builtin": "navier_laplacian"}))
-    out = tmp_path / "verdict.json"
-    assert main(["adn", str(good), "--out", str(out)]) == 0
-    parsed = json.loads(out.read_text())
-    assert parsed["verdicts"]["ellipticity"] is True
+    # --out names a file in an existing directory or in one to be made
+    for out in (tmp_path / "verdict.json", tmp_path / "new" / "deeper" / "verdict.json"):
+        assert main(["adn", str(good), "--out", str(out)]) == 0
+        parsed = json.loads(out.read_text())
+        assert parsed["verdicts"]["ellipticity"] is True
 
 
 def test_readme_json_examples_are_accepted():

@@ -427,6 +427,25 @@ def test_diagnose_below_the_threshold_starts_no_child(monkeypatch):
     assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
 
 
+def test_diagnose_of_a_single_batch_starts_no_child(monkeypatch):
+    # above the threshold but within one batch, the child's half is empty
+    from dataclasses import replace
+    from slipdisk import diagnostics
+    from slipdisk.ns_solver import SNAPSHOT_BATCH
+
+    def refuse(fn):
+        raise AssertionError("a walk of a single batch started a child")
+
+    traj = _bump16()
+    short = replace(traj, times=traj.times[:SNAPSHOT_BATCH],
+                    omegas=traj.omegas[:SNAPSHOT_BATCH])
+    monkeypatch.setattr(diagnostics, "FORK_NODE_VALUES", 0)
+    monkeypatch.setattr(diagnostics, "ForkedCall", refuse)
+    report = diagnostics.diagnose(short)
+    assert report["balance"]["max"] == pytest.approx(
+        max(BUMP16_BALANCE[:SNAPSHOT_BATCH - 1]), rel=1e-12)
+
+
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):
     # with tau_bar = 0 and nu = 0 the balance reduces to conservation of
     # enstrophy, which the scheme tracks to time-integration accuracy
