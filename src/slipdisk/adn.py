@@ -23,7 +23,8 @@ below (product, cofactor determinant and adjugate, matrix product,
 division by a monic M+, roots) broadcast over them, so check_all builds
 the pencils of every boundary point and tangential frequency as one
 (samples, rows, cols, K) array and evaluates all samples in one pass;
-complementing_check runs the same chain on a batch of one sample.
+complementing_check runs the same chain on a batch of one sample. Samples
+whose determinants agree bit for bit share one companion eigenproblem.
 """
 
 from __future__ import annotations
@@ -126,15 +127,22 @@ def _monic(roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _roots(c: np.ndarray) -> list:
+def _root_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of each row of c (samples, K) after the TRIM_TOL rule,
-    exactly as np.roots finds them: companion-matrix eigenvalues, one
-    np.linalg.eigvals call per core size, followed by one exact zero per
-    vanishing low-order coefficient."""
+    exactly as np.roots finds them (companion-matrix eigenvalues, then one
+    exact zero per vanishing low-order coefficient), as a (samples, n)
+    array, NaN past each row's count, with the counts and whether a
+    companion matrix was solved for the row. Only the bitwise-distinct
+    rows are solved, one np.linalg.eigvals call per core size."""
+    bits = np.ascontiguousarray(c).view(np.uint64)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    c = c[first]
     deg = _degrees(c)
     low = np.argmax(c != 0, axis=-1)
     size = np.where(deg >= 0, deg - low + 1, 0)
-    out = [np.zeros(low[s] if deg[s] >= 0 else 0) for s in range(len(c))]
+    count = np.maximum(deg, 0)
+    out = np.full((len(c), count.max(initial=0)), complex(np.nan, np.nan))
+    out[np.arange(out.shape[1]) < count[:, None]] = 0.0
     for n in np.unique(size[size > 1]):
         idx = np.nonzero(size == n)[0]
         p = c[idx[:, None], low[idx, None] + np.arange(n - 1, -1, -1)]
@@ -142,9 +150,16 @@ def _roots(c: np.ndarray) -> list:
         sub = np.arange(n - 2)
         companion[:, sub + 1, sub] = 1
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        for s, eig in zip(idx, np.linalg.eigvals(companion)):
-            out[s] = np.concatenate([eig, out[s]])
-    return out
+        out[idx, :n - 1] = np.linalg.eigvals(companion)
+    inverse = inverse.reshape(-1)
+    return out[inverse], count[inverse], size[inverse] > 1
+
+
+def _roots(c: np.ndarray) -> list:
+    """_root_table as one array per row, with np.roots' dtype: complex, or
+    real for a row whose roots are only the exact zeros."""
+    roots, count, solved = _root_table(c)
+    return [r[:n] if ok else r[:n].real for r, n, ok in zip(roots, count, solved)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,28 +363,51 @@ def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
                      name=problem.name)
 
 
-def _upper_roots(roots: np.ndarray, theta: float, xi: np.ndarray) -> list:
-    """The roots in the upper half plane, clustered (tolerance
-    CLUSTER_TOL) with each cluster averaged; a root within REAL_AXIS_TOL
-    of the real axis raises DegenerateConfigurationError."""
-    on_axis = roots[np.abs(roots.imag) <= REAL_AXIS_TOL]
-    if on_axis.size:
+def _stable_roots(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper half plane roots of each row of roots (samples, n), NaN
+    past a row's count, in one pass over all rows: sorted by (Re, Im),
+    chained into clusters whose neighbours lie within CLUSTER_TOL, and each
+    root replaced by the mean of its cluster. Returns them as (samples, n),
+    NaN past each row's count, the counts, and the index of each row's
+    first root within REAL_AXIS_TOL of the real axis (-1 for none)."""
+    n = roots.shape[-1]
+    on_axis = np.abs(roots.imag) <= REAL_AXIS_TOL
+    first = np.where(on_axis, np.arange(n), n).min(axis=-1, initial=n)
+    first[first == n] = -1
+    upper = roots.imag > REAL_AXIS_TOL
+    count = upper.sum(axis=-1)
+    order = np.lexsort((roots.imag, roots.real, ~upper), axis=-1)
+    z = np.take_along_axis(roots, order, axis=-1)
+    valid = np.arange(n) < count[:, None]
+    z[~valid] = complex(np.nan, np.nan)
+    step = np.diff(z, axis=-1)
+    # np.hypot rounds as abs() of one complex number does; np.abs of a
+    # complex array can differ from it in the last bit
+    head = np.ones(z.shape, dtype=bool)
+    head[:, 1:] = ~(np.hypot(step.real, step.imag) <= CLUSTER_TOL)
+    # each row's first root heads a cluster, so no cluster spans two rows
+    values, heads = z[valid], np.flatnonzero(head[valid])
+    sizes = np.diff(heads, append=values.size)
+    # a mean along the last axis of (clusters, k) sums each cluster in the
+    # order np.mean of that cluster alone does
+    for k in np.unique(sizes):
+        members = heads[sizes == k, None] + np.arange(k)
+        values[members] = np.mean(values[members], axis=-1)[:, None]
+    z[valid] = values
+    return z, count, first
+
+
+def _upper_roots(det: np.ndarray, theta: float, xi: np.ndarray) -> list:
+    """_stable_roots of the roots of one determinant (K,), as a list; a
+    root within REAL_AXIS_TOL of the real axis raises
+    DegenerateConfigurationError."""
+    roots = _roots(det[None])[0]
+    stable, count, first = _stable_roots(np.asarray(roots, dtype=complex)[None])
+    if first[0] >= 0:
         raise DegenerateConfigurationError(
-            f"pencil root {on_axis[0]:.3e} on the real axis at theta={theta:.4f}, "
+            f"pencil root {roots[first[0]]:.3e} on the real axis at theta={theta:.4f}, "
             f"xi={tuple(xi.tolist())}")
-    upper = sorted(roots[roots.imag > REAL_AXIS_TOL],
-                   key=lambda z: (z.real, z.imag))
-    clustered = []
-    for z in upper:
-        if clustered and abs(z - clustered[-1][-1]) <= CLUSTER_TOL:
-            clustered[-1].append(z)
-        else:
-            clustered.append([z])
-    out = []
-    for group in clustered:
-        center = complex(np.mean(group))
-        out.extend([center] * len(group))
-    return out
+    return stable[0, :count[0]].tolist()
 
 
 def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
@@ -386,8 +424,7 @@ def roots_positive_imag(lp_eval, point: BoundaryPoint, xi, xi_prime) -> list:
     cross = xi[0] * xip[1] - xi[1] * xip[0]
     if abs(cross) < 1e-12 * max(1.0, np.linalg.norm(xi) * np.linalg.norm(xip)):
         raise ValueError("xi and xi_prime must be linearly independent")
-    det = _det(lp_eval(point, xi, xip))
-    return _upper_roots(_roots(det[None])[0], point.theta, xi)
+    return _upper_roots(_det(lp_eval(point, xi, xip)), point.theta, xi)
 
 
 @dataclass(frozen=True)
@@ -457,7 +494,7 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
                          f"xi.n = {xi @ normal:.3e}")
     lpen = _principal_array(problem, False, [point], xi[None, None], normal[None, None])
     bpen = _principal_array(problem, True, [point], xi[None, None], normal[None, None])
-    roots = _upper_roots(_roots(_det(lpen))[0], point.theta, xi)
+    roots = _upper_roots(_det(lpen)[0], point.theta, xi)
     if len(roots) != problem.m:
         raise ValueError(f"{len(roots)} stable pencil roots for half-order m={problem.m} "
                          f"at theta={point.theta:.4f}, xi={tuple(xi.tolist())}: the "
@@ -485,9 +522,13 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     the root and complementing conditions.
 
     The n_boundary_samples x n_xi_samples pencils are evaluated as one
-    batch; each sample's roots serve both the root-count and the
-    complementing condition, and witnesses belong to the first failing
-    sample in (point, scaling) order."""
+    batch: the companion eigenproblem runs once per bitwise-distinct
+    determinant, and one array pass sorts, clusters and counts every
+    sample's stable roots. Each sample's roots serve both the root-count
+    and the complementing condition, and witnesses belong to the first
+    failing sample in (point, scaling) order; the root-count witness is
+    that sample's one-sample _upper_roots, as roots_positive_imag would
+    report it."""
     if n_boundary_samples < 8 or n_xi_samples < 8:
         raise ValueError("need at least 8 boundary and 8 xi samples")
     angles = np.linspace(0.0, 2.0 * np.pi, n_boundary_samples, endpoint=False)
@@ -506,27 +547,27 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     bpen = _principal_array(problem, True, points, xi, normal)
     xi = xi.reshape(-1, 2)
 
-    valid, stable = [], []
-    for s, roots in enumerate(_roots(_det(lpen))):
+    m = problem.m
+    det = _det(lpen)
+    stable, count, on_axis = _stable_roots(_root_table(det)[0])
+    failing = (on_axis >= 0) | (count != m)
+    if failing.any():
+        # the first failing sample's witness, from the one-sample chain
+        s = int(np.argmax(failing))
         theta = points[s // n_xi_samples].theta
         try:
-            upper = _upper_roots(roots, theta, xi[s])
-            failure = None if len(upper) == problem.m else {"roots": upper}
+            failure = {"roots": _upper_roots(det[s], theta, xi[s])}
         except DegenerateConfigurationError as err:
             failure = {"error": str(err)}
-        if failure is None:
-            valid.append(s)
-            stable.append(upper)
-        else:
-            witnesses.setdefault("supplementary", {"theta": theta,
-                                                   "xi": tuple(xi[s].tolist()), **failure})
+        witnesses["supplementary"] = {"theta": theta, "xi": tuple(xi[s].tolist()), **failure}
 
-    if valid:
+    valid = np.flatnonzero(~failing)
+    if valid.size:
         passed, ratio, combination = _rank_test(_remainder_rows(
-            lpen[valid], bpen[valid], np.array(stable, dtype=complex)))
-        failing = np.nonzero(~passed)[0]
-        if failing.size:
-            k, s = failing[0], valid[failing[0]]
+            lpen[valid], bpen[valid], stable[valid, :m]))
+        failed = np.nonzero(~passed)[0]
+        if failed.size:
+            k, s = failed[0], valid[failed[0]]
             witnesses["complementing"] = {"theta": points[s // n_xi_samples].theta,
                                           "xi": tuple(xi[s].tolist()),
                                           "combination": combination(k),

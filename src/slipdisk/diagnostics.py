@@ -41,9 +41,10 @@ from .pressure import check_tangent_field, recover_pressure
 # A trajectory of at least this many node values (snapshots x n_r x
 # n_theta) is walked in two processes (see _walk). Below it, the fork,
 # the round trip and the pages both processes copy on their first writes
-# cost more than half the walk saves: on two CPUs the forked walk of a
-# 64^2 run tied at 20 snapshots (81,920 values) and won from 24 on.
-FORK_NODE_VALUES = 90_000
+# cost more than half the walk saves: on two CPUs (median of 41 paired
+# runs) the forked walk of a 64^2 run lost 4-7% at 24 snapshots, tied at
+# 26 (106,496 values) and won 3-9% at 28.
+FORK_NODE_VALUES = 110_000
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +98,24 @@ class ExtendedTangent:
     eta(1) = 1, first and second derivatives vanishing at both ends), so
     tau_bar vanishes identically for r <= 1/2 and every 1/r factor below
     is harmless. On the boundary tau_bar equals (2 kappa - alpha) e_theta.
+
+    tau_bar is tangential: construction refuses a nonzero field.u_r or
+    gradient["rr"], and the shifted vorticity and the balance source skip
+    those parts.
     """
     field: VectorField
     gradient: dict[str, np.ndarray]
     laplacian: VectorField
 
+    def __post_init__(self):
+        if np.any(self.field.u_r) or np.any(self.gradient["rr"]):
+            raise ValueError("tau_bar must be tangential: field.u_r and gradient['rr'] "
+                             "must vanish")
+
 
 def extended_tangent(grid: PolarGrid, trace: BoundaryTrace) -> ExtendedTangent:
-    """Build the extension of the trace's slip coefficient."""
+    """Build the extension of the trace's slip coefficient; its radial
+    component and gradient["rr"] are zero, as ExtendedTangent requires."""
     r = grid.r
     t = np.clip(2.0 * r - 1.0, 0.0, 1.0)
     eta = t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
@@ -137,10 +148,9 @@ def extended_tangent(grid: PolarGrid, trace: BoundaryTrace) -> ExtendedTangent:
 def shifted_vorticity(omega: ScalarField, u: VectorField,
                       tau_bar: ExtendedTangent) -> ScalarField:
     """omega - u.tau_bar: its trace vanishes for slip solutions, which is
-    what makes its enstrophy balance boundary-term free."""
-    t = tau_bar.field
-    return ScalarField(omega.grid,
-                       omega.values - u.u_r * t.u_r - u.u_theta * t.u_theta)
+    what makes its enstrophy balance boundary-term free. tau_bar is
+    tangential, so u.tau_bar = u_theta tau_bar_theta."""
+    return ScalarField(omega.grid, omega.values - u.u_theta * tau_bar.field.u_theta)
 
 
 def balance_source(u: VectorField, pressure: ScalarField, nu: float,
@@ -150,15 +160,15 @@ def balance_source(u: VectorField, pressure: ScalarField, nu: float,
     f = -u.(grad(tau_bar)^T u) + grad(p).tau_bar
         + 2 nu trace(grad(u)^T grad(tau_bar)) + nu u.Laplace(tau_bar),
 
-    gu = vector_gradient(u) given.
+    gu = vector_gradient(u) given. tau_bar is tangential, so the terms
+    with its zero radial component or G_rr are left out, and of grad(p)
+    only the angular component (1/r) dp/dtheta is taken.
     """
     gt = tau_bar.gradient
-    tau = tau_bar.field
-    quad = (u.u_r * u.u_r * gt["rr"] + u.u_r * u.u_theta * gt["rt"]
-            + u.u_theta * u.u_r * gt["tr"] + u.u_theta * u.u_theta * gt["tt"])
-    gp = grad(pressure)
-    press = gp.u_r * tau.u_r + gp.u_theta * tau.u_theta
-    cross = 2.0 * nu * gradient_frobenius(gu, gt)
+    quad = (u.u_r * u.u_theta * gt["rt"] + u.u_theta * u.u_r * gt["tr"]
+            + u.u_theta * u.u_theta * gt["tt"])
+    press = theta_derivative(pressure.values) / u.grid.r_col * tau_bar.field.u_theta
+    cross = 2.0 * nu * (gu["rt"] * gt["rt"] + gu["tr"] * gt["tr"] + gu["tt"] * gt["tt"])
     lap = nu * (u.u_r * tau_bar.laplacian.u_r + u.u_theta * tau_bar.laplacian.u_theta)
     return -quad + press + cross + lap
 

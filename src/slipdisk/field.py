@@ -242,8 +242,12 @@ def lp_norm(f: ScalarField | VectorField, p: float) -> float:
     """Quadrature L^p norm on the disk of a one-sample field; p = inf is the
     grid max (a lower bound of the true sup norm, since nodes sample the
     field). It is lp_norms of a stack of one, so a snapshot's norm does not
-    depend on whether it is taken alone or in a stack."""
+    depend on whether it is taken alone or in a stack. A stacked field,
+    even a stack of one, raises ValueError: lp_norms takes stacks."""
     mag = np.abs(f.values) if isinstance(f, ScalarField) else f.magnitude()
+    if mag.ndim != 2:
+        raise ValueError(f"lp_norm takes one sample, got a field of shape {mag.shape}; "
+                         f"use lp_norms for a stack")
     return float(lp_norms(mag[None], f.grid, p)[0])
 
 

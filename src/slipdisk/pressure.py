@@ -24,7 +24,10 @@ that shared value the discrete compatibility identity
 telescopes to roundoff whenever u is divergence-free, so the mode-0
 Neumann system is consistent by construction; the data is nevertheless
 projected (its mean subtracted) and the defect reported. The recovered
-pressure is normalized to zero quadrature mean.
+pressure is normalized to zero quadrature mean. Its certificate, the
+residuals of the discrete system and of the Neumann condition, is
+computed when it is first read, since diagnose reads only the pressure
+and the velocity terms it was built from.
 
 A stack of snapshots (B, n_r, n_theta) is recovered in one pass, its B
 right-hand sides in one tridiagonal solve; one snapshot is a stack
@@ -33,6 +36,7 @@ without the snapshot axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +159,35 @@ def project_neumann_data(rhs: ScalarField, g: np.ndarray) -> tuple[np.ndarray, n
 class PressureSolve:
     """Recovered pressure with its certificate, per snapshot of a stack.
 
-    p has zero quadrature mean. pde_residual is the max-norm residual of
-    the discrete Poisson system (boundary row included); bc_residual is an
-    independent one-sided check of dp/dr(1) against the Neumann data;
-    compatibility_defect is |integral(f) - boundary integral(g)| before
-    projection; the three are arrays (B,) for a stack. acceleration is
-    the (u.grad)u the source was built from, gradient the vector_gradient(u).
+    p has zero quadrature mean. compatibility_defect is |integral(f) -
+    boundary integral(g)| before projection, an array (B,) for a stack.
+    acceleration is the (u.grad)u the source was built from, gradient the
+    vector_gradient(u), and neumann the projected data g that p solves
+    for. The certificate's two residuals are computed on first read, so a
+    caller that reads only p and the fields above pays for no operator
+    application.
     """
     p: ScalarField
-    pde_residual: float | np.ndarray
-    bc_residual: float | np.ndarray
     compatibility_defect: float | np.ndarray
     acceleration: VectorField
     gradient: dict
+    neumann: np.ndarray
+
+    @functools.cached_property
+    def pde_residual(self) -> float | np.ndarray:
+        """Max-norm residual of the discrete Poisson system, boundary row
+        included, per snapshot, against the source -div((u.grad)u) rebuilt
+        from acceleration."""
+        grid = self.p.grid
+        solver = cached_solver(PoissonNeumannSolver, *grid.shape)
+        rhs = -flux_divergence(self.acceleration)[0]
+        return np.abs(solver.apply(self.p, self.neumann).values - rhs).max(axis=(-2, -1))
+
+    @functools.cached_property
+    def bc_residual(self) -> float | np.ndarray:
+        """Independent one-sided check of dp/dr(1) against the Neumann
+        data, max over the wall, per snapshot."""
+        return np.abs(wall_derivative(self.p.values, self.p.grid) - self.neumann).max(axis=-1)
 
 
 def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
@@ -178,10 +198,12 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     u must pass check_tangent_field; fields reconstructed by this package
     do so to roundoff. (u.grad)u is directional_derivative(u, gu) with
     gu = vector_gradient(u); the result keeps both, for
-    pressure_estimate_slack and the enstrophy balance. The compatibility
-    defect of the Neumann data is projected out and reported; a defect
-    above 1e-6 signals an inconsistent velocity field and raises. Both
-    checks are per snapshot, and an error names the first failing one.
+    pressure_estimate_slack and the enstrophy balance, with the Neumann
+    data that its residuals are computed from when first read.
+    The compatibility defect of the Neumann data is projected out and
+    reported; a defect above 1e-6 signals an inconsistent velocity field
+    and raises. Both checks are per snapshot, and an error names the first
+    failing one.
     trace, when given, is only checked against the grid: the Neumann data
     holds no slip coefficient, so the pressure does not depend on it.
     """
@@ -205,13 +227,9 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     _require(defect, COMPATIBILITY_TOL, "Neumann data{at} incompatible with the source "
              "(defect {value:.3e}); velocity snapshot inconsistent")
 
-    solver = cached_solver(PoissonNeumannSolver, *grid.shape)
-    p = solver.solve(rhs, g)
-    residual = solver.apply(p, g).values - rhs.values
-    return PressureSolve(
-        p=p, pde_residual=np.abs(residual).max(axis=(-2, -1)),
-        bc_residual=np.abs(wall_derivative(p.values, grid) - g).max(axis=-1),
-        compatibility_defect=defect, acceleration=a, gradient=gu)
+    p = cached_solver(PoissonNeumannSolver, *grid.shape).solve(rhs, g)
+    return PressureSolve(p=p, compatibility_defect=defect, acceleration=a,
+                         gradient=gu, neumann=g)
 
 
 def pressure_estimate_slack(p: PressureSolve, omega: ScalarField, nu: float) -> float:

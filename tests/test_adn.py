@@ -30,7 +30,8 @@ from slipdisk import (
 )
 from slipdisk import adn
 from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _degrees, _det,
-                          _matmul, _monic, _polydiv, _polymul, _roots, _xi_scalings)
+                          _matmul, _monic, _polydiv, _polymul, _roots, _upper_roots,
+                          _xi_scalings)
 
 DATA = Path(__file__).parent / "data"
 
@@ -520,6 +521,134 @@ def test_check_all_flags_degenerate_supplementary():
     assert not report.verdicts["complementing"]
     assert "supplementary" in report.witnesses
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the batched root pass
+# ---------------------------------------------------------------------------
+
+# Laplace + 2 n1 (d1 + i d2)^2: elliptic, but its pencil has 0, 1 or 2
+# stable roots depending on the sample, so the root count varies and the
+# complementing condition runs on the samples with exactly m = 1
+_TILTED_BITSADZE = {"M": 1, "s": [0], "t": [2], "r": [-2],
+                    "L": [{"i": 1, "j": 1, "mi": [2, 0], "c": 1},
+                          {"i": 1, "j": 1, "mi": [0, 2], "c": 1},
+                          {"i": 1, "j": 1, "mi": [2, 0], "c": "2*n1"},
+                          {"i": 1, "j": 1, "mi": [1, 1], "c": "4j*n1"},
+                          {"i": 1, "j": 1, "mi": [0, 2], "c": "-2*n1"}],
+                    "B": [{"i": 1, "j": 1, "mi": [0, 0], "c": 1}],
+                    "name": "tilted_bitsadze"}
+_ROOT_PASS = {"alpha0": navier_laplacian_problem(0.0),
+              "alpha1": navier_laplacian_problem(1.0),
+              "alpha5": navier_laplacian_problem(5.0),
+              "tilted_bitsadze": _TILTED_BITSADZE,
+              "wave": _RECORDED["wave"],
+              "degenerate_diagonal": _RECORDED["degenerate_diagonal"]}
+
+
+def _problem(key):
+    problem = _ROOT_PASS[key]
+    return load_problem(problem) if isinstance(problem, dict) else problem
+
+
+def _upper_roots_by_loop(roots):
+    """The stable roots of one sample as the per-sample checker found
+    them: sorted by (Re, Im), chained at CLUSTER_TOL, each root replaced
+    by complex(np.mean) of its cluster."""
+    upper = sorted(roots[roots.imag > adn.REAL_AXIS_TOL], key=lambda z: (z.real, z.imag))
+    clusters = []
+    for z in upper:
+        if clusters and abs(z - clusters[-1][-1]) <= adn.CLUSTER_TOL:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    return [complex(np.mean(group)) for group in clusters for _ in group]
+
+
+def _bits(roots):
+    return np.asarray(roots, dtype=complex).view(np.uint64).tolist()
+
+
+def _check_all_root_pass(monkeypatch, problem, n_points, n_xi):
+    """check_all's determinant rows and the output of its one pass over
+    their roots."""
+    seen = {}
+    root_table, stable_roots = adn._root_table, adn._stable_roots
+
+    def table(c):
+        seen.setdefault("det", c.copy())
+        return root_table(c)
+
+    def stable(roots):
+        out = stable_roots(roots)
+        seen.setdefault("stable", out)
+        return out
+
+    monkeypatch.setattr(adn, "_root_table", table)
+    monkeypatch.setattr(adn, "_stable_roots", stable)
+    check_all(problem, n_points, n_xi)
+    monkeypatch.undo()
+    return seen["det"], seen["stable"]
+
+
+def test_check_all_solves_each_distinct_determinant_once(monkeypatch):
+    # like the symbol batch above: the companion eigenproblems go to
+    # np.linalg.eigvals for the bitwise-distinct determinant rows only
+    seen, eigvals = [], np.linalg.eigvals
+
+    def counting(a):
+        seen.extend(a)
+        return eigvals(a)
+
+    det, _ = _check_all_root_pass(monkeypatch, navier_laplacian_problem(1.0), 64, 16)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert check_all(navier_laplacian_problem(1.0), 64, 16).passed
+    distinct = {row.tobytes() for row in det}
+    assert len(det) == 64 * 16 and len(distinct) < len(det) // 4
+    assert len(seen) == len(distinct)
+
+
+@pytest.mark.parametrize("key", sorted(_ROOT_PASS))
+def test_batched_stable_roots_equal_the_one_sample_pass(monkeypatch, key):
+    # every sample's stable roots in check_all's one pass are, bit for
+    # bit, those _upper_roots finds for that sample alone and those the
+    # per-sample loop found; a sample with a root on the real axis raises
+    problem = _problem(key)
+    det, (stable, count, on_axis) = _check_all_root_pass(monkeypatch, problem, 16, 9)
+    assert len(det) == 16 * 9
+    for s, row in enumerate(det):
+        assert np.isnan(stable[s, count[s]:]).all()
+        if on_axis[s] >= 0:
+            with pytest.raises(DegenerateConfigurationError):
+                _upper_roots(row, 0.0, np.zeros(2))
+            continue
+        want = _upper_roots(row, 0.0, np.zeros(2))
+        by_loop = _upper_roots_by_loop(_roots(row[None])[0])
+        assert _bits(stable[s, :count[s]]) == _bits(want) == _bits(by_loop)
+    if key == "tilted_bitsadze":
+        assert set(count.tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("key", ["degenerate_diagonal", "tilted_bitsadze", "wave"])
+def test_supplementary_witness_is_the_first_failing_sample(key):
+    # the degenerate controls keep the witness of the first sample, in
+    # (point, scaling) order, where the one-sample roots_positive_imag
+    # raises or finds a stable root count other than m
+    problem = _problem(key)
+    lp, _ = principal_parts(problem)
+
+    def failure(point, xi):
+        try:
+            roots = roots_positive_imag(lp, point, xi, point.n)
+        except DegenerateConfigurationError as err:
+            return {"error": str(err)}
+        return None if len(roots) == problem.m else {"roots": roots}
+
+    samples = ((point, c * np.asarray(point.tau)) for point in _points(16)
+               for c in _xi_scalings(9))
+    point, xi, found = next((p, x, f) for p, x in samples if (f := failure(p, x)))
+    witness = check_all(problem, 16, 9).witnesses["supplementary"]
+    assert witness == {"theta": point.theta, "xi": tuple(xi.tolist()), **found}
 
 
 def test_report_to_dict_roundtrips_through_json():

@@ -236,6 +236,21 @@ def _zero_tangent(grid):
                            gradient={k: np.zeros(grid.shape) for k in ("rr", "rt", "tr", "tt")})
 
 
+def test_extended_tangent_refuses_a_radial_part(grid32):
+    # tau_bar is tangential; the balance source and the shifted vorticity
+    # leave out its radial products, so a radial part is refused
+    _zero_tangent(grid32)
+    ext = extended_tangent(grid32, boundary_trace(grid32, 1.0))
+    bump = np.zeros(grid32.shape)
+    bump[5, 7] = 1e-3
+    with pytest.raises(ValueError, match="tangential"):
+        ExtendedTangent(field=VectorField(grid32, bump, ext.field.u_theta),
+                        gradient=ext.gradient, laplacian=ext.laplacian)
+    with pytest.raises(ValueError, match="tangential"):
+        ExtendedTangent(field=ext.field, gradient={**ext.gradient, "rr": bump},
+                        laplacian=ext.laplacian)
+
+
 def _subset(traj, sl):
     from slipdisk import Trajectory
     return Trajectory(config=traj.config, grid=traj.grid, trace=traj.trace,
@@ -346,6 +361,24 @@ def test_diagnose_walks_the_trajectory_once(monkeypatch):
     assert sum(counted) == len(traj.times) + 1  # the snapshots and the test field
     assert calls == {"biot_savart": n_batches, "recover_pressure": n_batches}
     assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
+    assert report["balance"]["max"] == pytest.approx(max(BUMP16_BALANCE), rel=1e-12)
+
+
+def test_diagnose_reads_no_pressure_certificate(monkeypatch):
+    # the walk reads the pressure, its acceleration and its gradient, so
+    # the Neumann operator is never applied for the residual certificate
+    from slipdisk.diagnostics import diagnose
+    from slipdisk.pressure import PoissonNeumannSolver
+    applied = []
+    apply = PoissonNeumannSolver.apply
+
+    def counting(self, *args):
+        applied.append(1)
+        return apply(self, *args)
+
+    monkeypatch.setattr(PoissonNeumannSolver, "apply", counting)
+    report = diagnose(_bump16())
+    assert applied == []
     assert report["balance"]["max"] == pytest.approx(max(BUMP16_BALANCE), rel=1e-12)
 
 
@@ -531,3 +564,16 @@ def test_cz_ratio_rejects_zero(grid32):
     zero = ScalarField(grid32, np.zeros(grid32.shape))
     with pytest.raises(ValueError, match="zero vorticity"):
         cz_ratio(zero, 2.0)
+
+def test_ratios_refuse_a_stack_of_snapshots(grid32):
+    # one-snapshot measurements: a stack, even of one, is refused with a
+    # ValueError that names lp_norms
+    from slipdisk import pressure_estimate_slack, recover_pressure
+    omega = ScalarField(grid32, smooth_vorticity(grid32, seed=1).values[None])
+    u = biot_savart(omega)
+    with pytest.raises(ValueError, match="lp_norms"):
+        cz_ratio(omega, 2.0)
+    with pytest.raises(ValueError, match="lp_norms"):
+        h2_ratio(u)
+    with pytest.raises(ValueError, match="lp_norms"):
+        pressure_estimate_slack(recover_pressure(u, omega, 0.02), omega, 0.02)

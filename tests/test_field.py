@@ -322,6 +322,17 @@ def test_lp_norm_of_a_snapshot_equals_its_entry_in_a_stack(grid48):
                 assert lp_norm(one, p) == stacked[k], (p, k)
 
 
+def test_lp_norm_refuses_a_stack_and_points_to_lp_norms(grid32):
+    # a stack, even of one, is refused by name instead of failing inside
+    # float(); lp_norms is the stack path
+    ones = np.ones((1,) + grid32.shape)
+    for f in (ScalarField(grid32, ones), VectorField(grid32, ones, ones),
+              ScalarField(grid32, np.ones((2, 3) + grid32.shape))):
+        shape = (f.values if isinstance(f, ScalarField) else f.u_r).shape
+        with pytest.raises(ValueError, match=rf"shape \({', '.join(map(str, shape))}\).*lp_norms"):
+            lp_norm(f, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # boundary extrapolation
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from slipdisk import (
     recover_pressure,
 )
 from slipdisk.field import vector_gradient
-from slipdisk.pressure import directional_derivative, project_neumann_data
+from slipdisk.field import boundary_values, theta_derivative, wall_derivative
+from slipdisk.pressure import (PoissonNeumannSolver, directional_derivative,
+                               flux_divergence, project_neumann_data)
 
 from _fields import sample_navier_field
 from conftest import smooth_vorticity
@@ -235,3 +237,47 @@ def test_stack_recovery_names_the_failing_snapshot(grid48):
         recover_pressure(u, omega, nu=0.0)
     with pytest.raises(ValueError, match="different snapshot stacks"):
         recover_pressure(u, ScalarField(grid48, omega.values[0]), nu=0.0)
+
+
+def _eager_certificate(u, omega, nu):
+    """pde_residual and bc_residual as recover_pressure computed them when
+    it built the certificate with the pressure: rebuilt here from the
+    source and Neumann data, with a solver of its own."""
+    grid = u.grid
+    div_a, a_r1 = flux_divergence(advective_acceleration(u))
+    rhs = ScalarField(grid, -div_a)
+    lap_u_r = -theta_derivative(boundary_values(omega.values, grid))
+    g, _ = project_neumann_data(rhs, nu * lap_u_r - a_r1)
+    solver = PoissonNeumannSolver(grid)
+    p = solver.solve(rhs, g)
+    residual = solver.apply(p, g).values - rhs.values
+    return (np.abs(residual).max(axis=(-2, -1)),
+            np.abs(wall_derivative(p.values, grid) - g).max(axis=-1))
+
+
+def test_certificate_is_computed_on_first_read(grid48, monkeypatch):
+    # recovery makes no operator application; the first read of
+    # pde_residual makes one and later reads reuse it, and both residuals
+    # equal the certificate built eagerly with the pressure, bit for bit,
+    # on a stack and on one snapshot
+    applied = []
+    apply = PoissonNeumannSolver.apply
+
+    def counting(self, p, neumann):
+        applied.append(p.values.shape)
+        return apply(self, p, neumann)
+
+    monkeypatch.setattr(PoissonNeumannSolver, "apply", counting)
+    u, omega = _stack(grid48, (1, 2, 3))
+    one_u = VectorField(grid48, u.u_r[1], u.u_theta[1])
+    one_omega = ScalarField(grid48, omega.values[1])
+    for vel, om in ((u, omega), (one_u, one_omega)):
+        solve = recover_pressure(vel, om, nu=0.02)
+        assert applied == []
+        pde, bc = _eager_certificate(vel, om, 0.02)
+        applied.clear()
+        assert np.array_equal(solve.pde_residual, pde)
+        assert np.array_equal(solve.bc_residual, bc)
+        assert solve.pde_residual is solve.pde_residual
+        assert applied == [om.values.shape]
+        applied.clear()
