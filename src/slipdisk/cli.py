@@ -11,8 +11,11 @@ snapshots.npz with the vorticity snapshots; diagnose takes everything
 from the run directory. The engines live in ns_solver (simulate), sweep,
 adn and diagnostics (diagnose); this module reads their inputs, calls
 them, writes their reports and prints a summary. Each verb's input is
-read by _load, which refuses it in one line; each output file goes
-through ns_solver.write_atomically, which makes a missing --out directory.
+read by _load, which refuses it in one line; so is an --out the verb
+cannot write (exit 2, before any work): a directory where a file goes,
+or an existing file where a directory goes or on the way to one. Each
+output file goes through ns_solver.write_atomically, which makes a
+missing --out directory.
 """
 
 from __future__ import annotations
@@ -45,11 +48,34 @@ def _load(what, loader, path):
         return None
 
 
+def _out_dir(path):
+    """path, or NotADirectoryError if the nearest of path and its
+    ancestors that exists is not a directory: an output directory that
+    cannot be made."""
+    probe = path
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if probe and not os.path.isdir(probe):
+        raise NotADirectoryError(f"{probe} is not a directory")
+    return path
+
+
+def _out_file(path):
+    """path, or an OSError if no output file can be written there: path
+    is a directory, or its directory cannot be made (_out_dir)."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    _out_dir(os.path.dirname(path))
+    return path
+
+
 def _cmd_simulate(args) -> int:
     config = _load("read config", SimConfig.from_json, args.config)
     if config is None:
         return 2
-    out = args.out or os.path.join("runs", _stem(args.config))
+    out = _load("write to", _out_dir, args.out or os.path.join("runs", _stem(args.config)))
+    if out is None:
+        return 2
     traj, wall_ms = _timed_run(simulate, config)
     traj.save(out)
     times = traj.series["t"]
@@ -66,7 +92,9 @@ def _cmd_sweep(args) -> int:
     config = _load("read config", SweepConfig.from_json, args.config)
     if config is None:
         return 2
-    out = args.out or os.path.join("runs", _stem(args.config))
+    out = _load("write to", _out_dir, args.out or os.path.join("runs", _stem(args.config)))
+    if out is None:
+        return 2
     report = run_sweep(config)
     report.write(out)
     for row in report.rows:
@@ -82,8 +110,11 @@ def _cmd_adn(args) -> int:
     problem = _load("parse problem file", adn_mod.load_problem, args.problem)
     if problem is None:
         return 2
+    out = _load("write to", _out_file,
+                args.out or os.path.splitext(args.problem)[0] + ".report.json")
+    if out is None:
+        return 2
     report = adn_mod.check_all(problem, args.boundary_samples, args.xi_samples)
-    out = args.out or os.path.splitext(args.problem)[0] + ".report.json"
     write_json(out, report.to_dict())
     status = "pass" if report.passed else "fail"
     print(f"{problem.name or 'problem'}: {status} "
@@ -100,8 +131,10 @@ def _cmd_diagnose(args) -> int:
         print(f"cannot diagnose run directory {args.run_dir}: {len(traj.times)} "
               f"snapshot(s), the balances need at least 2", file=sys.stderr)
         return 2
+    out = _load("write to", _out_file, args.out or os.path.join(args.run_dir, "diagnostics.json"))
+    if out is None:
+        return 2
     report = diagnose(traj)
-    out = args.out or os.path.join(args.run_dir, "diagnostics.json")
     write_json(out, report)
     verdicts = [report[k].get("pass") for k in ("navier", "weak_form", "balance")]
     for key in ("navier", "weak_form", "balance"):

@@ -17,15 +17,15 @@ The trajectory diagnostics walk the snapshots in batches
 acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
 per-snapshot numbers outlive the batch. diagnose() walks a trajectory
 once (_walk), differentiating each snapshot's velocity once. A run of
-more than one batch and at least FORK_NODE_VALUES node values is walked
-in two processes: a forked child takes the second half of the batches,
-so each process holds one batch in flight. The halves' rows, joined in
-order, are bitwise those of the walk in one process.
+at least 2 snapshots and FORK_NODE_VALUES node values is walked in two
+processes, each taking half of its snapshots as a trajectory of its own.
+A snapshot's rows do not depend on where its batch starts, so the
+halves' rows, joined in order, are bitwise those of one process's walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,16 +35,16 @@ from .field import (ScalarField, VectorField, boundary_values, curl,
                     cartesian_gradient, grad, gradient_frobenius, lp_norm,
                     perp_grad, theta_derivative, vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point, table
-from .ns_solver import SNAPSHOT_BATCH, bump_values
+from .ns_solver import bump_values
 from .pressure import check_tangent_field, recover_pressure
 
 # A trajectory of at least this many node values (snapshots x n_r x
 # n_theta) is walked in two processes (see _walk). Below it, the fork,
 # the round trip and the pages both processes copy on their first writes
 # cost more than half the walk saves: on two CPUs (median of 41 paired
-# runs) the forked walk of a 64^2 run lost 4-7% at 24 snapshots, tied at
-# 26 (106,496 values) and won 3-9% at 28.
-FORK_NODE_VALUES = 110_000
+# runs) the forked walk of a 64^2 run lost 3-39% at 8-14 snapshots, tied
+# at 16 (65,536 values) and won 8-24% from 18 on.
+FORK_NODE_VALUES = 70_000
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +183,18 @@ def _rigid_rotation(grid: PolarGrid) -> VectorField:
                        np.tile(grid.r[:, None], (1, grid.n_theta)))
 
 
-def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent, part: slice):
-    """(Navier curve maxima, rows) over the batches part of traj._batches():
-    rows (5, n_part) holds, per snapshot of those batches in order, the
-    mass (u, v), the rest of the weak form against v, and the shifted
-    enstrophy, its dissipation and its balance source with tau_bar. Per
-    batch, one recover_pressure's (u.grad)u and velocity gradient serve
-    the weak form and the balance source alike."""
+def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent):
+    """(Navier curve maxima, rows) over traj._batches(): rows (5, n) holds,
+    per snapshot in order, the mass (u, v), the rest of the weak form
+    against v, and the shifted enstrophy, its dissipation and its balance
+    source with tau_bar. Per batch, one recover_pressure's (u.grad)u and
+    velocity gradient serve the weak form and the balance source alike."""
     grid = traj.grid
     nu = traj.config.nu
     gv = vector_gradient(v)
     weight = (traj.trace.kappa - traj.trace.alpha) * boundary_values(v.u_theta, grid)
     worst, blocks = {}, []
-    for _, om, u in traj._batches(part):
+    for _, om, u in traj._batches():
         for k, value in navier_residuals(u, om, traj.trace).items():
             worst[k] = max(worst.get(k, 0.0), value)
         ps = recover_pressure(u, om, nu, traj.trace)
@@ -217,20 +216,23 @@ def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent, part: slice):
 def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
     """(Navier curve maxima, weak-form residual against v per snapshot,
     balance defect with tau_bar per interval) from one pass over the
-    batches. A run of more than one batch and at least FORK_NODE_VALUES
-    node values is walked in two processes: a forked child takes the
-    second half of the batches while this one takes the first; one
-    concatenation and one max per Navier curve merge the halves."""
+    snapshots. A run of at least 2 snapshots and FORK_NODE_VALUES node
+    values is walked in two processes: this one walks its first n // 2
+    snapshots and a forked child the rest, each half a trajectory of its
+    own; one concatenation and one max per Navier curve merge them.
+    ValueError for a run without snapshots."""
     check_tangent_field(v, "test field")
     nu = traj.config.nu
     times = np.asarray(traj.times)
-    if (times.size <= SNAPSHOT_BATCH
-            or times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES):
-        parts = [_walk_batches(traj, v, tau_bar, slice(None))]
+    if times.size == 0:
+        raise ValueError("a trajectory walk needs at least 1 snapshot, got 0")
+    if times.size < 2 or times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES:
+        parts = [_walk_batches(traj, v, tau_bar)]
     else:
-        mid = -(-times.size // (2 * SNAPSHOT_BATCH))  # this process's half, rounded up
-        with ForkedCall(lambda: _walk_batches(traj, v, tau_bar, slice(mid, None))) as child:
-            parts = [_walk_batches(traj, v, tau_bar, slice(mid)), child.result()]
+        first, second = (replace(traj, times=times[s], omegas=traj.omegas[s])
+                         for s in (slice(times.size // 2), slice(times.size // 2, None)))
+        with ForkedCall(lambda: _walk_batches(second, v, tau_bar)) as child:
+            parts = [_walk_batches(first, v, tau_bar), child.result()]
     worsts, rows = zip(*parts)
     worst = {k: max(w[k] for w in worsts) for k in worsts[0]}
     mass, rest, z, dissip, source = np.concatenate(rows, axis=1)

@@ -413,13 +413,13 @@ class Trajectory:
         return [VectorField(self.grid, r, t) for _, _, u in self._batches()
                 for r, t in zip(u.u_r, u.u_theta)]
 
-    def _batches(self, part: slice = slice(None)):
+    def _batches(self):
         """Yield (sl, omega, u) per batch of at most SNAPSHOT_BATCH snapshots:
         their index slice, and their vorticity and velocity as stacked
-        fields (b, n_r, n_theta). part picks a range of the batches by
-        their index (all by default). Each walk derives the velocity anew,
-        one biot_savart per batch, and keeps none of it."""
-        for start in range(0, len(self.omegas), SNAPSHOT_BATCH)[part]:
+        fields (b, n_r, n_theta). Each walk derives the velocity anew, one
+        biot_savart per batch, and keeps none of it; a snapshot's fields
+        do not depend on where its batch starts."""
+        for start in range(0, len(self.omegas), SNAPSHOT_BATCH):
             sl = slice(start, start + SNAPSHOT_BATCH)
             omega = ScalarField(self.grid, np.stack([om.values for om in self.omegas[sl]]))
             yield sl, omega, biot_savart(omega)

@@ -414,7 +414,7 @@ def test_simulate_verb_writes_run(tmp_path):
     assert report["dt_first_step"] > 0
 
 
-def test_diagnose_verb_exit_codes(tmp_path):
+def test_diagnose_verb_exit_codes(tmp_path, capsys):
     # diagnose consumes a saved run directory produced by simulate
     # the balance tolerance reflects the 16-ring resolution: the cutoff's
     # large derivative constants put its quadrature defect near 2e-2 there
@@ -445,6 +445,15 @@ def test_diagnose_verb_exit_codes(tmp_path):
     assert main(["simulate", str(cpath2), "--out", str(run2)]) == 0
     out2 = tmp_path / "verdict.json"
     assert main(["diagnose", str(run2), "--out", str(out2)]) == 1
+    assert json.loads(out2.read_text())["navier"]["pass"] is False
+
+    # an --out naming an existing directory, or a path under a file, is
+    # refused in one line with exit 2 before the walk
+    capsys.readouterr()
+    for out in (run2, out2 / "diagnostics.json"):
+        assert main(["diagnose", str(run2), "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write to {out}: ") and err.count("\n") == 1, err
     assert json.loads(out2.read_text())["navier"]["pass"] is False
 
 
@@ -617,6 +626,18 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+    # an --out that names an existing file, or a path under one, ran the
+    # whole job and then died with a FileExistsError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for verb, spec in (("simulate", _tiny_base().to_dict()), ("sweep", sweep)):
+        cpath = tmp_path / f"good-{verb}.json"
+        cpath.write_text(json.dumps(spec))
+        for out in (taken, taken / "run"):
+            assert main([verb, str(cpath), "--out", str(out)]) == 2, (verb, out)
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot write to {out}: ") and err.count("\n") == 1, err
+            assert taken.read_text() == "kept"
 
 
 def test_sweep_verb(tmp_path):
@@ -684,6 +705,14 @@ def test_adn_verb_exit_codes(tmp_path, capsys):
             main(["adn", str(good), flag, "4"])
         assert exit_info.value.code == 2
         assert "at least 8" in capsys.readouterr().err
+
+    # an --out that cannot be written is an unusable input (exit 2), not a
+    # failed verdict (exit 1): an existing directory, a path under a file
+    capsys.readouterr()
+    for out in (tmp_path, tmp_path / "good.json" / "report.json"):
+        assert main(["adn", str(good), "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write to {out}: ") and err.count("\n") == 1, err
 
 
 def test_adn_verb_custom_out(tmp_path):

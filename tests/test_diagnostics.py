@@ -9,6 +9,7 @@ purely diagnostic curl identity converges at the stencil order.
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,38 +383,61 @@ def test_diagnose_reads_no_pressure_certificate(monkeypatch):
     assert report["balance"]["max"] == pytest.approx(max(BUMP16_BALANCE), rel=1e-12)
 
 
-def _walk_split_in_two(monkeypatch):
-    """_walk of _bump16() against the rigid rotation, with the threshold
-    at 0 so that a forked child walks the second half of its batches;
-    returns the walk's outputs and the number of children started."""
-    from slipdisk import diagnostics
+def _first(traj, n):
+    """traj cut to its first n snapshots."""
+    return replace(traj, times=traj.times[:n], omegas=traj.omegas[:n])
+
+
+def _walk_rigid(traj):
     from slipdisk.diagnostics import _rigid_rotation, _walk
-    traj = _bump16()
-    started = []
+    return _walk(traj, _rigid_rotation(traj.grid), extended_tangent(traj.grid, traj.trace))
+
+
+def _walk_split_in_two(monkeypatch, traj=None):
+    """_walk of traj (default _bump16()) against the rigid rotation, with
+    the threshold at 0 so that a forked child walks the second half of its
+    snapshots; returns the walk's outputs, the number of children started
+    and the snapshot counts of the halves, this process's first."""
+    from slipdisk import diagnostics
+    traj = _bump16() if traj is None else traj
+    started, halves, parent = [], [], os.getpid()
+    walk_batches = diagnostics._walk_batches
+
+    def counted_walk(traj, *args):
+        if os.getpid() == parent:
+            halves.append(len(traj.omegas))
+        return walk_batches(traj, *args)
 
     class Counted(diagnostics.ForkedCall):
         def __init__(self, fn):
             started.append(fn)
             super().__init__(fn)
 
+        def result(self):
+            out = super().result()
+            halves.append(out[1].shape[1])
+            return out
+
     monkeypatch.setattr(diagnostics, "FORK_NODE_VALUES", 0)
     monkeypatch.setattr(diagnostics, "ForkedCall", Counted)
+    monkeypatch.setattr(diagnostics, "_walk_batches", counted_walk)
     try:
-        out = _walk(traj, _rigid_rotation(traj.grid), extended_tangent(traj.grid, traj.trace))
+        out = _walk_rigid(traj)
     finally:
         assert multiprocessing.active_children() == []
-    return out, len(started)
+    return out, len(started), halves
 
 
-def test_split_walk_equals_the_walk_in_one_process(monkeypatch):
-    from slipdisk.diagnostics import _rigid_rotation, _walk
-    from slipdisk.ns_solver import SNAPSHOT_BATCH
-    traj = _bump16()
-    assert -(-len(traj.times) // SNAPSHOT_BATCH) == 3
-    worst, weak, balance = _walk(traj, _rigid_rotation(traj.grid),
-                                 extended_tangent(traj.grid, traj.trace))
-    (split_worst, split_weak, split_balance), children = _walk_split_in_two(monkeypatch)
+@pytest.mark.parametrize("n", [2, 8, 9, 17])
+def test_split_walk_equals_the_walk_in_one_process(monkeypatch, n):
+    # this process walks the first n // 2 snapshots, the child the rest,
+    # whatever the batch size; the rows do not depend on the cut
+    traj = _first(_bump16(), n)
+    worst, weak, balance = _walk_rigid(traj)
+    (split_worst, split_weak, split_balance), children, halves = _walk_split_in_two(
+        monkeypatch, traj)
     assert children == 1
+    assert halves == [n // 2, n - n // 2] and min(halves) > 0
     assert split_worst == worst
     assert np.array_equal(split_weak, weak)
     assert np.array_equal(split_balance, balance)
@@ -460,23 +484,28 @@ def test_diagnose_below_the_threshold_starts_no_child(monkeypatch):
     assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
 
 
-def test_diagnose_of_a_single_batch_starts_no_child(monkeypatch):
-    # above the threshold but within one batch, the child's half is empty
-    from dataclasses import replace
+def test_walk_of_one_snapshot_starts_no_child(monkeypatch):
+    # above the threshold a single snapshot has no second half to fork
     from slipdisk import diagnostics
-    from slipdisk.ns_solver import SNAPSHOT_BATCH
 
     def refuse(fn):
-        raise AssertionError("a walk of a single batch started a child")
+        raise AssertionError("a walk of one snapshot started a child")
 
     traj = _bump16()
-    short = replace(traj, times=traj.times[:SNAPSHOT_BATCH],
-                    omegas=traj.omegas[:SNAPSHOT_BATCH])
     monkeypatch.setattr(diagnostics, "FORK_NODE_VALUES", 0)
     monkeypatch.setattr(diagnostics, "ForkedCall", refuse)
-    report = diagnostics.diagnose(short)
-    assert report["balance"]["max"] == pytest.approx(
-        max(BUMP16_BALANCE[:SNAPSHOT_BATCH - 1]), rel=1e-12)
+    worst, weak, balance = _walk_rigid(_first(traj, 1))
+    assert weak.shape == (1,) and balance.shape == (0,)
+    assert set(worst) == {"navier_condition", "curl_identity", "normal_derivative"}
+
+
+def test_walk_of_no_snapshots_names_the_count():
+    # numpy's "need at least one array to concatenate" named nothing
+    empty = _first(_bump16(), 0)
+    with pytest.raises(ValueError, match="at least 1 snapshot, got 0"):
+        weak_form_residual(empty, _rigid(empty.grid)[0])
+    with pytest.raises(ValueError, match="at least 1 snapshot, got 0"):
+        enstrophy_balance_residual(empty, extended_tangent(empty.grid, empty.trace))
 
 
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):
