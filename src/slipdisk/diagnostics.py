@@ -18,7 +18,7 @@ acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
 per-snapshot numbers outlive the batch. diagnose() walks a trajectory
 once (_walk), differentiating each snapshot's velocity once. A run of
 at least 2 snapshots and FORK_NODE_VALUES node values is walked in two
-processes, each taking half of its snapshots as a trajectory of its own.
+processes, each taking a view of half its snapshots as a trajectory.
 A snapshot's rows do not depend on where its batch starts, so the
 halves' rows, joined in order, are bitwise those of one process's walk.
 """
@@ -219,8 +219,8 @@ def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
     snapshots. A run of at least 2 snapshots and FORK_NODE_VALUES node
     values is walked in two processes: this one walks its first n // 2
     snapshots and a forked child the rest, each half a trajectory of its
-    own; one concatenation and one max per Navier curve merge them.
-    ValueError for a run without snapshots."""
+    own viewing a slice of traj.omega; one concatenation and one max
+    per Navier curve merge them. ValueError for a run without snapshots."""
     check_tangent_field(v, "test field")
     nu = traj.config.nu
     times = np.asarray(traj.times)
@@ -229,7 +229,7 @@ def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
     if times.size < 2 or times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES:
         parts = [_walk_batches(traj, v, tau_bar)]
     else:
-        first, second = (replace(traj, times=times[s], omegas=traj.omegas[s])
+        first, second = (replace(traj, times=times[s], omega=traj.omega[s])
                          for s in (slice(times.size // 2), slice(times.size // 2, None)))
         with ForkedCall(lambda: _walk_batches(second, v, tau_bar)) as child:
             parts = [_walk_batches(first, v, tau_bar), child.result()]
@@ -277,7 +277,9 @@ def diagnose(traj) -> dict:
     from one _walk: the Navier curves' maxima over the snapshots, the weak
     form against the rigid rotation r e_theta and the shifted enstrophy
     balance, each with its max, the config's tolerance, and a pass verdict
-    when that is set."""
+    when that is set. ValueError for a run of fewer than 2 snapshots."""
+    if len(traj.times) < 2:
+        raise ValueError(f"diagnose needs at least 2 snapshots, got {len(traj.times)}")
     tol = traj.config.tol
     worst, wf, eb = _walk(traj, _rigid_rotation(traj.grid),
                           extended_tangent(traj.grid, traj.trace))
@@ -346,9 +348,12 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
 
     The inequality asserts S >= -nu C for the trajectory's viscosity nu;
     callers report max(0, -S)/nu as the measured constant. q must lie in
-    [1, p) for the largest tracked exponent p, and phi_spec must pass
-    phi_bump.
+    [1, p) for the largest tracked exponent p, phi_spec must pass
+    phi_bump, and the run must hold at least 2 snapshots (T > 0).
     """
+    if len(traj.times) < 2:
+        raise ValueError(f"renormalized_slack needs at least 2 snapshots, "
+                         f"got {len(traj.times)}")
     p_max = max(traj.config.lp_exponents)
     if not 1.0 <= q < p_max:
         raise ValueError(f"q must lie in [1, {p_max}), got {q}")
@@ -369,7 +374,7 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
         integrand[sl] = integrate(grid, np.abs(om.values) ** q
                                   * (-bump / t_final + transport))
     s = float(np.trapezoid(integrand, times))
-    return s + float(integrate(grid, np.abs(traj.omegas[0].values) ** q * bump))
+    return s + float(integrate(grid, np.abs(traj.omega[0]) ** q * bump))
 
 
 # ---------------------------------------------------------------------------

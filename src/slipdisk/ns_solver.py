@@ -31,14 +31,14 @@ solve and Crank-Nicolson solve of a step is one call for all B members:
 the Poisson solve takes the members as further right-hand sides of its
 one factorization, and the Crank-Nicolson bands are stacked with each
 member's lambda = nu dt / 2 (an inviscid member's lambda = 0 is an
-identity solve). Fields are built per member only at snapshots, and the
-per-step record is computed for all members at once. simulate() is the
-ensemble of one.
+identity solve). Each member's snapshots are copied off the member axis,
+and stacked into one array when the run ends; the per-step record is
+computed for all members at once. simulate() is the ensemble of one.
 
-A trajectory keeps each snapshot's vorticity and nothing else: the
-stream function and the velocity follow from it by the Biot-Savart law,
-and the Trajectory derives them on each walk over its snapshots,
-SNAPSHOT_BATCH snapshots at a time (see Trajectory).
+A trajectory keeps its snapshots' vorticity as one array and nothing
+else: the stream function and the velocity follow from it by the
+Biot-Savart law, and the Trajectory derives them on each walk over its
+snapshots, SNAPSHOT_BATCH snapshots at a time (see Trajectory).
 
 The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
 is a precondition of every step, checked per member before it is taken;
@@ -133,6 +133,11 @@ class SimConfig:
         self.lp_exponents = reals(self.lp_exponents, "lp_exponents")
         if not all(p >= 1 for p in self.lp_exponents):
             raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
+        repeated = [p for k, p in enumerate(self.lp_exponents) if p in self.lp_exponents[:k]]
+        if repeated:
+            # each exponent names one series column
+            raise ValueError(f"lp exponent {repeated[0]} is repeated in "
+                             f"{list(self.lp_exponents)}")
         for key, value in table(self.tol, "tol", ("navier", "weakform", "balance")).items():
             if not finite(value, f"tol {key}") >= 0:
                 raise ValueError(f"tol {key} must be >= 0, got {value}")
@@ -392,19 +397,24 @@ class _Stepper:
 class Trajectory:
     """Vorticity snapshots plus per-step scalar series of one simulation.
 
-    A snapshot stores only its vorticity omega: the Biot-Savart law fixes
-    the rest. The velocity is derived one Poisson solve per batch of
-    SNAPSHOT_BATCH snapshots (_batches) and lives as long as its batch;
-    only us keeps every snapshot's velocity. A run in memory and the same
-    run loaded from disk take that one path and give identical fields.
+    A snapshot stores only its vorticity, a row of the one array omega
+    (n_snapshots, n_r, n_theta): the Biot-Savart law fixes the rest. The
+    velocity is derived one Poisson solve per batch (_batches) and lives
+    as long as its batch; only us keeps every snapshot's velocity. A run
+    in memory and the same run loaded from disk give identical fields.
     """
 
     config: SimConfig
     grid: PolarGrid
     trace: BoundaryTrace
     times: np.ndarray
-    omegas: list
+    omega: np.ndarray
     series: dict
+
+    @cached_property
+    def omegas(self) -> list:
+        """One ScalarField per snapshot, a view of its row of omega; kept."""
+        return [ScalarField(self.grid, w) for w in self.omega]
 
     @cached_property
     def us(self) -> list:
@@ -415,13 +425,13 @@ class Trajectory:
 
     def _batches(self):
         """Yield (sl, omega, u) per batch of at most SNAPSHOT_BATCH snapshots:
-        their index slice, and their vorticity and velocity as stacked
-        fields (b, n_r, n_theta). Each walk derives the velocity anew, one
-        biot_savart per batch, and keeps none of it; a snapshot's fields
-        do not depend on where its batch starts."""
-        for start in range(0, len(self.omegas), SNAPSHOT_BATCH):
+        their index slice, and their vorticity (a view of self.omega[sl])
+        and velocity as stacked fields (b, n_r, n_theta). Each walk derives
+        the velocity anew, one biot_savart per batch, and keeps none of it;
+        a snapshot's fields do not depend on where its batch starts."""
+        for start in range(0, len(self.omega), SNAPSHOT_BATCH):
             sl = slice(start, start + SNAPSHOT_BATCH)
-            omega = ScalarField(self.grid, np.stack([om.values for om in self.omegas[sl]]))
+            omega = ScalarField(self.grid, self.omega[sl])
             yield sl, omega, biot_savart(omega)
 
     def series_columns(self) -> list[str]:
@@ -437,8 +447,7 @@ class Trajectory:
         write_atomically(os.path.join(run_dir, "series.csv"), ",".join(cols) + "\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
         write_atomically(os.path.join(run_dir, "snapshots.npz"), lambda fh: np.savez(
-            fh, times=self.times, omega=np.stack([f.values for f in self.omegas]),
-            series_names=np.array(cols),
+            fh, times=self.times, omega=self.omega, series_names=np.array(cols),
             series_values=np.stack([self.series[c] for c in cols])))
 
     @classmethod
@@ -473,8 +482,7 @@ class Trajectory:
         if names != columns or len(values) != len(columns):
             raise ValueError(f"{path}: series_names {names} with {len(values)} rows of "
                              f"series_values differ from the configured columns {columns}")
-        return cls(config=config, grid=grid, trace=trace, times=times,
-                   omegas=[ScalarField(grid, v) for v in omega],
+        return cls(config=config, grid=grid, trace=trace, times=times, omega=omega,
                    series=dict(zip(names, values)))
 
 
@@ -547,7 +555,8 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     auto = first.dt == "auto"
     dt_nominal = None if auto else float(first.dt)
 
-    record_times, records, snapshots, times = [], [], [], []
+    record_times, records, times = [], [], []
+    snapshots = [[] for _ in configs]  # per member
 
     def record(t, s: _State):
         """The series columns after t, one entry per member in each."""
@@ -560,8 +569,9 @@ def simulate_ensemble(configs) -> list[Trajectory]:
 
     def snapshot(t, s: _State):
         times.append(t)
-        # A copy, so that the snapshot does not keep the level's buffers.
-        snapshots.append(s.omega.copy())
+        # Copies, so that the snapshots do not keep the level's buffers.
+        for member, w in zip(snapshots, s.omega):
+            member.append(w.copy())
 
     snapshot(0.0, state)
     record(0.0, state)
@@ -588,8 +598,9 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     # (member, column, record)
     series = np.array(records).transpose(2, 1, 0).copy()
     columns = _series_columns(first.lp_exponents)[1:]
+    # pop: a member's copies are freed once its array is built
     return [Trajectory(
         config=config, grid=grid, trace=trace, times=np.array(times),
-        omegas=[ScalarField(grid, w[k]) for w in snapshots],
+        omega=np.stack(snapshots.pop(0)),
         series={"t": np.array(record_times), **dict(zip(columns, series[k]))})
         for k, config in enumerate(configs)]

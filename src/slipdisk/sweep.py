@@ -8,11 +8,11 @@ run steps in a forked child, which has its own interpreter lock; an
 attempt that the ensemble fails kills its child instead of waiting for
 it.
 
-The post-processing works on each trajectory's snapshot stack
-(n_snapshots, n_r, n_theta): the refined run reaches the base grid
-through one cached not-a-knot cubic spline matrix in the radius, applied
-to the whole stack in one matmul, and each sup over time is the max of
-one lp_norms call.
+The post-processing reads each trajectory's snapshot array omega
+(n_snapshots, n_r, n_theta) as it is stored: the refined run reaches the
+base grid through one cached not-a-knot cubic spline matrix in the
+radius, applied to the whole array in one matmul, and each sup over time
+is the max of one lp_norms call.
 """
 
 from __future__ import annotations
@@ -189,10 +189,6 @@ def _timed_run(run, arg):
     return result, 1e3 * (time.perf_counter() - start)
 
 
-def _omega_stack(traj) -> np.ndarray:
-    return np.stack([om.values for om in traj.omegas])
-
-
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
     """Run the sweep and assemble the report.
 
@@ -249,22 +245,20 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
 
     if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):
         raise RuntimeError("reference snapshot times do not align with the sweep")
-    ref = _interpolate_to_base(_omega_stack(euler_fine), m, base_grid, fine_grid)
+    ref = _interpolate_to_base(euler_fine.omega, m, base_grid, fine_grid)
 
     def sup_diff(stack, q):
         return float(np.max(lp_norms(np.abs(stack - ref), base_grid, q)))
 
-    base_stack = _omega_stack(euler_base)
-    euler_floor = {q: sup_diff(base_stack, q) for q in config.q_list}
+    euler_floor = {q: sup_diff(euler_base.omega, q) for q in config.q_list}
 
     rows = []
     for traj in viscous:
-        stack = _omega_stack(traj)
-        sup_lp = float(np.max(lp_norms(np.abs(stack), base_grid, config.p)))
+        sup_lp = float(np.max(lp_norms(np.abs(traj.omega), base_grid, config.p)))
         slack = renormalized_slack(traj, config.phi, config.slack_q)
         ok = _energy_ok(traj.series)
         for q in config.q_list:
-            rows.append({"nu": traj.config.nu, "q": q, "sup_lq_diff": sup_diff(stack, q),
+            rows.append({"nu": traj.config.nu, "q": q, "sup_lq_diff": sup_diff(traj.omega, q),
                          "sup_lp_enstrophy": sup_lp, "energy_ok": ok,
                          "renorm_slack": slack, "wall_ms": ensemble_ms})
     for row in rows:

@@ -255,7 +255,7 @@ def test_extended_tangent_refuses_a_radial_part(grid32):
 def _subset(traj, sl):
     from slipdisk import Trajectory
     return Trajectory(config=traj.config, grid=traj.grid, trace=traj.trace,
-                      times=traj.times[sl], omegas=traj.omegas[sl],
+                      times=traj.times[sl], omega=traj.omega[sl],
                       series=traj.series)
 
 
@@ -385,7 +385,7 @@ def test_diagnose_reads_no_pressure_certificate(monkeypatch):
 
 def _first(traj, n):
     """traj cut to its first n snapshots."""
-    return replace(traj, times=traj.times[:n], omegas=traj.omegas[:n])
+    return replace(traj, times=traj.times[:n], omega=traj.omega[:n])
 
 
 def _walk_rigid(traj):
@@ -403,10 +403,12 @@ def _walk_split_in_two(monkeypatch, traj=None):
     started, halves, parent = [], [], os.getpid()
     walk_batches = diagnostics._walk_batches
 
-    def counted_walk(traj, *args):
+    def counted_walk(half, *args):
+        # each half views a slice of traj's snapshots, in either process
+        assert np.shares_memory(half.omega, traj.omega)
         if os.getpid() == parent:
-            halves.append(len(traj.omegas))
-        return walk_batches(traj, *args)
+            halves.append(len(half.omega))
+        return walk_batches(half, *args)
 
     class Counted(diagnostics.ForkedCall):
         def __init__(self, fn):
@@ -506,6 +508,17 @@ def test_walk_of_no_snapshots_names_the_count():
         weak_form_residual(empty, _rigid(empty.grid)[0])
     with pytest.raises(ValueError, match="at least 1 snapshot, got 0"):
         enstrophy_balance_residual(empty, extended_tangent(empty.grid, empty.trace))
+
+
+def test_diagnose_and_slack_of_one_snapshot_name_the_count():
+    # diagnose died in numpy ("zero-size array to reduction operation
+    # maximum"), and the slack divided by T = 0 and returned its t = 0 term
+    from slipdisk.diagnostics import diagnose
+    one = _first(_bump16(), 1)
+    with pytest.raises(ValueError, match="diagnose needs at least 2 snapshots, got 1"):
+        diagnose(one)
+    with pytest.raises(ValueError, match="renormalized_slack needs at least 2 snapshots, got 1"):
+        renormalized_slack(one, {"bump": {"center": (0.0, 0.0), "radius": 0.9}}, q=2.0)
 
 
 def test_enstrophy_balance_zero_cutoff_inviscid(grid48):

@@ -135,6 +135,8 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     ({"initial_condition": {"modes": {"a": 1}}}, "malformed 'modes'"),
     ({"initial_condition": {"modes": [[1, 2.0]]}}, "malformed 'modes'"),
     ({"initial_condition": {"modes": [[1, []]]}}, "malformed 'modes'"),
+    # 2 and 2.0 both named the column enstrophy_2: series.csv wrote it twice
+    ({"lp_exponents": [2, 4.0, 2.0]}, r"lp exponent 2.0 is repeated in \[2.0, 4.0, 2.0\]"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
@@ -257,14 +259,37 @@ def test_level_cfl_bound_matches_its_velocity_field():
 
 
 def test_snapshots_own_their_memory():
-    # A snapshot that viewed its time level's node buffer would keep the
-    # whole buffer (vorticity, stream function and derivatives) alive.
+    # A member's snapshots are one array that owns exactly its values: a
+    # view of a time level's node buffer would keep the whole buffer
+    # (vorticity, stream function and derivatives) alive, and a view of
+    # an ensemble-wide stack every member's snapshots.
     config = SimConfig(nu=0.01, t_end=0.02, initial_condition={"const": 2.0},
                        dt=0.005, n_r=16, n_theta=16, output_stride=2)
-    for omega in simulate(config).omegas:
-        values = omega.values
-        owner = values if values.base is None else values.base
-        assert owner.flags.owndata and owner.nbytes == values.nbytes
+    members = simulate_ensemble([config, SimConfig(**{**config.to_dict(), "nu": 0.0})])
+    for traj in [simulate(config), *members]:
+        omega = traj.omega
+        assert omega.shape == (len(traj.times), 16, 16) == (3, 16, 16)
+        owner = omega if omega.base is None else omega.base
+        assert owner.flags.owndata and owner.nbytes == omega.size * 8 == 3 * 16 * 16 * 8
+        assert omega.flags.c_contiguous
+
+
+def test_trajectory_views_its_snapshot_array(monkeypatch):
+    # omegas and the walk's batches are views of omega, not copies
+    from slipdisk import ns_solver
+
+    traj = simulate(SimConfig(nu=0.01, t_end=0.02, initial_condition={"const": 2.0},
+                              dt=0.005, n_r=16, n_theta=16, output_stride=2))
+    assert traj.omegas is traj.omegas and len(traj.omegas) == 3
+    for k, om in enumerate(traj.omegas):
+        assert np.shares_memory(om.values, traj.omega[k])
+        assert np.array_equal(om.values, traj.omega[k])
+    monkeypatch.setattr(ns_solver, "SNAPSHOT_BATCH", 2)
+    batches = [(sl, om.values) for sl, om, _ in traj._batches()]
+    assert [sl for sl, _ in batches] == [slice(0, 2), slice(2, 4)]
+    for sl, values in batches:
+        assert np.shares_memory(values, traj.omega[sl])
+        assert np.array_equal(values, traj.omega[sl])
 
 
 def test_simulate_rejects_oversized_fixed_dt():
@@ -536,8 +561,7 @@ def test_trajectory_save_load_roundtrip(tmp_path):
 
     again = Trajectory.load(run_dir)
     assert np.allclose(again.times, traj.times)
-    for a, b in zip(again.omegas, traj.omegas):
-        assert np.allclose(a.values, b.values)
+    assert np.array_equal(again.omega, traj.omega)
     # u is derived from omega by one code path, loaded or not
     for a, b in zip(again.us, traj.us):
         assert np.array_equal(a.u_r, b.u_r)
@@ -549,8 +573,7 @@ def test_trajectory_save_load_roundtrip(tmp_path):
     _rewrite_snapshots(run_dir)
     deflated = Trajectory.load(run_dir)
     assert np.array_equal(deflated.times, again.times)
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(deflated.omegas, again.omegas))
+    assert np.array_equal(deflated.omega, again.omega)
     assert all(np.array_equal(deflated.series[c], again.series[c]) for c in again.series)
 
     # a run directory of the earlier format, with psi and u stored too, loads
@@ -606,7 +629,7 @@ def test_trajectory_load_rejects_inconsistent_snapshots(tmp_path):
                        dt=0.005, n_r=16, n_theta=16, output_stride=2)
     traj = simulate(config)
     assert len(traj.times) == 3
-    omega = np.stack([f.values for f in traj.omegas])
+    omega = traj.omega
     cases = {
         "missing snapshot": (dict(omega=omega[:2]), r"omega has shape \(2, 16, 16\)"),
         "wrong grid": (dict(omega=omega[:, :8]), r"omega has shape \(3, 8, 16\)"),
