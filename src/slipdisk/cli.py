@@ -1,9 +1,10 @@
 """Argument parsing for the four verbs (also as python -m slipdisk <verb> ...):
 
-    slipdisk simulate <config.json> [--out DIR] (exit 2 unreadable config)
-    slipdisk sweep    <config.json> [--out DIR] (exit 2 unreadable config)
+    slipdisk simulate <config.json> [--out DIR] (exit 1 run stopped, 2 unreadable config)
+    slipdisk sweep    <config.json> [--out DIR] (exit 1 run stopped, 2 unreadable config)
     slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 unusable problem)
-    slipdisk diagnose <trajectory-dir> [--out FILE] (exit 2 unreadable run directory
+    slipdisk diagnose <trajectory-dir> [--out FILE] (exit 0 pass or no verdict, 1 a failing
+                                                     verdict, 2 unreadable run directory
                                                      or fewer than 2 snapshots)
 
 Run directories hold config-resolved.json, series.csv, and (simulate)
@@ -15,7 +16,9 @@ read by _load, which refuses it in one line; so is an --out the verb
 cannot write (exit 2, before any work): a directory where a file goes,
 or an existing file where a directory goes or on the way to one. Each
 output file goes through ns_solver.write_atomically, which makes a
-missing --out directory.
+missing --out directory. A simulate or sweep run that cannot go on
+(a CFL trip or a divergence) is reported by _run in one line, writes
+nothing and exits 1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import sys
 
 from . import adn as adn_mod
 from .diagnostics import diagnose
-from .ns_solver import SimConfig, Trajectory, simulate, write_json
+from .ns_solver import (CflError, DivergenceError, SimConfig, Trajectory, simulate,
+                        write_json)
 from .sweep import SweepConfig, _timed_run, run_sweep
 
 # Unused here: perfbench/ looks these two names up in this module.
@@ -44,6 +48,20 @@ def _load(what, loader, path):
     try:
         return loader(path)
     except (KeyError, ValueError, OSError, TypeError) as err:
+        print(f"cannot {what} {path}: {err}", file=sys.stderr)
+        return None
+
+
+def _run(what, path, call):
+    """call(), or None after the one line "cannot <what> <path>: <err>" on
+    stderr if the run cannot go on: a CflError or DivergenceError, or the
+    sweep's RuntimeError raised from a CflError. Any other error propagates."""
+    try:
+        return call()
+    except RuntimeError as err:
+        if not (isinstance(err, (CflError, DivergenceError))
+                or isinstance(err.__cause__, CflError)):
+            raise
         print(f"cannot {what} {path}: {err}", file=sys.stderr)
         return None
 
@@ -76,7 +94,10 @@ def _cmd_simulate(args) -> int:
     out = _load("write to", _out_dir, args.out or os.path.join("runs", _stem(args.config)))
     if out is None:
         return 2
-    traj, wall_ms = _timed_run(simulate, config)
+    run = _run("simulate", args.config, lambda: _timed_run(simulate, config))
+    if run is None:
+        return 1
+    traj, wall_ms = run
     traj.save(out)
     times = traj.series["t"]
     report = {"config": config.to_dict(),
@@ -95,7 +116,9 @@ def _cmd_sweep(args) -> int:
     out = _load("write to", _out_dir, args.out or os.path.join("runs", _stem(args.config)))
     if out is None:
         return 2
-    report = run_sweep(config)
+    report = _run("sweep", args.config, lambda: run_sweep(config))
+    if report is None:
+        return 1
     report.write(out)
     for row in report.rows:
         print(f"nu={row['nu']:.3g} q={row['q']:.3g}: sup_diff={row['sup_lq_diff']:.4e} "

@@ -31,11 +31,10 @@ import numpy as np
 
 from ._forked import ForkedCall
 from .biot_savart import biot_savart
-from .field import (ScalarField, VectorField, boundary_values, curl,
-                    cartesian_gradient, grad, gradient_frobenius, lp_norm,
-                    perp_grad, theta_derivative, vector_gradient, wall_derivative)
+from .field import (ScalarField, VectorField, boundary_values, bump_values, curl,
+                    grad, gradient_frobenius, lp_norm, perp_grad, theta_derivative,
+                    vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point, table
-from .ns_solver import bump_values
 from .pressure import check_tangent_field, recover_pressure
 
 # A trajectory of at least this many node values (snapshots x n_r x
@@ -301,20 +300,6 @@ def diagnose(traj) -> dict:
 # renormalized vorticity inequality
 # ---------------------------------------------------------------------------
 
-def _bump_profile(grid: PolarGrid, center, radius: float, amplitude: float):
-    """bump_values and its analytic cartesian gradient."""
-    vals = bump_values(grid, center, radius, amplitude)
-    x = grid.r_col * np.cos(grid.theta)[None, :]
-    y = grid.r_col * np.sin(grid.theta)[None, :]
-    q = ((x - center[0]) ** 2 + (y - center[1]) ** 2) / radius ** 2
-    inside = q < 1.0
-    dfdq = np.zeros(grid.shape)
-    dfdq[inside] = -vals[inside] / (1.0 - q[inside]) ** 2
-    gx = dfdq * 2.0 * (x - center[0]) / radius ** 2
-    gy = dfdq * 2.0 * (y - center[1]) / radius ** 2
-    return vals, gx, gy
-
-
 def phi_bump(phi_spec: dict) -> tuple | None:
     """Validated (center, radius, amplitude) of renormalized_slack's test
     function spec: None for {'zero': {}}. ValueError unless the spec is a
@@ -348,12 +333,16 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
 
     The inequality asserts S >= -nu C for the trajectory's viscosity nu;
     callers report max(0, -S)/nu as the measured constant. q must lie in
-    [1, p) for the largest tracked exponent p, phi_spec must pass
-    phi_bump, and the run must hold at least 2 snapshots (T > 0).
+    [1, p) for the largest tracked exponent p (a run that tracks none is
+    refused), phi_spec must pass phi_bump, and the run must hold at least
+    2 snapshots (T > 0).
     """
     if len(traj.times) < 2:
         raise ValueError(f"renormalized_slack needs at least 2 snapshots, "
                          f"got {len(traj.times)}")
+    if not traj.config.lp_exponents:
+        raise ValueError(f"renormalized_slack needs a tracked lp exponent above q={q}, "
+                         f"the run tracks none")
     p_max = max(traj.config.lp_exponents)
     if not 1.0 <= q < p_max:
         raise ValueError(f"q must lie in [1, {p_max}), got {q}")
@@ -362,7 +351,7 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
         return 0.0
 
     grid = traj.grid
-    bump, gx, gy = _bump_profile(grid, *phi)
+    bump, gx, gy = bump_values(grid, *phi)
     if bump.min() < 0.0:
         raise ValueError("phi sampled negative")
     times = np.asarray(traj.times)
@@ -398,10 +387,10 @@ def h2_ratio(u: VectorField) -> float:
     total = integrate(grid, ux ** 2 + uy ** 2)
     seconds = []
     for comp in (ux, uy):
-        dx, dy = cartesian_gradient(comp, grid)
+        dx, dy = grad(ScalarField(grid, comp)).to_cartesian()
         total += integrate(grid, dx ** 2 + dy ** 2)
-        seconds.extend(cartesian_gradient(dx, grid))
-        seconds.extend(cartesian_gradient(dy, grid))
+        seconds.extend(grad(ScalarField(grid, dx)).to_cartesian())
+        seconds.extend(grad(ScalarField(grid, dy)).to_cartesian())
     for d2 in seconds:
         total += integrate(grid, d2 ** 2)
     return float(np.sqrt(total)) / den

@@ -225,13 +225,23 @@ def gradient_frobenius(g: dict[str, np.ndarray], h: dict[str, np.ndarray]) -> np
     return sum(g[key] * h[key] for key in ("rr", "rt", "tr", "tt"))
 
 
-def cartesian_gradient(values: np.ndarray, grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of a scalar-parity quantity, via the polar chain rule."""
-    th = grid.theta[None, :]
-    cos, sin = np.cos(th), np.sin(th)
-    d_r = radial_derivative(values, grid, SCALAR_PARITY)
-    d_t = theta_derivative(values) / grid.r_col
-    return cos * d_r - sin * d_t, sin * d_r + cos * d_t
+def bump_values(grid: PolarGrid, center, radius: float,
+                amplitude: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smooth compactly supported bump A exp(1 - 1/(1 - q)) for q < 1, q
+    the squared distance from the center over radius^2, and its analytic
+    Cartesian gradient: (values, d/dx, d/dy) on the grid nodes. It is
+    simulate's bump initial vorticity and renormalized_slack's phi."""
+    x = grid.r_col * np.cos(grid.theta)[None, :]
+    y = grid.r_col * np.sin(grid.theta)[None, :]
+    q = ((x - center[0]) ** 2 + (y - center[1]) ** 2) / radius ** 2
+    inside = q < 1.0
+    gap = 1.0 - q[inside]
+    vals = np.zeros(grid.shape)
+    vals[inside] = amplitude * np.exp(1.0 - 1.0 / gap)
+    dfdq = np.zeros(grid.shape)
+    dfdq[inside] = -vals[inside] / gap ** 2
+    return (vals, dfdq * 2.0 * (x - center[0]) / radius ** 2,
+            dfdq * 2.0 * (y - center[1]) / radius ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ def reals(values, name: str) -> tuple:
     return tuple(real(v, name) for v in values)
 
 
+def distinct(values: tuple, name: str) -> None:
+    """ValueError naming the first entry of values equal to an earlier one."""
+    repeated = [v for k, v in enumerate(values) if v in values[:k]]
+    if repeated:
+        raise ValueError(f"{name} {repeated[0]} is repeated in {list(values)}")
+
+
 def finite(value, name: str) -> float:
     """real(value), or ValueError naming the entry unless it is finite."""
     value = real(value, name)

@@ -58,13 +58,13 @@ import numpy as np
 
 from ._tridiag import TridiagonalBatch, apply_tridiagonal
 from .biot_savart import PoissonDirichletSolver, biot_savart, cached_solver
-from .field import (ScalarField, VectorField, boundary_values, dealias_modes,
-                    from_modes, lp_norms, radial_derivative, theta_multiplier,
-                    to_modes, wall_derivative)
+from .field import (ScalarField, VectorField, boundary_values, bump_values,
+                    dealias_modes, from_modes, lp_norms, radial_derivative,
+                    theta_multiplier, to_modes, wall_derivative)
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
 from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
-                       build_grid, finite, integer, point, reals, table)
+                       build_grid, distinct, finite, integer, point, reals, table)
 
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
@@ -133,11 +133,7 @@ class SimConfig:
         self.lp_exponents = reals(self.lp_exponents, "lp_exponents")
         if not all(p >= 1 for p in self.lp_exponents):
             raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
-        repeated = [p for k, p in enumerate(self.lp_exponents) if p in self.lp_exponents[:k]]
-        if repeated:
-            # each exponent names one series column
-            raise ValueError(f"lp exponent {repeated[0]} is repeated in "
-                             f"{list(self.lp_exponents)}")
+        distinct(self.lp_exponents, "lp exponent")  # each names one series column
         for key, value in table(self.tol, "tol", ("navier", "weakform", "balance")).items():
             if not finite(value, f"tol {key}") >= 0:
                 raise ValueError(f"tol {key} must be >= 0, got {value}")
@@ -160,19 +156,6 @@ class SimConfig:
     def from_json(cls, path) -> "SimConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def bump_values(grid: PolarGrid, center=(0.0, 0.0), radius: float = 0.5,
-                amplitude: float = 1.0) -> np.ndarray:
-    """Smooth compactly supported bump: A exp(1 - 1/(1 - s^2)) for s < 1,
-    s the scaled distance from the center."""
-    x = grid.r_col * np.cos(grid.theta)[None, :]
-    y = grid.r_col * np.sin(grid.theta)[None, :]
-    q = ((x - center[0]) ** 2 + (y - center[1]) ** 2) / radius ** 2
-    out = np.zeros(grid.shape)
-    inside = q < 1.0
-    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - q[inside]))
-    return out
 
 
 def initial_profile(spec: dict):
@@ -201,7 +184,7 @@ def initial_profile(spec: dict):
             amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
             if not radius > 0.0:
                 raise ValueError(f"bump radius must be finite and positive, got {radius}")
-            return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)
+            return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)[0]
         if kind == "singular":
             params = table(params, "'singular' initial condition", ("center", "gamma", "p"))
             gamma = finite(params["gamma"], "singular gamma")

@@ -29,7 +29,7 @@ from ._forked import ForkedCall
 from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
 from .field import lp_norms
-from .geometry import build_grid, integer, real, reals, table
+from .geometry import build_grid, distinct, integer, real, reals, table
 from .ns_solver import (CflError, SimConfig, cfl_bound, initial_vorticity, simulate,
                         simulate_ensemble, write_atomically, write_json)
 
@@ -62,6 +62,7 @@ class SweepConfig:
         if not self.q_list:
             raise ValueError(f"q_list must be a nonempty array of exponents, "
                              f"got {self.q_list}")
+        distinct(self.q_list, "q_list entry")  # each names one row per viscosity
         if any(a <= b for a, b in zip(self.nu_list, self.nu_list[1:])):
             raise ValueError(f"nu_list must be strictly descending, got {self.nu_list}")
         if self.p <= 2:

@@ -66,6 +66,10 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "slack_q": 0.5})
     with pytest.raises(ValueError, match="refinement_factor"):
         SweepConfig(**{**good, "euler_refinement_factor": 1})
+    # a repeated q wrote its rows twice while the Euler floor kept one
+    for q_list in ((2.0, 2.0), (2, 3.0, 2.0)):
+        with pytest.raises(ValueError, match=r"q_list entry 2.0 is repeated in \["):
+            SweepConfig(**{**good, "q_list": q_list})
 
 
 def test_sweep_config_rejects_nan_viscosity_and_phi_off_the_disk():
@@ -638,6 +642,40 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"cannot write to {out}: ") and err.count("\n") == 1, err
             assert taken.read_text() == "kept"
+
+
+def test_simulate_and_sweep_verbs_report_a_stopped_run_in_one_line(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a fixed dt above the CFL bound ended in a traceback (31 lines for sweep)
+    base = {**_tiny_base().to_dict(), "dt": 0.05}
+    sweep_spec = {**_rigid_sweep_config().to_dict(), "base": base}
+    for verb, spec in (("simulate", base), ("sweep", sweep_spec)):
+        cpath = tmp_path / f"{verb}.json"
+        cpath.write_text(json.dumps(spec))
+        out = tmp_path / f"{verb}-out"
+        assert main([verb, str(cpath), "--out", str(out)]) == 1, verb
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot {verb} {cpath}: ") and err.count("\n") == 1, err
+        assert "exceeds CFL bound" in err
+        assert not out.exists()
+    assert multiprocessing.active_children() == []
+    # a divergence is reported the same way; any other error keeps its traceback
+    cpath, out = tmp_path / "simulate.json", tmp_path / "other"
+
+    def diverge(config):
+        raise DivergenceError("non-finite vorticity")
+
+    monkeypatch.setattr("slipdisk.cli.simulate", diverge)
+    assert main(["simulate", str(cpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"cannot simulate {cpath}: non-finite vorticity\n"
+
+    def fail(config):
+        raise RuntimeError("not a stopped run")
+
+    monkeypatch.setattr("slipdisk.cli.simulate", fail)
+    with pytest.raises(RuntimeError, match="not a stopped run"):
+        main(["simulate", str(cpath), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_sweep_verb(tmp_path):

@@ -567,6 +567,10 @@ def test_renormalized_slack_validation(grid48):
     with pytest.raises(ValueError, match="phi_spec"):
         renormalized_slack(traj, {"tent": {}}, q=2.0)
     assert renormalized_slack(traj, {"zero": {}}, q=2.0) == 0.0
+    # a run that tracks no exponent died in max() of an empty sequence
+    untracked = replace(traj, config=replace(traj.config, lp_exponents=()))
+    with pytest.raises(ValueError, match="needs a tracked lp exponent above q=2.0"):
+        renormalized_slack(untracked, good_phi, q=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from slipdisk import (
 from slipdisk.field import (
     VECTOR_PARITY,
     boundary_values,
-    cartesian_gradient,
+    bump_values,
     dealias_modes,
     from_modes,
     gradient_frobenius,
@@ -244,11 +244,28 @@ def test_vector_gradient_rigid_rotation(grid32):
 def test_cartesian_gradient_of_r_squared(grid32):
     # f = x^2 + y^2: (df/dx, df/dy) = (2x, 2y).
     vals = np.broadcast_to(grid32.r_col ** 2, grid32.shape).copy()
-    gx, gy = cartesian_gradient(vals, grid32)
+    gx, gy = grad(ScalarField(grid32, vals)).to_cartesian()
     x = grid32.r_col * np.cos(grid32.theta[None, :])
     y = grid32.r_col * np.sin(grid32.theta[None, :])
     assert np.max(np.abs(gx - 2.0 * x)) < 1e-12
     assert np.max(np.abs(gy - 2.0 * y)) < 1e-12
+
+
+def test_bump_gradient_matches_centred_differences_to_second_order(grid32):
+    # f at the node x + h e_x for center c is f at x for center c - h e_x,
+    # so shifted centers give exact Cartesian centred differences
+    center, radius, amplitude = (0.2, -0.1), 0.5, 3.0
+    _, gx, gy = bump_values(grid32, center, radius, amplitude)
+    errors = []
+    for h in (1e-2, 5e-3):
+        cx, cy = center
+        dx = (bump_values(grid32, (cx - h, cy), radius, amplitude)[0]
+              - bump_values(grid32, (cx + h, cy), radius, amplitude)[0]) / (2.0 * h)
+        dy = (bump_values(grid32, (cx, cy - h), radius, amplitude)[0]
+              - bump_values(grid32, (cx, cy + h), radius, amplitude)[0]) / (2.0 * h)
+        errors.append(max(np.max(np.abs(dx - gx)), np.max(np.abs(dy - gy))))
+    assert 3.5 < errors[0] / errors[1] < 4.5
+    assert errors[1] < 1e-2 * np.max(np.hypot(gx, gy))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ from slipdisk import (
     solve_poisson_dirichlet,
 )
 from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
-from slipdisk.field import boundary_values, to_modes
-from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, bump_values,
-                                cfl_bound, simulate_ensemble)
+from slipdisk.field import boundary_values, bump_values, to_modes
+from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, cfl_bound,
+                                simulate_ensemble)
 
 DATA = Path(__file__).parent / "data"
 NAN, INF = float("nan"), float("inf")
@@ -748,7 +748,7 @@ def test_output_files_are_replaced_atomically(tmp_path, monkeypatch, writer, nam
 
 
 def test_bump_values_signature(grid32):
-    vals = bump_values(grid32, center=(0.0, 0.0), radius=0.5, amplitude=2.0)
+    vals, _, _ = bump_values(grid32, center=(0.0, 0.0), radius=0.5, amplitude=2.0)
     assert np.max(vals) <= 2.0
     assert np.min(vals) >= 0.0
 
