@@ -97,13 +97,14 @@ def _cmd_simulate(args) -> int:
     run = _run("simulate", args.config, lambda: _timed_run(simulate, config))
     if run is None:
         return 1
-    traj, wall_ms = run
+    traj, wall_ms, cpu_ms = run
     traj.save(out)
     times = traj.series["t"]
+    n_steps = len(times) - 1
     report = {"config": config.to_dict(),
               "dt_first_step": float(times[1] - times[0]) if len(times) > 1 else None,
-              "n_steps": len(times) - 1, "n_snapshots": len(traj.times),
-              "wall_ms": wall_ms}
+              "n_steps": n_steps, "n_snapshots": len(traj.times),
+              "wall_ms": wall_ms, "cpu_ms": cpu_ms, "ms_per_step": wall_ms / n_steps}
     write_json(os.path.join(out, "report.json"), report)
     print(f"simulate: {report['n_steps']} steps, {len(traj.times)} snapshots -> {out}")
     return 0

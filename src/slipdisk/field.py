@@ -123,6 +123,9 @@ def _pole_ghost(row: np.ndarray, parity: float) -> np.ndarray:
     return parity * np.concatenate((row[..., cut:], row[..., :cut]), axis=-1)
 
 
+_OUTER_WEIGHTS = np.array([1.0, 4.0, 7.0, 4.0])[:, None]
+
+
 def radial_derivative(values: np.ndarray, grid: PolarGrid,
                       parity: float = SCALAR_PARITY) -> np.ndarray:
     """d/dr: centered in the interior, closed across the pole by a parity
@@ -138,13 +141,19 @@ def radial_derivative(values: np.ndarray, grid: PolarGrid,
     """
     if grid.n_r < 4:
         raise ValueError("radial stencils need n_r >= 4")
-    dr = grid.dr
     v = values
     out = np.empty_like(v)
-    out[..., 1:-1, :] = (v[..., 2:, :] - v[..., :-2, :]) / (2.0 * dr)
-    out[..., 0, :] = (v[..., 1, :] - _pole_ghost(v[..., 0, :], parity)) / (2.0 * dr)
-    out[..., -1, :] = (4.0 * v[..., -1, :] - 7.0 * v[..., -2, :]
-                       + 4.0 * v[..., -3, :] - v[..., -4, :]) / (2.0 * dr)
+    # Each row's difference is written in place, then all are divided by 2 dr.
+    np.subtract(v[..., 2:, :], v[..., :-2, :], out=out[..., 1:-1, :])
+    np.subtract(v[..., 1, :], _pole_ghost(v[..., 0, :], parity), out=out[..., 0, :])
+    # 4 v_n - 7 v_n-1 + 4 v_n-2 - v_n-3, summed in this order, from one
+    # weighted slice of the last four rings
+    t = v[..., -4:, :] * _OUTER_WEIGHTS
+    last = out[..., -1, :]
+    np.subtract(t[..., 3, :], t[..., 2, :], out=last)
+    last += t[..., 1, :]
+    last -= t[..., 0, :]
+    out /= 2.0 * grid.dr
     return out
 
 

@@ -18,10 +18,13 @@ and their theta derivatives, and takes the radial derivatives of the
 vorticity and the stream function in one stencil call; each stage
 transforms its advection product forward once, and the boundary data is
 transformed as one ring. A step thus makes five transforms, four when
-every member is inviscid. Each time level computes its speed |u| at
-most once, when first asked, and that one array serves the CFL check,
-the per-step record and the automatic dt; the midpoint stage never
-needs it.
+every member is inviscid. Each time level computes its squared speed
+u_r^2 + u_theta^2 at most once, when first asked, and that one array
+serves the CFL check, the per-step record's energy sum w |u|^2 and the
+automatic dt; the midpoint stage never needs it. No step takes a
+square root of it: the CFL check compares squares, and the bound itself,
+0.5 h / max np.hypot(u_r, u_theta), takes np.hypot only at the few nodes
+whose squared speed lies within NEAR_TOP of the largest.
 
 The stepper advances an ensemble: members that share the grid, the
 slip coefficient, the initial datum and the time steps and differ only
@@ -69,6 +72,10 @@ from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
 SNAPSHOT_BATCH = 8
+# Relative distance from the largest squared speed within which rounding
+# may rank np.hypot differently (a few ulp apart); only such nodes, and only
+# such CFL checks, take np.hypot.
+NEAR_TOP = 1e-12
 
 
 class CflError(RuntimeError):
@@ -236,24 +243,21 @@ def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
 # stepping
 # ---------------------------------------------------------------------------
 
+def _cfl_length(grid: PolarGrid) -> float:
+    return min(grid.dr, grid.r[0] * grid.dtheta)
+
+
 def cfl_bound(u) -> float | np.ndarray:
-    """0.5 min(dr, r_1 dtheta) / max|u|; inf for the zero field.
+    """0.5 min(dr, r_1 dtheta) / max|u|, max|u| the largest np.hypot(u_r,
+    u_theta) over the nodes; inf for the zero field.
 
     u is a VectorField, or a stepper time level whose member axis gives
-    one bound per member.
+    one bound per member (see _State.max_speed).
     """
-    grid = u.grid
-    max_u = np.max(u.magnitude(), axis=(-2, -1))
-    h = min(grid.dr, grid.r[0] * grid.dtheta)
+    max_u = (u.max_speed() if isinstance(u, _State)
+             else np.max(u.magnitude(), axis=(-2, -1)))
     with np.errstate(divide="ignore"):
-        return 0.5 * h / max_u
-
-
-def _boundary_vorticity(psi: np.ndarray, grid: PolarGrid,
-                        trace: BoundaryTrace) -> np.ndarray:
-    """Slip-compatible vorticity boundary value (2 kappa - alpha) u . tau of
-    stream-function node values psi (..., n_r, n_theta)."""
-    return (2.0 * trace.kappa - trace.alpha) * wall_derivative(psi, grid)
+        return 0.5 * _cfl_length(u.grid) / max_u
 
 
 @dataclass
@@ -272,13 +276,28 @@ class _State:
     omega_theta: np.ndarray
     omega_r: np.ndarray
     u_theta: np.ndarray
-    _speed: np.ndarray | None = field(default=None, init=False, repr=False)
+    _speed2: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def magnitude(self) -> np.ndarray:
-        """|u| on the nodes, computed on the first call and kept."""
-        if self._speed is None:
-            self._speed = np.hypot(self.u_r, self.u_theta)
-        return self._speed
+    def speed2(self) -> np.ndarray:
+        """u_r^2 + u_theta^2 on the nodes, computed on the first call and kept."""
+        if self._speed2 is None:
+            self._speed2 = self.u_r * self.u_r
+            self._speed2 += self.u_theta * self.u_theta
+        return self._speed2
+
+    def max_speed(self) -> np.ndarray:
+        """Each member's max|u|, bitwise np.max(np.hypot(u_r, u_theta)) over
+        its nodes. A squared speed is within a few ulp of the square of
+        its np.hypot, so only the nodes within NEAR_TOP of the member's
+        largest squared speed can hold the max, and np.hypot runs on those
+        alone. Below 1e-290 squares lose that accuracy, and every node of
+        such a member counts."""
+        speed2 = self.speed2()
+        top = np.max(speed2, axis=(-2, -1), keepdims=True)
+        near = np.nonzero(speed2 >= np.where(top > 1e-290, (1.0 - NEAR_TOP) * top, 0.0))
+        max_u = np.zeros(len(speed2))
+        np.maximum.at(max_u, near[0], np.hypot(self.u_r[near], self.u_theta[near]))
+        return max_u
 
 
 def _advection(s: _State) -> np.ndarray:
@@ -322,6 +341,15 @@ class _Stepper:
         self.viscous = bool(np.any(self.nus > 0.0))
         self.poisson = cached_solver(PoissonDirichletSolver, *grid.shape)
         self._diffusion: _DiffusionCN | None = None
+        # Kept, not rebuilt per level or stage
+        self._slip = 2.0 * trace.kappa - trace.alpha
+        self._minus_r = -grid.r_col
+        self._ik = theta_multiplier(grid.n_theta)[:, None]
+        # The stacked modes a level goes to the nodes from, reused by
+        # state(): (n_modes, n_r) like all modes, but stored modes-contiguous,
+        # so that the inverse transform reads its rows in place
+        self._modes = np.empty((4, len(self.nus), grid.n_r, grid.n_theta // 2 + 1),
+                               dtype=complex).swapaxes(-1, -2)
 
     def diffusion(self, dt: float) -> _DiffusionCN:
         """The Crank-Nicolson solve for step dt. Only the latest is kept:
@@ -330,32 +358,44 @@ class _Stepper:
             self._diffusion = _DiffusionCN(self.poisson.bands, self.nus, dt)
         return self._diffusion
 
+    def boundary_vorticity(self, psi: np.ndarray) -> np.ndarray:
+        """Slip-compatible vorticity boundary value (2 kappa - alpha) u . tau of
+        stream-function node values psi (..., n_r, n_theta)."""
+        return self._slip * wall_derivative(psi, self.grid)
+
     def state(self, omega_modes: np.ndarray, omega: np.ndarray | None = None) -> _State:
         """The time level of the vorticity modes omega_modes. A caller that
         holds their node values passes them as omega, which the level
         keeps: the rfft/irfft round trip does not return the same bits."""
-        grid = self.grid
-        psi_modes = self.poisson.solve_modes(omega_modes)
-        ik = theta_multiplier(grid.n_theta)[:, None]
-        nodes = from_modes(np.stack((omega_modes, psi_modes, psi_modes * ik,
-                                     omega_modes * ik)), grid.n_theta)
+        modes = self._modes
+        modes[0] = omega_modes
+        modes[1] = self.poisson.solve_modes(omega_modes)
+        # the theta derivatives of psi and omega, in that order
+        np.multiply(modes[1::-1], self._ik, out=modes[2:])
+        nodes = from_modes(modes, self.grid.n_theta)
         if omega is not None:
             nodes[0] = omega
         # u_r = -(1/r) dpsi/dtheta, in place of the psi derivative
-        nodes[2] /= -grid.r_col
-        return _State(grid, omega_modes, *nodes, *radial_derivative(nodes[:2], grid))
+        nodes[2] /= self._minus_r
+        return _State(self.grid, omega_modes, *nodes,
+                      *radial_derivative(nodes[:2], self.grid))
 
     def advance(self, s: _State, dt: float) -> _State:
-        bound = cfl_bound(s)
-        over = np.flatnonzero(dt > bound)
-        if over.size:
-            k = over[0]
-            max_u = float(np.max(s.magnitude()[k]))
-            raise CflError(dt, float(bound[k]), max_u, float(self.nus[k]))
+        # dt <= 0.5 h / max|u| checked as max|u|^2 <= (0.5 h / dt)^2; a
+        # member past that limit, or within NEAR_TOP of it, is decided by
+        # the exact bound, so the check agrees with cfl_bound to the bit.
+        limit = (0.5 * _cfl_length(self.grid) / dt) ** 2
+        if np.any(np.max(s.speed2(), axis=(-2, -1)) >= (1.0 - NEAR_TOP) * limit):
+            bound = cfl_bound(s)
+            over = np.flatnonzero(dt > bound)
+            if over.size:
+                k = over[0]
+                raise CflError(dt, float(bound[k]), float(s.max_speed()[k]),
+                               float(self.nus[k]))
         mid = self.state(s.omega_modes - 0.5 * dt * _advection(s))
         star_modes = s.omega_modes - dt * _advection(mid)
         if self.viscous:
-            g = _boundary_vorticity(mid.psi, self.grid, self.trace)
+            g = self.boundary_vorticity(mid.psi)
             new_modes = self.diffusion(dt).step(star_modes, g)
         else:
             new_modes = star_modes
@@ -438,8 +478,8 @@ class Trajectory:
         """Read a run directory written by save, or by its earlier
         compressed format. A snapshot file that is not a readable .npz,
         whose times are not finite and strictly increasing, whose omega is
-        not finite, or whose omega or series names do not match
-        config-resolved.json, raises ValueError."""
+        not real floating point or not finite, or whose omega or series
+        names do not match config-resolved.json, raises ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
         grid = build_grid(config.n_r, config.n_theta)
         trace = boundary_trace(grid, config.alpha)
@@ -454,6 +494,9 @@ class Trajectory:
             raise ValueError(f"{path}: unreadable snapshot file ({err})") from err
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError(f"{path}: times must be finite and strictly increasing")
+        if omega.dtype.kind != "f":
+            raise ValueError(f"{path}: omega has dtype {omega.dtype}, expected real "
+                             f"floating point")
         if omega.shape != (len(times),) + grid.shape:
             raise ValueError(f"{path}: omega has shape {omega.shape}, expected "
                              f"{(len(times),) + grid.shape} for {len(times)} times "
@@ -543,10 +586,10 @@ def simulate_ensemble(configs) -> list[Trajectory]:
 
     def record(t, s: _State):
         """The series columns after t, one entry per member in each."""
-        bc = boundary_values(s.omega, grid) - _boundary_vorticity(s.psi, grid, trace)
+        bc = boundary_values(s.omega, grid) - stepper.boundary_vorticity(s.psi)
         abs_omega = np.abs(s.omega)
         record_times.append(t)
-        records.append([lp_norms(s.magnitude(), grid, 2.0) ** 2,
+        records.append([np.sum(grid.weights * s.speed2(), axis=(-2, -1)),
                         *(lp_norms(abs_omega, grid, p) for p in first.lp_exponents),
                         np.max(np.abs(bc), axis=-1)])
 

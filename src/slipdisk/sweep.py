@@ -184,10 +184,12 @@ def _interpolate_to_base(values: np.ndarray, factor: int, base_grid,
 
 
 def _timed_run(run, arg):
-    """run(arg) and its wall time in milliseconds."""
-    start = time.perf_counter()
+    """run(arg), its wall time and the CPU time of the process that ran it,
+    both in milliseconds."""
+    start, cpu = time.perf_counter(), time.process_time()
     result = run(arg)
-    return result, 1e3 * (time.perf_counter() - start)
+    return (result, 1e3 * (time.perf_counter() - start),
+            1e3 * (time.process_time() - cpu))
 
 
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
@@ -201,8 +203,10 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     The viscous runs and the base-grid inviscid run share everything but
     the viscosity and are stepped as one ensemble in this process, while
     the refined run executes beside it in a forked child (ForkedCall),
-    which has its own interpreter lock; euler_refined_wall_ms is the
-    child's own time for it. A CflError from the ensemble is reported
+    which has its own interpreter lock; euler_refined_wall_ms and
+    euler_refined_cpu_ms are the child's own wall and CPU times for it,
+    and ensemble_cpu_ms the CPU time of this process over the ensemble
+    (its numpy threads included). A CflError from the ensemble is reported
     before one from the refined run. A refined run that an ensemble
     failure abandons is killed, so none outlives the attempt that
     started it.
@@ -235,8 +239,9 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
         # ensemble failure abandons is killed, not waited for.
         with ForkedCall(functools.partial(_timed_run, simulate, refined)) as refined_run:
             try:
-                base_runs, ensemble_ms = _timed_run(simulate_ensemble, members)
-                euler_fine, euler_fine_ms = refined_run.result()
+                base_runs, ensemble_ms, ensemble_cpu_ms = _timed_run(simulate_ensemble,
+                                                                     members)
+                euler_fine, euler_fine_ms, euler_fine_cpu_ms = refined_run.result()
                 break
             except CflError as err:
                 if attempt == len(candidates):
@@ -274,7 +279,9 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
                 "base_grid": [base.n_r, base.n_theta],
                 "refined_grid": [m * base.n_r, m * base.n_theta],
                 "ensemble_wall_ms": ensemble_ms,
-                "euler_refined_wall_ms": euler_fine_ms}
+                "euler_refined_wall_ms": euler_fine_ms,
+                "ensemble_cpu_ms": ensemble_cpu_ms,
+                "euler_refined_cpu_ms": euler_fine_cpu_ms}
     return ConvergenceReport(rows=tuple(rows), euler_floor=euler_floor,
                              config=resolved, metadata=metadata,
                              runs={"viscous": viscous, "euler_base": euler_base,

@@ -239,6 +239,10 @@ def test_rigid_sweep_reports_one_attempt_and_its_steps():
     assert meta["attempts"] == 1
     assert meta["refined_n_steps"] == 2 * meta["n_steps"]
     assert all(row["wall_ms"] == meta["ensemble_wall_ms"] for row in report.rows)
+    # CPU times beside the wall times: the ensemble's in this process, the
+    # refined run's in the child that ran it
+    for key in ("ensemble_cpu_ms", "euler_refined_cpu_ms"):
+        assert isinstance(meta[key], float) and meta[key] > 0.0, key
 
 
 def test_sweep_is_deterministic_modulo_wall_clock():
@@ -416,6 +420,8 @@ def test_simulate_verb_writes_run(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["n_steps"] > 0
     assert report["dt_first_step"] > 0
+    assert report["wall_ms"] > 0 and report["cpu_ms"] > 0
+    assert report["ms_per_step"] == report["wall_ms"] / report["n_steps"]
 
 
 def test_diagnose_verb_exit_codes(tmp_path, capsys):
@@ -522,6 +528,30 @@ def test_diagnose_verb_rejects_times_not_finite_and_increasing(tmp_path, capsys)
         assert main(["diagnose", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "snapshots.npz" in err, err
+        assert not (run_dir / "diagnostics.json").exists()
+
+
+def test_diagnose_verb_rejects_omega_that_is_not_real_floating_point(tmp_path, capsys):
+    # a complex omega lost its imaginary part with only a ComplexWarning,
+    # and an integer or boolean one gave residuals of truncated data; each
+    # exited 0
+    config = SimConfig(nu=0.1, t_end=0.02, initial_condition={"const": 2.0},
+                       dt=0.005, n_r=16, n_theta=16, output_stride=2)
+    cpath = tmp_path / "diag.json"
+    cpath.write_text(json.dumps(config.to_dict()))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", str(cpath), "--out", str(run_dir)]) == 0
+    snapshots = run_dir / "snapshots.npz"
+    with np.load(snapshots) as data:
+        arrays = {name: data[name] for name in data.files}
+    for dtype in (complex, np.int64, bool):
+        np.savez(snapshots, **{**arrays, "omega": arrays["omega"].astype(dtype)})
+        with pytest.raises(ValueError, match="omega has dtype"):
+            Trajectory.load(run_dir)
+        capsys.readouterr()
+        assert main(["diagnose", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"dtype {np.dtype(dtype)}" in err, err
         assert not (run_dir / "diagnostics.json").exists()
 
 

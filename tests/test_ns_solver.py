@@ -37,7 +37,7 @@ from slipdisk import (
 )
 from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
 from slipdisk.field import boundary_values, bump_values, to_modes
-from slipdisk.ns_solver import (_boundary_vorticity, _DiffusionCN, _Stepper, cfl_bound,
+from slipdisk.ns_solver import (_DiffusionCN, _Stepper, _State, cfl_bound,
                                 simulate_ensemble)
 
 DATA = Path(__file__).parent / "data"
@@ -213,7 +213,7 @@ def test_vorticity_boundary_rigid(grid32):
     psi = np.broadcast_to((grid32.r_col ** 2 - 1.0) / 2.0, grid32.shape)
     for alpha in (0.0, 0.5, 2.0):
         tr = boundary_trace(grid32, alpha)
-        bc = _boundary_vorticity(psi, grid32, tr)
+        bc = _Stepper(grid32, tr, [0.0]).boundary_vorticity(psi)
         assert np.max(np.abs(bc - (2.0 - alpha))) < 1e-12
 
 
@@ -229,22 +229,92 @@ def test_cfl_bound_scales():
 
 
 def test_each_recorded_level_evaluates_its_speed_once(monkeypatch):
-    # One |u| per recorded time level serves the CFL check, the automatic
-    # dt and the record; the midpoint stage never needs one.
-    evaluations = []
-    hypot = np.hypot
+    # One u_r^2 + u_theta^2 per recorded time level serves the CFL check,
+    # the automatic dt and the record; the midpoint stage never needs one.
+    # np.hypot runs only in the automatic dt's bound, every 10 steps, and
+    # there only at the nodes whose squared speed is near the level's top.
+    squares, hypots = [], []
+    speed2, hypot = _State.speed2, np.hypot
 
-    def counting(*args, **kwargs):
-        evaluations.append(1)
-        return hypot(*args, **kwargs)
+    def counting_speed2(self):
+        squares.append(self._speed2 is None)
+        return speed2(self)
 
-    monkeypatch.setattr(np, "hypot", counting)
+    def counting_hypot(x, y, *args, **kwargs):
+        out = hypot(x, y, *args, **kwargs)
+        hypots.append(out)
+        return out
+
+    monkeypatch.setattr(_State, "speed2", counting_speed2)
+    monkeypatch.setattr(np, "hypot", counting_hypot)
     config = SimConfig(nu=0.01, t_end=0.1, initial_condition={
         "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},
         alpha=1.0, n_r=16, n_theta=16, output_stride=3)
     traj = simulate(config)
-    assert len(traj.series["t"]) > 10
-    assert len(evaluations) == len(traj.series["t"])
+    n_steps = len(traj.series["t"]) - 1
+    assert n_steps > 10
+    assert sum(squares) == n_steps + 1
+    assert len(hypots) == len(range(0, n_steps, 10))
+    # the near-top nodes hold the max, so the bound keeps its bits
+    assert all(0 < out.size < 16 * 16 // 8 for out in hypots)
+
+
+def _level(grid, omega):
+    """The stepper time level of the vorticity node values omega (B, n_r, n_theta)."""
+    stepper = _Stepper(grid, boundary_trace(grid, 1.0), [0.01] * len(omega))
+    return stepper, stepper.state(to_modes(omega), omega)
+
+
+def test_level_cfl_bound_is_the_hypot_bound_bitwise():
+    # Three members: a bump, the zero field (bound inf), and the bump with
+    # a near tie planted, where squares and np.hypot rank the top two
+    # nodes apart, so that the node of the largest square is not the
+    # node of the largest np.hypot.
+    grid = build_grid(16, 16)
+    bump = initial_vorticity({"bump": {"center": (0.3, 0.0), "radius": 0.4,
+                                       "amplitude": 8.0}}, grid).values
+    _, level = _level(grid, np.stack([bump, 0.0 * bump, bump]))
+    # two velocities of one length, 1% above the bump's top speed, rotated
+    speed = 1.01 * np.sqrt(np.max(level.speed2()[2]))
+    angle = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (2, 200_000))
+    a, b = speed * np.cos(angle[0]), speed * np.sin(angle[0])
+    c, d = np.hypot(a, b) * np.cos(angle[1]), np.hypot(a, b) * np.sin(angle[1])
+    squares, hypots = c * c + d * d - (a * a + b * b), np.hypot(c, d) - np.hypot(a, b)
+    k = np.flatnonzero(squares * hypots < 0)[0]
+    level.u_r[2, 3, 0], level.u_theta[2, 3, 0] = a[k], b[k]
+    level.u_r[2, 3, 8], level.u_theta[2, 3, 8] = c[k], d[k]
+    level._speed2 = None
+    assert np.argmax(level.speed2()[2]) != np.argmax(np.hypot(level.u_r[2],
+                                                             level.u_theta[2]))
+    h = min(grid.dr, grid.r[0] * grid.dtheta)
+    bound = cfl_bound(level)
+    assert bound.shape == (3,) and bound[1] == np.inf
+    for k in range(3):
+        with np.errstate(divide="ignore"):
+            want = 0.5 * h / np.max(np.hypot(level.u_r[k], level.u_theta[k]))
+        assert bound[k] == want, k
+        assert cfl_bound(VectorField(grid, level.u_r[k], level.u_theta[k])) == want, k
+
+
+def test_fixed_dt_at_the_level_bound_steps_and_one_ulp_above_trips():
+    # The squared-speed check must agree with the bound to the last bit,
+    # for levels whose squares round either way against (0.5 h / dt)^2.
+    grid = build_grid(16, 16)
+    bump = initial_vorticity({"bump": {"center": (0.3, 0.0), "radius": 0.4,
+                                       "amplitude": 8.0}}, grid).values
+    stepper, level = _level(grid, np.stack([bump, 0.5 * bump, -bump]))
+    bound = cfl_bound(level)
+    k = int(np.argmin(bound))
+    with pytest.raises(CflError) as exc:
+        stepper.advance(level, float(np.nextafter(bound[k], np.inf)))
+    assert exc.value.bound == bound[k] and exc.value.nu == 0.01
+    assert exc.value.max_u == np.max(np.hypot(level.u_r[k], level.u_theta[k]))
+    for scale in np.linspace(1.0, 2.0, 24):
+        stepper, level = _level(grid, scale * bump[None])
+        dt = float(cfl_bound(level)[0])
+        assert np.all(np.isfinite(stepper.advance(level, dt).omega)), scale
+        with pytest.raises(CflError):
+            stepper.advance(level, float(np.nextafter(dt, np.inf)))
 
 
 def test_level_cfl_bound_matches_its_velocity_field():
