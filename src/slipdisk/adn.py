@@ -455,7 +455,8 @@ def _rank_test(stacked: np.ndarray):
     scales = np.abs(stacked).max(axis=-1)
     zero = scales < 1e-300
     normalized = stacked / np.where(zero, 1.0, scales)[..., None]
-    u, sing, _ = np.linalg.svd(normalized)
+    # singular values alone; U only for the sample whose witness is asked for
+    sing = np.linalg.svd(normalized, compute_uv=False)
     ratio = sing[:, -1] / sing[:, 0] if n_rows > 1 else np.ones(len(stacked))
     ratio = np.where(zero.any(axis=-1), 0.0, ratio)
     passed = ~zero.any(axis=-1) & (ratio >= RANK_RATIO_TOL) & (sing.shape[-1] == n_rows)
@@ -464,7 +465,7 @@ def _rank_test(stacked: np.ndarray):
         if zero[s].any():
             l = int(np.argmin(scales[s]))
             return tuple(1.0 + 0.0j if k == l else 0.0j for k in range(n_rows))
-        c = np.conj(u[s, :, -1])
+        c = np.conj(np.linalg.svd(normalized[s])[0][:, -1])
         first = int(np.nonzero(np.abs(c) >= 0.5 * np.abs(c).max())[0][0])
         return tuple((c / c[first]).tolist())
 

@@ -20,11 +20,8 @@ transforms its advection product forward once, and the boundary data is
 transformed as one ring. A step thus makes five transforms, four when
 every member is inviscid. Each time level computes its squared speed
 u_r^2 + u_theta^2 at most once, when first asked, and that one array
-serves the CFL check, the per-step record's energy sum w |u|^2 and the
-automatic dt; the midpoint stage never needs it. No step takes a
-square root of it: the CFL check compares squares, and the bound itself,
-0.5 h / max np.hypot(u_r, u_theta), takes np.hypot only at the few nodes
-whose squared speed lies within NEAR_TOP of the largest.
+serves the CFL bound and the per-step record's energy sum w |u|^2; the
+midpoint stage never needs it.
 
 The stepper advances an ensemble: members that share the grid, the
 slip coefficient, the initial datum and the time steps and differ only
@@ -43,10 +40,12 @@ else: the stream function and the velocity follow from it by the
 Biot-Savart law, and the Trajectory derives them on each walk over its
 snapshots, SNAPSHOT_BATCH snapshots at a time (see Trajectory).
 
-The viscosity-independent CFL bound dt <= 0.5 min(dr, r_1 dtheta)/max|u|
-is a precondition of every step, checked per member before it is taken;
-simulate_ensemble() re-evaluates an automatic dt against the smallest
-member bound every 10 steps.
+The viscosity-independent CFL bound (cfl_bound) is
+0.5 min(dr, r_1 dtheta) / max|u|, max|u| = sqrt(max(u_r^2 + u_theta^2)).
+A step of dt is taken only if dt does not exceed any member's bound;
+simulate_ensemble() sets an automatic dt to 0.9 times the smallest
+member bound every 10 steps, and the sweep sizes its shared dt from the
+bound of the initial velocity.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
 SNAPSHOT_BATCH = 8
-# Relative distance from the largest squared speed within which rounding
-# may rank np.hypot differently (a few ulp apart); only such nodes, and only
-# such CFL checks, take np.hypot.
-NEAR_TOP = 1e-12
 
 
 class CflError(RuntimeError):
@@ -243,21 +238,19 @@ def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _cfl_length(grid: PolarGrid) -> float:
-    return min(grid.dr, grid.r[0] * grid.dtheta)
-
-
 def cfl_bound(u) -> float | np.ndarray:
-    """0.5 min(dr, r_1 dtheta) / max|u|, max|u| the largest np.hypot(u_r,
-    u_theta) over the nodes; inf for the zero field.
+    """0.5 min(dr, r_1 dtheta) / max|u|, max|u| = sqrt(max(u_r^2 + u_theta^2))
+    over the nodes; inf when every squared speed is 0 (the zero field, or
+    one whose squares underflow).
 
-    u is a VectorField, or a stepper time level whose member axis gives
-    one bound per member (see _State.max_speed).
+    u is a VectorField, or a stepper time level, whose cached speed2() is
+    read and whose member axis gives one bound per member.
     """
-    max_u = (u.max_speed() if isinstance(u, _State)
-             else np.max(u.magnitude(), axis=(-2, -1)))
+    grid = u.grid
+    speed2 = u.speed2() if isinstance(u, _State) else u.u_r * u.u_r + u.u_theta * u.u_theta
     with np.errstate(divide="ignore"):
-        return 0.5 * _cfl_length(u.grid) / max_u
+        return (0.5 * min(grid.dr, grid.r[0] * grid.dtheta)
+                / np.sqrt(np.max(speed2, axis=(-2, -1))))
 
 
 @dataclass
@@ -279,25 +272,13 @@ class _State:
     _speed2: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def speed2(self) -> np.ndarray:
-        """u_r^2 + u_theta^2 on the nodes, computed on the first call and kept."""
+        """u_r^2 + u_theta^2 on the nodes (B, n_r, n_theta), bitwise the
+        squared speed cfl_bound takes of a VectorField; computed on the
+        first call and kept, for the CFL bound and the record's energy."""
         if self._speed2 is None:
             self._speed2 = self.u_r * self.u_r
             self._speed2 += self.u_theta * self.u_theta
         return self._speed2
-
-    def max_speed(self) -> np.ndarray:
-        """Each member's max|u|, bitwise np.max(np.hypot(u_r, u_theta)) over
-        its nodes. A squared speed is within a few ulp of the square of
-        its np.hypot, so only the nodes within NEAR_TOP of the member's
-        largest squared speed can hold the max, and np.hypot runs on those
-        alone. Below 1e-290 squares lose that accuracy, and every node of
-        such a member counts."""
-        speed2 = self.speed2()
-        top = np.max(speed2, axis=(-2, -1), keepdims=True)
-        near = np.nonzero(speed2 >= np.where(top > 1e-290, (1.0 - NEAR_TOP) * top, 0.0))
-        max_u = np.zeros(len(speed2))
-        np.maximum.at(max_u, near[0], np.hypot(self.u_r[near], self.u_theta[near]))
-        return max_u
 
 
 def _advection(s: _State) -> np.ndarray:
@@ -381,17 +362,12 @@ class _Stepper:
                       *radial_derivative(nodes[:2], self.grid))
 
     def advance(self, s: _State, dt: float) -> _State:
-        # dt <= 0.5 h / max|u| checked as max|u|^2 <= (0.5 h / dt)^2; a
-        # member past that limit, or within NEAR_TOP of it, is decided by
-        # the exact bound, so the check agrees with cfl_bound to the bit.
-        limit = (0.5 * _cfl_length(self.grid) / dt) ** 2
-        if np.any(np.max(s.speed2(), axis=(-2, -1)) >= (1.0 - NEAR_TOP) * limit):
-            bound = cfl_bound(s)
-            over = np.flatnonzero(dt > bound)
-            if over.size:
-                k = over[0]
-                raise CflError(dt, float(bound[k]), float(s.max_speed()[k]),
-                               float(self.nus[k]))
+        bound = cfl_bound(s)
+        over = np.flatnonzero(dt > bound)
+        if over.size:
+            k = over[0]
+            raise CflError(dt, float(bound[k]), float(np.sqrt(np.max(s.speed2()[k]))),
+                           float(self.nus[k]))
         mid = self.state(s.omega_modes - 0.5 * dt * _advection(s))
         star_modes = s.omega_modes - dt * _advection(mid)
         if self.viscous:
@@ -477,9 +453,10 @@ class Trajectory:
     def load(cls, run_dir) -> "Trajectory":
         """Read a run directory written by save, or by its earlier
         compressed format. A snapshot file that is not a readable .npz,
-        whose times are not finite and strictly increasing, whose omega is
-        not real floating point or not finite, or whose omega or series
-        names do not match config-resolved.json, raises ValueError."""
+        whose times, omega or series_values are not real floating-point
+        arrays of 1, 3 and 2 dimensions, whose times are not finite and
+        strictly increasing, whose omega is not finite, or whose omega or
+        series names do not match config-resolved.json, raises ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
         grid = build_grid(config.n_r, config.n_theta)
         trace = boundary_trace(grid, config.alpha)
@@ -492,11 +469,16 @@ class Trajectory:
                 values = data["series_values"]
         except (zipfile.BadZipFile, EOFError) as err:
             raise ValueError(f"{path}: unreadable snapshot file ({err})") from err
+        for name, array, ndim in (("times", times, 1), ("omega", omega, 3),
+                                  ("series_values", values, 2)):
+            if array.dtype.kind != "f":
+                raise ValueError(f"{path}: {name} has dtype {array.dtype}, expected real "
+                                 f"floating point")
+            if array.ndim != ndim:
+                raise ValueError(f"{path}: {name} has shape {array.shape}, expected "
+                                 f"{ndim} dimensions")
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError(f"{path}: times must be finite and strictly increasing")
-        if omega.dtype.kind != "f":
-            raise ValueError(f"{path}: omega has dtype {omega.dtype}, expected real "
-                             f"floating point")
         if omega.shape != (len(times),) + grid.shape:
             raise ValueError(f"{path}: omega has shape {omega.shape}, expected "
                              f"{(len(times),) + grid.shape} for {len(times)} times "

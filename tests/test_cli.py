@@ -534,7 +534,8 @@ def test_diagnose_verb_rejects_times_not_finite_and_increasing(tmp_path, capsys)
 def test_diagnose_verb_rejects_omega_that_is_not_real_floating_point(tmp_path, capsys):
     # a complex omega lost its imaginary part with only a ComplexWarning,
     # and an integer or boolean one gave residuals of truncated data; each
-    # exited 0
+    # exited 0. So did complex or integer times, complex series_values, and
+    # series_values of one dimension whose length was the column count.
     config = SimConfig(nu=0.1, t_end=0.02, initial_condition={"const": 2.0},
                        dt=0.005, n_r=16, n_theta=16, output_stride=2)
     cpath = tmp_path / "diag.json"
@@ -544,14 +545,21 @@ def test_diagnose_verb_rejects_omega_that_is_not_real_floating_point(tmp_path, c
     snapshots = run_dir / "snapshots.npz"
     with np.load(snapshots) as data:
         arrays = {name: data[name] for name in data.files}
-    for dtype in (complex, np.int64, bool):
-        np.savez(snapshots, **{**arrays, "omega": arrays["omega"].astype(dtype)})
-        with pytest.raises(ValueError, match="omega has dtype"):
+    times, values = arrays["times"], arrays["series_values"]
+    cases = [("omega", arrays["omega"].astype(dtype), f"omega has dtype {np.dtype(dtype)}")
+             for dtype in (complex, np.int64, bool)]
+    cases += [("times", times.astype(complex), "times has dtype complex128"),
+              ("times", np.arange(len(times)), "times has dtype int64"),
+              ("series_values", values.astype(complex), "series_values has dtype complex128"),
+              ("series_values", values[:, 0], f"series_values has shape ({len(values)},)")]
+    for name, array, message in cases:
+        np.savez(snapshots, **{**arrays, name: array})
+        with pytest.raises(ValueError, match=re.escape(message)):
             Trajectory.load(run_dir)
         capsys.readouterr()
         assert main(["diagnose", str(run_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"dtype {np.dtype(dtype)}" in err, err
+        assert err.count("\n") == 1 and message in err, err
         assert not (run_dir / "diagnostics.json").exists()
 
 

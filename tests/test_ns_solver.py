@@ -231,8 +231,7 @@ def test_cfl_bound_scales():
 def test_each_recorded_level_evaluates_its_speed_once(monkeypatch):
     # One u_r^2 + u_theta^2 per recorded time level serves the CFL check,
     # the automatic dt and the record; the midpoint stage never needs one.
-    # np.hypot runs only in the automatic dt's bound, every 10 steps, and
-    # there only at the nodes whose squared speed is near the level's top.
+    # max|u| is the square root of the largest square, so no np.hypot runs.
     squares, hypots = [], []
     speed2, hypot = _State.speed2, np.hypot
 
@@ -240,10 +239,9 @@ def test_each_recorded_level_evaluates_its_speed_once(monkeypatch):
         squares.append(self._speed2 is None)
         return speed2(self)
 
-    def counting_hypot(x, y, *args, **kwargs):
-        out = hypot(x, y, *args, **kwargs)
-        hypots.append(out)
-        return out
+    def counting_hypot(*args, **kwargs):
+        hypots.append(args)
+        return hypot(*args, **kwargs)
 
     monkeypatch.setattr(_State, "speed2", counting_speed2)
     monkeypatch.setattr(np, "hypot", counting_hypot)
@@ -254,9 +252,7 @@ def test_each_recorded_level_evaluates_its_speed_once(monkeypatch):
     n_steps = len(traj.series["t"]) - 1
     assert n_steps > 10
     assert sum(squares) == n_steps + 1
-    assert len(hypots) == len(range(0, n_steps, 10))
-    # the near-top nodes hold the max, so the bound keeps its bits
-    assert all(0 < out.size < 16 * 16 // 8 for out in hypots)
+    assert hypots == []
 
 
 def _level(grid, omega):
@@ -265,15 +261,15 @@ def _level(grid, omega):
     return stepper, stepper.state(to_modes(omega), omega)
 
 
-def test_level_cfl_bound_is_the_hypot_bound_bitwise():
-    # Three members: a bump, the zero field (bound inf), and the bump with
-    # a near tie planted, where squares and np.hypot rank the top two
-    # nodes apart, so that the node of the largest square is not the
-    # node of the largest np.hypot.
+def test_level_cfl_bound_is_the_square_root_bound_bitwise():
+    # Four members: a bump; the zero field, bound inf; the bump with a near
+    # tie planted, where squares and np.hypot rank the top two nodes apart;
+    # and the bump with a top node whose np.hypot is not the square root of
+    # its square, so that a bound through np.hypot differs there.
     grid = build_grid(16, 16)
     bump = initial_vorticity({"bump": {"center": (0.3, 0.0), "radius": 0.4,
                                        "amplitude": 8.0}}, grid).values
-    _, level = _level(grid, np.stack([bump, 0.0 * bump, bump]))
+    _, level = _level(grid, np.stack([bump, 0.0 * bump, bump, bump]))
     # two velocities of one length, 1% above the bump's top speed, rotated
     speed = 1.01 * np.sqrt(np.max(level.speed2()[2]))
     angle = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (2, 200_000))
@@ -283,22 +279,34 @@ def test_level_cfl_bound_is_the_hypot_bound_bitwise():
     k = np.flatnonzero(squares * hypots < 0)[0]
     level.u_r[2, 3, 0], level.u_theta[2, 3, 0] = a[k], b[k]
     level.u_r[2, 3, 8], level.u_theta[2, 3, 8] = c[k], d[k]
+    h = min(grid.dr, grid.r[0] * grid.dtheta)
+    k = np.flatnonzero(0.5 * h / np.sqrt(a * a + b * b) != 0.5 * h / np.hypot(a, b))[0]
+    level.u_r[3, 3, 0], level.u_theta[3, 3, 0] = a[k], b[k]
     level._speed2 = None
     assert np.argmax(level.speed2()[2]) != np.argmax(np.hypot(level.u_r[2],
                                                              level.u_theta[2]))
-    h = min(grid.dr, grid.r[0] * grid.dtheta)
     bound = cfl_bound(level)
-    assert bound.shape == (3,) and bound[1] == np.inf
-    for k in range(3):
+    assert bound.shape == (4,) and bound[1] == np.inf
+    for k in range(4):
+        u_r, u_theta = level.u_r[k], level.u_theta[k]
         with np.errstate(divide="ignore"):
-            want = 0.5 * h / np.max(np.hypot(level.u_r[k], level.u_theta[k]))
+            want = 0.5 * h / np.sqrt(np.max(u_r * u_r + u_theta * u_theta))
         assert bound[k] == want, k
-        assert cfl_bound(VectorField(grid, level.u_r[k], level.u_theta[k])) == want, k
+        assert cfl_bound(VectorField(grid, u_r, u_theta)) == want, k
+    assert bound[3] != 0.5 * h / np.max(np.hypot(level.u_r[3], level.u_theta[3]))
+    # and a CFL trip on member 3's velocity reports that square root as max|u|
+    stepper, one = _level(grid, bump[None])
+    one.u_r[0], one.u_theta[0] = level.u_r[3], level.u_theta[3]
+    one._speed2 = None
+    with pytest.raises(CflError) as exc:
+        stepper.advance(one, float(np.nextafter(bound[3], np.inf)))
+    max_u = np.sqrt(np.max(one.speed2()))
+    assert exc.value.max_u == max_u != np.max(np.hypot(one.u_r, one.u_theta))
 
 
 def test_fixed_dt_at_the_level_bound_steps_and_one_ulp_above_trips():
-    # The squared-speed check must agree with the bound to the last bit,
-    # for levels whose squares round either way against (0.5 h / dt)^2.
+    # A step of dt runs exactly when dt <= cfl_bound(level), for levels
+    # whose bounds round either way.
     grid = build_grid(16, 16)
     bump = initial_vorticity({"bump": {"center": (0.3, 0.0), "radius": 0.4,
                                        "amplitude": 8.0}}, grid).values
@@ -308,13 +316,30 @@ def test_fixed_dt_at_the_level_bound_steps_and_one_ulp_above_trips():
     with pytest.raises(CflError) as exc:
         stepper.advance(level, float(np.nextafter(bound[k], np.inf)))
     assert exc.value.bound == bound[k] and exc.value.nu == 0.01
-    assert exc.value.max_u == np.max(np.hypot(level.u_r[k], level.u_theta[k]))
+    # max|u| is the square root of the member's largest squared speed
+    assert exc.value.max_u == np.sqrt(np.max(level.speed2()[k]))
     for scale in np.linspace(1.0, 2.0, 24):
         stepper, level = _level(grid, scale * bump[None])
         dt = float(cfl_bound(level)[0])
         assert np.all(np.isfinite(stepper.advance(level, dt).omega)), scale
-        with pytest.raises(CflError):
+        with pytest.raises(CflError) as exc:
             stepper.advance(level, float(np.nextafter(dt, np.inf)))
+        assert exc.value.max_u == np.sqrt(np.max(level.speed2())), scale
+
+
+def test_auto_dt_is_t_end_when_every_squared_speed_underflows():
+    # At amplitude 1e-170 the velocity is not 0 but every u_r^2 + u_theta^2
+    # underflows to 0; the automatic dt still takes the run in one step.
+    config = SimConfig(nu=0.01, t_end=0.1, initial_condition={
+        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 1e-170}},
+        alpha=1.0, n_r=16, n_theta=16)
+    grid = build_grid(16, 16)
+    _, level = _level(grid, initial_vorticity(config.initial_condition, grid).values[None])
+    assert np.max(np.abs(level.u_r)) > 0.0 and np.all(level.speed2() == 0.0)
+    traj = simulate(config)
+    assert traj.series["t"].tolist() == [0.0, 0.1]
+    assert traj.times.tolist() == [0.0, 0.1]
+    assert np.all(np.isfinite(traj.omega)) and np.max(np.abs(traj.omega[-1])) > 0.0
 
 
 def test_level_cfl_bound_matches_its_velocity_field():
