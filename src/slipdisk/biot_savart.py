@@ -93,23 +93,18 @@ class PoissonDirichletSolver:
         self._lift = np.where(parity[:, None] == 0, r ** 2, r ** 3)
         self._lift_trace = np.where(parity == 0, *boundary_values(
             np.column_stack((r, r ** 2)), grid))
-        self._trace_weights = np.array([3.0, 10.0, 15.0])
 
     def solve_modes(self, rhs_modes: np.ndarray) -> np.ndarray:
         """Solve T_k psi_k = rhs_k for all modes at once, then lift so the
-        trace of psi_k / r vanishes exactly for k >= 1.
+        trace of psi_k / r, field.boundary_values of its last three rings,
+        vanishes exactly for k >= 1.
 
         rhs_modes has shape (..., n_modes, n_r), leading axes solved as
         further right-hand sides; returns the same layout.
         """
         psi = self._lu.solve(np.asarray(rhs_modes, dtype=complex))
-        # boundary_values of psi / r, written out as (15 psi_n / r_n
-        # - 10 psi_n-1 / r_n-1 + 3 psi_n-2 / r_n-2) / 8 on one weighted
-        # slice: dividing after the weights, and summing in this order, is
-        # the rounding every stored trajectory was computed with
-        t = psi[..., -3:] * self._trace_weights / self.grid.r[-3:]
-        trace = (t[..., 2] - t[..., 1] + t[..., 0]) / 8.0
-        delta = -trace / self._lift_trace
+        rings = (psi[..., -3:] / self.grid.r[-3:]).swapaxes(-1, -2)
+        delta = -boundary_values(rings, self.grid) / self._lift_trace
         delta[..., 0] = 0.0
         psi += delta[..., None] * self._lift
         return psi

@@ -13,15 +13,16 @@ modes, and the RK stages, the Poisson solves, the dealiasing and the
 Crank-Nicolson solve act on modes. Fields go to the nodes only where a
 product or a radial stencil needs them. A time level (the step's start,
 its midpoint stage and its end) goes to the nodes in one inverse
-transform of the stacked modes of the vorticity, the stream function
-and their theta derivatives, and takes the radial derivatives of the
-vorticity and the stream function in one stencil call; each stage
-transforms its advection product forward once, and the boundary data is
-transformed as one ring. A step thus makes five transforms, four when
-every member is inviscid. Each time level computes its squared speed
-u_r^2 + u_theta^2 at most once, when first asked, and that one array
-serves the CFL bound and the per-step record's energy sum w |u|^2; the
-midpoint stage never needs it.
+transform of the stacked modes of the vorticity, the stream function,
+u_r (psi's theta multiplier carries the -1/r) and the vorticity's theta
+derivative, and takes the radial derivatives of the vorticity and the
+stream function in one stencil call; each stage transforms its
+advection product forward once, and the boundary data is transformed as
+one ring. A step thus makes five transforms, four when every member is
+inviscid. Each time level computes its squared speed u_r^2 + u_theta^2
+at most once, when first asked, and that one array serves the CFL bound
+and the per-step record's energy sum w |u|^2; the midpoint stage never
+needs it.
 
 The stepper advances an ensemble: members that share the grid, the
 slip coefficient, the initial datum and the time steps and differ only
@@ -58,7 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._tridiag import TridiagonalBatch, apply_tridiagonal
+from ._tridiag import TridiagonalBatch
 from .biot_savart import PoissonDirichletSolver, biot_savart, cached_solver
 from .field import (ScalarField, VectorField, boundary_values, bump_values,
                     dealias_modes, from_modes, lp_norms, radial_derivative,
@@ -293,22 +294,23 @@ class _DiffusionCN:
     """Crank-Nicolson solve of the diffusion half with Dirichlet data g,
     every member at once: (I - lam T) omega' = (I + lam T) omega + 2 lam d g,
     lam = nu dt / 2 per member, on the Dirichlet bands (lower, diag, upper, d)
-    of the Poisson solver."""
+    of the Poisson solver. As I + lam T = 2 I - (I - lam T), it returns
+    2 (I - lam T)^-1 (omega + lam d g) - omega: one factored operator per dt
+    and no explicit bands. An inviscid member returns its input bitwise."""
 
     def __init__(self, bands, nus: np.ndarray, dt: float):
         lower, diag, upper, data_coeff = bands
         lam = (0.5 * nus * dt)[:, None, None]
-        self._explicit = (lam * lower, 1.0 + lam * diag, lam * upper)
         self._lu = TridiagonalBatch(-lam * lower, 1.0 - lam * diag, -lam * upper)
-        self._data = 2.0 * lam[:, 0] * data_coeff
+        self._data = lam[:, 0] * data_coeff
         self.dt = dt
 
     def step(self, omega_modes: np.ndarray, g: np.ndarray) -> np.ndarray:
         """New vorticity modes (B, n_modes, n_r) from omega_modes and the
         boundary values g (B, n_theta)."""
-        rhs = apply_tridiagonal(*self._explicit, omega_modes)
+        rhs = omega_modes.copy()
         rhs[..., -1] += self._data * np.fft.rfft(g, axis=-1)
-        return self._lu.solve(rhs)
+        return 2.0 * self._lu.solve(rhs) - omega_modes
 
 
 class _Stepper:
@@ -324,8 +326,11 @@ class _Stepper:
         self._diffusion: _DiffusionCN | None = None
         # Kept, not rebuilt per level or stage
         self._slip = 2.0 * trace.kappa - trace.alpha
-        self._minus_r = -grid.r_col
-        self._ik = theta_multiplier(grid.n_theta)[:, None]
+        # The theta multipliers of psi and omega, modes-contiguous like
+        # _modes: psi's is ik / (-r), so u_r = -(1/r) dpsi/dtheta
+        ik = theta_multiplier(grid.n_theta)
+        self._multipliers = np.stack(np.broadcast_arrays(
+            ik / -grid.r_col, ik))[:, None].swapaxes(-1, -2)
         # The stacked modes a level goes to the nodes from, reused by
         # state(): (n_modes, n_r) like all modes, but stored modes-contiguous,
         # so that the inverse transform reads its rows in place
@@ -351,13 +356,10 @@ class _Stepper:
         modes = self._modes
         modes[0] = omega_modes
         modes[1] = self.poisson.solve_modes(omega_modes)
-        # the theta derivatives of psi and omega, in that order
-        np.multiply(modes[1::-1], self._ik, out=modes[2:])
+        np.multiply(modes[1::-1], self._multipliers, out=modes[2:])
         nodes = from_modes(modes, self.grid.n_theta)
         if omega is not None:
             nodes[0] = omega
-        # u_r = -(1/r) dpsi/dtheta, in place of the psi derivative
-        nodes[2] /= self._minus_r
         return _State(self.grid, omega_modes, *nodes,
                       *radial_derivative(nodes[:2], self.grid))
 

@@ -36,7 +36,7 @@ from slipdisk import (
     solve_poisson_dirichlet,
 )
 from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
-from slipdisk.field import boundary_values, bump_values, to_modes
+from slipdisk.field import boundary_values, bump_values, perp_grad, to_modes
 from slipdisk.ns_solver import (_DiffusionCN, _Stepper, _State, cfl_bound,
                                 simulate_ensemble)
 
@@ -353,6 +353,26 @@ def test_level_cfl_bound_matches_its_velocity_field():
     assert cfl_bound(level)[0] == cfl_bound(biot_savart(ScalarField(grid, omega[0])))
 
 
+def test_level_velocity_is_the_perp_grad_of_its_stream_function():
+    # A level's u_r comes out of the inverse transform with psi's theta
+    # multiplier ik / (-r), the -1/r folded in; perp_grad divides the theta
+    # derivative by -r on the nodes. u_theta is the same radial stencil.
+    grid = build_grid(32, 32)
+    omega = initial_vorticity({"bump": {"center": (0.3, 0.0), "radius": 0.4,
+                                        "amplitude": 8.0}}, grid).values
+    stepper = _Stepper(grid, boundary_trace(grid, 1.0), [0.01, 0.0])
+    omega = np.stack([omega, omega])
+    level = stepper.state(to_modes(omega), omega)
+    dt = 0.5 * float(np.min(cfl_bound(level)))
+    for _ in range(5):
+        level = stepper.advance(level, dt)
+    u = perp_grad(ScalarField(grid, level.psi))
+    for b in range(2):
+        scale = np.max(np.abs(u.u_r[b]))
+        assert np.max(np.abs(level.u_r[b] - u.u_r[b])) <= 1e-12 * scale
+    assert np.array_equal(level.u_theta, u.u_theta)
+
+
 def test_snapshots_own_their_memory():
     # A member's snapshots are one array that owns exactly its values: a
     # view of a time level's node buffer would keep the whole buffer
@@ -422,30 +442,60 @@ def test_auto_dt_run_holds_one_diffusion_factorization(monkeypatch):
     assert max(held) == 1
 
 
+def _dense_crank_nicolson(bands, nus, dt, omega, g):
+    """(I - lam T)^-1 ((I + lam T) omega + 2 lam d g) per member and mode,
+    lam = nu dt / 2, by dense solves on the Dirichlet bands."""
+    lower, diag, upper, d = bands
+    n_r = diag.shape[-1]
+    T = np.zeros(diag.shape + (n_r,))
+    rows = np.arange(n_r)
+    T[:, rows, rows] = diag
+    T[:, rows[1:], rows[:-1]] = lower[:, 1:]
+    T[:, rows[:-1], rows[1:]] = upper[:, :-1]
+    eye = np.eye(n_r)
+    want = np.empty_like(omega)
+    g_modes = np.fft.rfft(g, axis=-1)
+    for b, nu in enumerate(nus):
+        lam = 0.5 * nu * dt
+        rhs = np.einsum("kij,kj->ki", eye + lam * T, omega[b])
+        rhs[:, -1] += 2.0 * lam * d * g_modes[b]
+        want[b] = np.linalg.solve(eye - lam * T, rhs[..., None])[..., 0]
+    return want
+
+
 def test_crank_nicolson_step_matches_dense_solve():
     # (I - lam T) omega' = (I + lam T) omega + 2 lam d g per mode, lam = nu dt / 2,
-    # for a viscous and an inviscid member on the Poisson solver's Dirichlet bands
+    # for viscous and inviscid members on the Poisson solver's Dirichlet bands
+    rng = np.random.default_rng(3)
     grid = build_grid(8, 8)
     bands = cached_solver(PoissonDirichletSolver, *grid.shape).bands
-    lower, diag, upper, d = bands
     nus, dt = np.array([0.05, 0.0]), 0.01
-    rng = np.random.default_rng(3)
     n_modes = grid.n_theta // 2 + 1
     omega = (rng.standard_normal((2, n_modes, grid.n_r))
              + 1j * rng.standard_normal((2, n_modes, grid.n_r)))
     g = 1.0 + rng.standard_normal((2, grid.n_theta))
     got = _DiffusionCN(bands, nus, dt).step(omega, g)
-    g_modes = np.fft.rfft(g, axis=-1)
-    eye = np.eye(grid.n_r)
+    want = _dense_crank_nicolson(bands, nus, dt, omega, g)
     for b, nu in enumerate(nus):
-        lam = 0.5 * nu * dt
         for k in range(n_modes):
-            T = np.diag(diag[k]) + np.diag(lower[k, 1:], -1) + np.diag(upper[k, :-1], 1)
-            rhs = (eye + lam * T) @ omega[b, k]
-            rhs[-1] += 2.0 * lam * d * g_modes[b, k]
-            want = np.linalg.solve(eye - lam * T, rhs)
-            assert np.max(np.abs(got[b, k] - want)) <= 1e-12, (nu, k)
+            assert np.max(np.abs(got[b, k] - want[b, k])) <= 1e-12, (nu, k)
     assert np.array_equal(got[1], omega[1])
+    # The stiff end: 64^2 at the sweep's refined dt, lam |Lambda_k| up to
+    # about 433, past lam |Lambda| = 1, where the solve y is about omega / 2
+    # and the step's 2 y - omega cancels; each mode to 1e-13 of its largest
+    # entry.
+    grid = build_grid(64, 64)
+    bands = cached_solver(PoissonDirichletSolver, *grid.shape).bands
+    nus, dt = np.array([0.1, 0.001, 0.0]), 0.5 / 969
+    n_modes = grid.n_theta // 2 + 1
+    omega = (rng.standard_normal((3, n_modes, grid.n_r))
+             + 1j * rng.standard_normal((3, n_modes, grid.n_r)))
+    g = 1.0 + rng.standard_normal((3, grid.n_theta))
+    got = _DiffusionCN(bands, nus, dt).step(omega, g)
+    want = _dense_crank_nicolson(bands, nus, dt, omega, g)
+    scale = np.max(np.abs(want), axis=-1)
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-13 * scale)
+    assert np.array_equal(got[2], omega[2])
 
 
 def test_viscous_run_leaves_the_shared_dirichlet_bands_unchanged():
