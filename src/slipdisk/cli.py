@@ -11,14 +11,15 @@ Run directories hold config-resolved.json, series.csv, and (simulate)
 snapshots.npz with the vorticity snapshots; diagnose takes everything
 from the run directory. The engines live in ns_solver (simulate), sweep,
 adn and diagnostics (diagnose); this module reads their inputs, calls
-them, writes their reports and prints a summary. Each verb's input is
-read by _load, which refuses it in one line; so is an --out the verb
-cannot write (exit 2, before any work): a directory where a file goes,
-or an existing file where a directory goes or on the way to one. Each
-output file goes through ns_solver.write_atomically, which makes a
-missing --out directory. A simulate or sweep run that cannot go on
-(a CFL trip or a divergence) is reported by _run in one line, writes
-nothing and exits 1.
+them, writes their reports and prints a summary. A verb that cannot go
+on raises _Refusal, and main alone prints its one line "cannot <what>
+<path>: <reason>" on stderr and returns its exit code: 2 from _load for
+an unusable input or an --out the verb cannot write, before any work (a
+directory where a file goes, or an existing file where a directory goes
+or on the way to one), 1 from _run for a simulate or sweep run that
+stops on a CFL trip or a divergence, which writes nothing. Each output
+file goes through ns_solver.write_atomically, which makes a missing
+--out directory.
 """
 
 from __future__ import annotations
@@ -42,28 +43,28 @@ from .sweep import _energy_ok  # noqa: F401
 # verbs
 # ---------------------------------------------------------------------------
 
+class _Refusal(Exception):
+    """args (code, line): a verb's input it cannot use (code 2) or a run
+    that cannot go on (code 1), and its one line "cannot <what> <path>:
+    <reason>", which main prints on stderr before returning the code."""
+
+
 def _load(what, loader, path):
-    """loader(path), or None after the one line "cannot <what> <path>: <err>"
-    on stderr: the refusal of every verb's unusable input."""
+    """loader(path), or a _Refusal with code 2: the refusal of every
+    verb's unusable input."""
     try:
         return loader(path)
     except (KeyError, ValueError, OSError, TypeError) as err:
-        print(f"cannot {what} {path}: {err}", file=sys.stderr)
-        return None
+        raise _Refusal(2, f"cannot {what} {path}: {err}") from None
 
 
 def _run(what, path, call):
-    """call(), or None after the one line "cannot <what> <path>: <err>" on
-    stderr if the run cannot go on: a CflError or DivergenceError, or the
-    sweep's RuntimeError raised from a CflError. Any other error propagates."""
+    """call(), or a _Refusal with code 1 if the run cannot go on: a
+    CflError or DivergenceError. Any other error propagates."""
     try:
         return call()
-    except RuntimeError as err:
-        if not (isinstance(err, (CflError, DivergenceError))
-                or isinstance(err.__cause__, CflError)):
-            raise
-        print(f"cannot {what} {path}: {err}", file=sys.stderr)
-        return None
+    except (CflError, DivergenceError) as err:
+        raise _Refusal(1, f"cannot {what} {path}: {err}") from None
 
 
 def _out_dir(path):
@@ -89,15 +90,9 @@ def _out_file(path):
 
 def _cmd_simulate(args) -> int:
     config = _load("read config", SimConfig.from_json, args.config)
-    if config is None:
-        return 2
     out = _load("write to", _out_dir, args.out or os.path.join("runs", _stem(args.config)))
-    if out is None:
-        return 2
-    run = _run("simulate", args.config, lambda: _timed_run(simulate, config))
-    if run is None:
-        return 1
-    traj, wall_ms, cpu_ms = run
+    traj, wall_ms, cpu_ms = _run("simulate", args.config,
+                                 lambda: _timed_run(simulate, config))
     traj.save(out)
     times = traj.series["t"]
     n_steps = len(times) - 1
@@ -112,14 +107,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load("read config", SweepConfig.from_json, args.config)
-    if config is None:
-        return 2
     out = _load("write to", _out_dir, args.out or os.path.join("runs", _stem(args.config)))
-    if out is None:
-        return 2
     report = _run("sweep", args.config, lambda: run_sweep(config))
-    if report is None:
-        return 1
     report.write(out)
     for row in report.rows:
         print(f"nu={row['nu']:.3g} q={row['q']:.3g}: sup_diff={row['sup_lq_diff']:.4e} "
@@ -132,12 +121,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_adn(args) -> int:
     problem = _load("parse problem file", adn_mod.load_problem, args.problem)
-    if problem is None:
-        return 2
     out = _load("write to", _out_file,
                 args.out or os.path.splitext(args.problem)[0] + ".report.json")
-    if out is None:
-        return 2
     report = adn_mod.check_all(problem, args.boundary_samples, args.xi_samples)
     write_json(out, report.to_dict())
     status = "pass" if report.passed else "fail"
@@ -149,15 +134,10 @@ def _cmd_adn(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     traj = _load("load run directory", Trajectory.load, args.run_dir)
-    if traj is None:
-        return 2
     if len(traj.times) < 2:
-        print(f"cannot diagnose run directory {args.run_dir}: {len(traj.times)} "
-              f"snapshot(s), the balances need at least 2", file=sys.stderr)
-        return 2
+        raise _Refusal(2, f"cannot diagnose run directory {args.run_dir}: "
+                          f"{len(traj.times)} snapshot(s), the balances need at least 2")
     out = _load("write to", _out_file, args.out or os.path.join(args.run_dir, "diagnostics.json"))
-    if out is None:
-        return 2
     report = diagnose(traj)
     write_json(out, report)
     verdicts = [report[k].get("pass") for k in ("navier", "weak_form", "balance")]
@@ -212,7 +192,12 @@ def main(argv=None) -> int:
     p_diag.set_defaults(func=_cmd_diagnose)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refusal as refusal:
+        code, line = refusal.args
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -66,8 +66,8 @@ from .field import (ScalarField, VectorField, boundary_values, bump_values,
                     theta_multiplier, to_modes, wall_derivative)
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
-from .geometry import (BoundaryTrace, PolarGrid, alpha_function, boundary_trace,
-                       build_grid, distinct, finite, integer, point, reals, table)
+from .geometry import (BoundaryTrace, PolarGrid, boundary_trace, build_grid, distinct,
+                       finite, integer, point, reals, table)
 
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
@@ -140,10 +140,15 @@ class SimConfig:
         for key, value in table(self.tol, "tol", ("navier", "weakform", "balance")).items():
             if not finite(value, f"tol {key}") >= 0:
                 raise ValueError(f"tol {key} must be >= 0, got {value}")
-        # Both specs are parsed here, by the code that builds them, so a
-        # config that cannot be run is refused before any run starts.
-        initial_profile(self.initial_condition)
-        alpha_function(self.alpha)
+        # Both specs are sampled here on the run's grid, by the code that
+        # builds them, so a config that cannot be run is refused before any
+        # run starts; an overflow is refused as a non-finite sample, unwarned.
+        grid = build_grid(self.n_r, self.n_theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(initial_profile(self.initial_condition)(grid))):
+                raise ValueError(f"initial condition samples on the {self.n_r} x "
+                                 f"{self.n_theta} grid are not finite")
+            boundary_trace(grid, self.alpha)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -201,7 +206,7 @@ def initial_profile(spec: dict):
                 r, th = grid.r_col, grid.theta
                 dist = np.hypot(r * np.cos(th) - cx, r * np.sin(th) - cy)
                 with np.errstate(divide="ignore"):
-                    return np.minimum(grid.dr ** (-gamma), dist ** (-gamma))
+                    return np.minimum(np.float64(grid.dr) ** -gamma, dist ** (-gamma))
 
             return singular
         if kind == "modes":
@@ -242,14 +247,15 @@ def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
 def cfl_bound(u) -> float | np.ndarray:
     """0.5 min(dr, r_1 dtheta) / max|u|, max|u| = sqrt(max(u_r^2 + u_theta^2))
     over the nodes; inf when every squared speed is 0 (the zero field, or
-    one whose squares underflow).
+    one whose squares underflow), and 0, which no step passes, when a
+    squared speed overflows.
 
     u is a VectorField, or a stepper time level, whose cached speed2() is
     read and whose member axis gives one bound per member.
     """
     grid = u.grid
-    speed2 = u.speed2() if isinstance(u, _State) else u.u_r * u.u_r + u.u_theta * u.u_theta
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        speed2 = u.speed2() if isinstance(u, _State) else u.u_r * u.u_r + u.u_theta * u.u_theta
         return (0.5 * min(grid.dr, grid.r[0] * grid.dtheta)
                 / np.sqrt(np.max(speed2, axis=(-2, -1))))
 
@@ -365,7 +371,8 @@ class _Stepper:
 
     def advance(self, s: _State, dt: float) -> _State:
         bound = cfl_bound(s)
-        over = np.flatnonzero(dt > bound)
+        # A bound of 0 (an overflowing speed) refuses even an automatic dt of 0
+        over = np.flatnonzero((dt > bound) | (bound == 0))
         if over.size:
             k = over[0]
             raise CflError(dt, float(bound[k]), float(np.sqrt(np.max(s.speed2()[k]))),
@@ -536,6 +543,7 @@ def simulate(config: SimConfig) -> Trajectory:
     return simulate_ensemble([config])[0]
 
 
+@np.errstate(over="ignore")
 def simulate_ensemble(configs) -> list[Trajectory]:
     """Run configs that differ only in nu as one ensemble, stepped together
     on a shared grid with shared steps and snapshot times.
@@ -543,7 +551,8 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     Member k's trajectory is simulate(configs[k]) up to roundoff, except
     that an automatic dt follows the smallest CFL bound among the members.
     A CflError or DivergenceError names the offending member's nu and the
-    step.
+    step. An overflow warns of nothing: an overflowing squared speed
+    makes the CFL bound 0, and a non-finite vorticity stops the run.
     """
     configs = list(configs)
     if not configs:

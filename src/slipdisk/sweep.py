@@ -76,6 +76,8 @@ class SweepConfig:
             raise ValueError(f"euler_refinement_factor must be an integer >= 2, "
                              f"got {self.euler_refinement_factor}")
         phi_bump(self.phi)
+        m = self.euler_refinement_factor  # the refined run's specs sample finitely too
+        replace(self.base, n_r=m * self.base.n_r, n_theta=m * self.base.n_theta)
         if self.p not in self.base.lp_exponents:
             self.base = replace(self.base,
                                 lp_exponents=self.base.lp_exponents + (self.p,))
@@ -207,7 +209,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     euler_refined_cpu_ms are the child's own wall and CPU times for it,
     and ensemble_cpu_ms the CPU time of this process over the ensemble
     (its numpy threads included). A CflError from the ensemble is reported
-    before one from the refined run. A refined run that an ensemble
+    before one from the refined run, and the last attempt's is raised with
+    its message prefixed by that attempt's step. A refined run that an ensemble
     failure abandons is killed, so none outlives the attempt that
     started it.
     """
@@ -219,6 +222,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     if base.dt == "auto":
         omega0 = initial_vorticity(base.initial_condition, fine_grid)
         bound = cfl_bound(biot_savart(omega0))
+        if bound == 0:  # the refined inviscid run's max|u| overflows: no step passes
+            raise CflError(0.0, 0.0, np.inf, 0.0)
         if not np.isfinite(bound):
             bound = base.t_end
         # The velocity maximum can grow during the run, so the initial
@@ -245,8 +250,8 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
                 break
             except CflError as err:
                 if attempt == len(candidates):
-                    raise RuntimeError(f"sweep failed at its smallest step "
-                                       f"dt={dt}: {err}") from err
+                    err.args = (f"sweep failed at its smallest step dt={dt}: {err}",)
+                    raise
     viscous, euler_base = base_runs[:-1], base_runs[-1]
 
     if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):

@@ -13,6 +13,7 @@ witnesses.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,13 @@ def test_check_ellipticity_builds_one_symbol_batch(monkeypatch):
     assert report.m == 2
 
 
+def test_check_ellipticity_needs_an_x_and_a_xi_sample():
+    problem = navier_laplacian_problem(0.0)
+    for points, xi in (([], _sphere(8)), (_points(8), [])):
+        with pytest.raises(ValueError, match="at least one x sample and one xi sample"):
+            check_ellipticity(problem, points, xi)
+
+
 def test_degenerate_diagonal_fails_with_witness():
     # L = diag(d_1^2, d_2^2) vanishes at xi = (1, 0): not elliptic
     data = {"M": 2, "s": [0, 0], "t": [2, 2], "r": [-2, -2],
@@ -367,6 +375,19 @@ def test_duplicated_rows_fail_with_witness():
     assert not verdict.passed
     w = np.asarray(verdict.witness)
     assert abs(w[0] - 1.0) < 1e-8 and abs(w[1] + 1.0) < 1e-8
+
+
+def test_slip_row_without_its_first_order_terms_fails_complementing():
+    # the slip row's principal part is its first-order terms; without them
+    # the row vanishes, and the witness is that row alone
+    problem = navier_laplacian_problem(1.0)
+    problem = replace(problem, B_coeffs=tuple(b for b in problem.B_coeffs
+                                              if sum(b[2]) == 0))
+    report = check_all(problem, 8, 8)
+    assert not report.verdicts["complementing"]
+    witness = report.witnesses["complementing"]
+    assert witness["combination"] == (0.0, 1.0)
+    assert witness["singular_ratio"] == 0.0
 
 
 def test_complementing_preconditions():
@@ -711,6 +732,8 @@ def test_load_problem_unknown_builtin():
                  r"B entry 2 column must be an integer, got '2'", id="string-column"),
     pytest.param(lambda d: d.update(M=2.9), r"M must be an integer, got 2.9",
                  id="fractional-M"),
+    pytest.param(lambda d: d.update(M=0), r"M must be a positive integer, got 0",
+                 id="zero-M"),
     pytest.param(lambda d: d.update(r=[-2, True]), r"r must be an integer, got True",
                  id="bool-weight"),
     pytest.param(lambda d: d.update(s=[0, 0.5]), r"s must be an integer, got 0.5",

@@ -333,11 +333,10 @@ def test_sweep_restarts_when_a_candidate_step_trips(monkeypatch):
 def test_sweep_fails_when_every_candidate_step_trips(monkeypatch):
     true_bound = sweep.cfl_bound
     monkeypatch.setattr(sweep, "cfl_bound", lambda u: 100.0 * true_bound(u))
-    with pytest.raises(RuntimeError, match="sweep failed at its smallest step") as info:
+    with pytest.raises(CflError, match="sweep failed at its smallest step") as info:
         run_sweep(_rigid_sweep_config())
-    # both runs trip; the ensemble's error, naming its first member, is reported
-    assert isinstance(info.value.__cause__, CflError)
-    assert info.value.__cause__.nu == 0.1
+    # both runs trip; the ensemble's error, naming its first member, is raised
+    assert info.value.nu == 0.1
     assert multiprocessing.active_children() == []
 
 
@@ -653,8 +652,25 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"phi": 3}, "phi"), ({"phi": "zero"}, "phi"),
                          ({"phi": {"bump": {}}}, "phi"),
                          ({"phi": {"bump": {"radius": 0.3, "center": [0.1]}}}, "phi center"),
-                         ({"phi": {"bump": {"radius": 0.3, "amplitde": 2.0}}}, "amplitde")):
+                         ({"phi": {"bump": {"radius": 0.3, "amplitde": 2.0}}}, "amplitde"),
+                         ({"phi": {"bump": {"radius": 0.3}, "zero": {}}},
+                          "exactly one of bump or zero")):
         cases.append(("sweep", {**sweep, **change}, name))
+    # specs whose samples overflow, which passed the config read and ended
+    # in a traceback mid-run: an alpha series, a singular cap dr^-gamma on
+    # 64 rings, a modes profile, and a singular datum finite on the base
+    # grid but not on the sweep's refined 64 x 64 grid
+    for change, name in (({"alpha": {"fourier": [[1, 1e308, 0], [2, 1e308, 0],
+                                                  [3, 1e308, 0]]}}, "alpha samples"),
+                         ({"n_r": 64, "initial_condition": {"singular": {
+                             "center": [0, 0], "gamma": 200, "p": 0.005}}}, "64 x 16 grid"),
+                         ({"initial_condition": {"modes": [[1, [1e308, 1e308]]]}},
+                          "initial condition samples")):
+        cases.append(("simulate", {**_tiny_base().to_dict(), **change}, name))
+    cases.append(("sweep", {**sweep, "base": {**sweep["base"], "n_r": 32, "n_theta": 32,
+                                              "initial_condition": {"singular": {
+                                                  "center": [0, 0], "gamma": 190,
+                                                  "p": 0.01}}}}, "64 x 64 grid"))
     for k, (verb, spec, name) in enumerate(cases):
         cpath = tmp_path / f"bad{k}.json"
         cpath.write_text(json.dumps(spec))
@@ -714,6 +730,44 @@ def test_simulate_and_sweep_verbs_report_a_stopped_run_in_one_line(tmp_path, cap
     with pytest.raises(RuntimeError, match="not a stopped run"):
         main(["simulate", str(cpath), "--out", str(out)])
     assert not out.exists()
+
+
+def test_a_level_whose_squared_speed_overflows_stops_at_step_one(tmp_path):
+    # u_theta^2 of omega = 1e200 overflows, so the CFL bound is 0: an
+    # automatic dt of 0.9 * 0 passed the dt > bound check and simulate never
+    # returned, the sweep divided by its zero candidate step, and a fixed dt
+    # printed overflow warnings before its line
+    base = {"nu": 0.1, "t_end": 0.1, "initial_condition": {"const": 1e200},
+            "n_r": 8, "n_theta": 8}
+    sweep_spec = {"nu_list": [0.1], "q_list": [2.0], "p": 4.0}
+    for verb, spec in (("simulate", base), ("simulate", {**base, "dt": 0.01}),
+                       ("sweep", {**sweep_spec, "base": base}),
+                       ("sweep", {**sweep_spec, "base": {**base, "dt": 0.01}})):
+        cpath, out = tmp_path / f"{verb}.json", tmp_path / f"{verb}-out"
+        cpath.write_text(json.dumps(spec))
+        done = subprocess.run([sys.executable, "-m", "slipdisk", verb, str(cpath),
+                               "--out", str(out)], env=_env_with_src_on_path(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, (spec, done.stderr)
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith(f"cannot {verb} {cpath}: "), done.stderr
+        assert done.stderr.endswith("CFL bound 0 (max|u|=inf)\n"), done.stderr
+        assert not out.exists()
+
+
+def test_sweep_of_a_zero_field_takes_one_step_of_t_end():
+    # the zero field's CFL bound is infinite, so the step is t_end
+    base = SimConfig(nu=0.1, t_end=0.1, initial_condition={"const": 0.0},
+                     n_r=8, n_theta=8)
+    report = run_sweep(SweepConfig(base=base, nu_list=(0.1, 0.01), q_list=(1.0, 2.0),
+                                   p=4.0))
+    assert report.metadata["n_steps"] == 1 and report.metadata["attempts"] == 1
+    assert report.metadata["dt"] == 0.1
+    assert report.metadata["refined_n_steps"] == 2
+    assert len(report.rows) == 4
+    for row in report.rows:
+        assert row["sup_lq_diff"] == row["sup_lp_enstrophy"] == row["renorm_slack"] == 0.0
+    assert report.euler_floor == {1.0: 0.0, 2.0: 0.0}
 
 
 def test_sweep_verb(tmp_path):

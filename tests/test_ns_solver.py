@@ -137,6 +137,7 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     ({"initial_condition": {"modes": [[1, []]]}}, "malformed 'modes'"),
     # 2 and 2.0 both named the column enstrophy_2: series.csv wrote it twice
     ({"lp_exponents": [2, 4.0, 2.0]}, r"lp exponent 2.0 is repeated in \[2.0, 4.0, 2.0\]"),
+    ({"tol": {"balance": -1e-3}}, r"tol balance must be >= 0, got -0.001"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
@@ -553,6 +554,11 @@ def test_ensemble_rejects_configs_differing_beyond_nu(change):
     with pytest.raises(ValueError, match="differ only in nu"):
         simulate_ensemble([_ensemble_config(nu=0.01),
                            _ensemble_config(nu=0.001, **change)])
+
+
+def test_ensemble_of_no_configs_is_refused():
+    with pytest.raises(ValueError, match="at least one config"):
+        simulate_ensemble([])
 
 
 def test_divergence_names_only_the_member_that_diverged():

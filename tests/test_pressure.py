@@ -193,6 +193,16 @@ def test_grid_mismatch_rejected(grid48, grid64):
     with pytest.raises(ValueError, match="different grids"):
         recover_pressure(u, omega, nu=0.0)
 
+
+def test_data_of_another_grid_rejected(grid32, grid48):
+    # grid32 has 32 angles, grid48 64
+    u, omega = _rigid(grid48)
+    with pytest.raises(ValueError, match="boundary trace does not match the grid"):
+        recover_pressure(u, omega, nu=0.0, trace=boundary_trace(grid32, 1.0))
+    with pytest.raises(ValueError, match="Neumann data must be sampled on the theta grid"):
+        PoissonNeumannSolver(grid48).solve(omega, np.zeros(grid32.n_theta))
+
+
 # ---------------------------------------------------------------------------
 # snapshot stacks
 # ---------------------------------------------------------------------------
