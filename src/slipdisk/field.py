@@ -29,6 +29,7 @@ components (u = grad^perp psi), and curl(u) = (1/r)(d(r u_theta)/dr
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,12 +272,30 @@ def lp_norm(f: ScalarField | VectorField, p: float) -> float:
 
 
 def lp_norms(mag: np.ndarray, grid: PolarGrid, p: float) -> np.ndarray:
-    """lp_norm of node magnitudes (..., n_r, n_theta), one per leading index."""
+    """lp_norm of node magnitudes (..., n_r, n_theta), one per leading index.
+
+    The plain sum of w mag^p overflows for a large p or mag, and underflows
+    for a small one, to 0 or to a subnormal float that has lost digits. A
+    leading index whose sum is not a finite normal float is summed again
+    with its max scaled out, max (sum w (mag / max)^p)^(1/p), which is 0
+    for a zero field and keeps an inf or nan; every other index keeps the
+    bits of the plain sum."""
     if np.isinf(p):
         return np.max(mag, axis=(-2, -1))
     if p < 1:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    return np.sum(grid.weights * mag ** p, axis=(-2, -1)) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        sums = np.sum(grid.weights * mag ** p, axis=(-2, -1))
+    norms = sums ** (1.0 / p)
+    tiny = sys.float_info.min  # the least normal float
+    if not all(tiny <= s < np.inf for s in sums.flat):  # few sums: cheaper than array tests
+        redo = ~((sums >= tiny) & (sums < np.inf))
+        norms, mag = np.array(norms), mag[redo]
+        top = np.max(mag, axis=(-2, -1), keepdims=True)
+        scale = np.where(np.isfinite(top) & (top > 0), top, 1.0)
+        norms[redo] = top[..., 0, 0] * np.sum(grid.weights * (mag / scale) ** p,
+                                              axis=(-2, -1)) ** (1.0 / p)
+    return norms
 
 
 def wall_derivative(values: np.ndarray, grid: PolarGrid) -> np.ndarray:

@@ -102,6 +102,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SimConfig:
+    """One run: the viscosity nu, the end time t_end, the initial_condition
+    and alpha specs, the step dt (a number or "auto"), the n_r x n_theta
+    grid, the output_stride in steps between snapshots, the lp_exponents
+    of the enstrophy columns, and the diagnose tolerances tol.
+
+    The config also keeps, as plain attributes that are not fields (so
+    to_dict, equality and replace ignore them), what it samples to check
+    itself: grid from build_grid, trace from boundary_trace, and omega0,
+    the initial vorticity on grid, read-only. The run starts from them.
+    """
     nu: float
     t_end: float
     initial_condition: dict
@@ -142,13 +152,16 @@ class SimConfig:
                 raise ValueError(f"tol {key} must be >= 0, got {value}")
         # Both specs are sampled here on the run's grid, by the code that
         # builds them, so a config that cannot be run is refused before any
-        # run starts; an overflow is refused as a non-finite sample, unwarned.
-        grid = build_grid(self.n_r, self.n_theta)
+        # run starts, and the run starts from these samples; an overflow is
+        # refused as a non-finite sample, unwarned.
+        self.grid = build_grid(self.n_r, self.n_theta)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(initial_profile(self.initial_condition)(grid))):
+            self.omega0 = initial_profile(self.initial_condition)(self.grid)
+            if not np.all(np.isfinite(self.omega0)):
                 raise ValueError(f"initial condition samples on the {self.n_r} x "
                                  f"{self.n_theta} grid are not finite")
-            boundary_trace(grid, self.alpha)
+            self.trace = boundary_trace(self.grid, self.alpha)
+        self.omega0.flags.writeable = False
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -467,8 +480,6 @@ class Trajectory:
         strictly increasing, whose omega is not finite, or whose omega or
         series names do not match config-resolved.json, raises ValueError."""
         config = SimConfig.from_json(os.path.join(run_dir, "config-resolved.json"))
-        grid = build_grid(config.n_r, config.n_theta)
-        trace = boundary_trace(grid, config.alpha)
         path = os.path.join(run_dir, "snapshots.npz")
         try:
             with open(path, "rb") as fh, np.load(fh) as data:
@@ -488,9 +499,9 @@ class Trajectory:
                                  f"{ndim} dimensions")
         if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
             raise ValueError(f"{path}: times must be finite and strictly increasing")
-        if omega.shape != (len(times),) + grid.shape:
+        if omega.shape != (len(times),) + config.grid.shape:
             raise ValueError(f"{path}: omega has shape {omega.shape}, expected "
-                             f"{(len(times),) + grid.shape} for {len(times)} times "
+                             f"{(len(times),) + config.grid.shape} for {len(times)} times "
                              f"on the configured grid")
         bad = np.flatnonzero(~np.isfinite(omega).all(axis=(-2, -1)))
         if bad.size:
@@ -499,7 +510,7 @@ class Trajectory:
         if names != columns or len(values) != len(columns):
             raise ValueError(f"{path}: series_names {names} with {len(values)} rows of "
                              f"series_values differ from the configured columns {columns}")
-        return cls(config=config, grid=grid, trace=trace, times=times, omega=omega,
+        return cls(config=config, grid=config.grid, trace=config.trace, times=times, omega=omega,
                    series=dict(zip(names, values)))
 
 
@@ -564,11 +575,9 @@ def simulate_ensemble(configs) -> list[Trajectory]:
         if differ:
             raise ValueError(f"ensemble configs may differ only in nu; "
                              f"nu={config.nu} differs in {differ}")
-    grid = build_grid(first.n_r, first.n_theta)
-    trace = boundary_trace(grid, first.alpha)
-    stepper = _Stepper(grid, trace, [config.nu for config in configs])
-    omega = initial_vorticity(first.initial_condition, grid).values
-    omega = np.repeat(omega[None], len(configs), axis=0)
+    grid = first.grid
+    stepper = _Stepper(grid, first.trace, [config.nu for config in configs])
+    omega = np.repeat(first.omega0[None], len(configs), axis=0)
     state = stepper.state(to_modes(omega), omega)
 
     auto = first.dt == "auto"
@@ -619,7 +628,7 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     columns = _series_columns(first.lp_exponents)[1:]
     # pop: a member's copies are freed once its array is built
     return [Trajectory(
-        config=config, grid=grid, trace=trace, times=np.array(times),
+        config=config, grid=grid, trace=first.trace, times=np.array(times),
         omega=np.stack(snapshots.pop(0)),
         series={"t": np.array(record_times), **dict(zip(columns, series[k]))})
         for k, config in enumerate(configs)]

@@ -28,10 +28,10 @@ import numpy as np
 from ._forked import ForkedCall
 from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
-from .field import lp_norms
+from .field import ScalarField, lp_norms
 from .geometry import build_grid, distinct, integer, real, reals, table
-from .ns_solver import (CflError, SimConfig, cfl_bound, initial_vorticity, simulate,
-                        simulate_ensemble, write_atomically, write_json)
+from .ns_solver import (CflError, SimConfig, cfl_bound, simulate, simulate_ensemble,
+                        write_atomically, write_json)
 
 ENERGY_RATE_TOL = 1e-6
 DEFAULT_PHI = {"bump": {"center": (0.0, 0.0), "radius": 0.9, "amplitude": 1.0}}
@@ -42,7 +42,9 @@ CSV_COLUMNS = ("nu", "q", "sup_lq_diff", "sup_lp_enstrophy",
 @dataclass
 class SweepConfig:
     """The viscosity sweep: one initial datum, descending viscosities, a
-    refined inviscid reference run."""
+    refined inviscid reference run. refined, not a field, is that run's
+    config but for its dt: base, p among its lp_exponents, refined by
+    euler_refinement_factor in n_r, n_theta and output_stride, at nu = 0."""
     base: SimConfig
     nu_list: tuple
     q_list: tuple
@@ -76,11 +78,13 @@ class SweepConfig:
             raise ValueError(f"euler_refinement_factor must be an integer >= 2, "
                              f"got {self.euler_refinement_factor}")
         phi_bump(self.phi)
-        m = self.euler_refinement_factor  # the refined run's specs sample finitely too
-        replace(self.base, n_r=m * self.base.n_r, n_theta=m * self.base.n_theta)
         if self.p not in self.base.lp_exponents:
             self.base = replace(self.base,
                                 lp_exponents=self.base.lp_exponents + (self.p,))
+        m = self.euler_refinement_factor  # the refined run's specs sample finitely too
+        self.refined = replace(self.base, nu=0.0, n_r=m * self.base.n_r,
+                               n_theta=m * self.base.n_theta,
+                               output_stride=m * self.base.output_stride)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
@@ -197,9 +201,11 @@ def _timed_run(run, arg):
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
     """Run the sweep and assemble the report.
 
-    All runs share one fixed dt, so snapshot times align exactly across
-    the sweep. The step is sized by the CFL bound of the initial velocity
-    on the refined grid: refining the grid by a factor shrinks the
+    The base-grid runs share one fixed dt, and the refined run, the
+    SweepConfig.refined config at dt / m for refinement factor m, steps m
+    times as often, so snapshot times align exactly across the sweep. The
+    step is sized by the CFL bound of the velocity of refined.omega0, on
+    the refined grid: refining the grid by a factor shrinks the
     near-center angular bound by its square while the reference step
     shrinks only linearly, so the refined run is the binding constraint.
     The viscous runs and the base-grid inviscid run share everything but
@@ -214,14 +220,11 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     failure abandons is killed, so none outlives the attempt that
     started it.
     """
-    base = config.base
+    base, refined = config.base, config.refined
     m = config.euler_refinement_factor
-    base_grid = build_grid(base.n_r, base.n_theta)
-    fine_grid = build_grid(m * base.n_r, m * base.n_theta)
 
     if base.dt == "auto":
-        omega0 = initial_vorticity(base.initial_condition, fine_grid)
-        bound = cfl_bound(biot_savart(omega0))
+        bound = cfl_bound(biot_savart(ScalarField(refined.grid, refined.omega0)))
         if bound == 0:  # the refined inviscid run's max|u| overflows: no step passes
             raise CflError(0.0, 0.0, np.inf, 0.0)
         if not np.isfinite(bound):
@@ -237,12 +240,10 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
         n_steps = max(1, int(np.ceil(base.t_end / dt_try - 1e-12)))
         dt = base.t_end / n_steps
         members = [replace(base, nu=nu, dt=dt) for nu in config.nu_list + (0.0,)]
-        refined = replace(base, nu=0.0, dt=dt / m, n_r=m * base.n_r,
-                          n_theta=m * base.n_theta,
-                          output_stride=m * base.output_stride)
         # Leaving the with block stops the child, so a refined run that an
         # ensemble failure abandons is killed, not waited for.
-        with ForkedCall(functools.partial(_timed_run, simulate, refined)) as refined_run:
+        with ForkedCall(functools.partial(_timed_run, simulate,
+                                          replace(refined, dt=dt / m))) as refined_run:
             try:
                 base_runs, ensemble_ms, ensemble_cpu_ms = _timed_run(simulate_ensemble,
                                                                      members)
@@ -256,16 +257,16 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
 
     if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):
         raise RuntimeError("reference snapshot times do not align with the sweep")
-    ref = _interpolate_to_base(euler_fine.omega, m, base_grid, fine_grid)
+    ref = _interpolate_to_base(euler_fine.omega, m, base.grid, refined.grid)
 
     def sup_diff(stack, q):
-        return float(np.max(lp_norms(np.abs(stack - ref), base_grid, q)))
+        return float(np.max(lp_norms(np.abs(stack - ref), base.grid, q)))
 
     euler_floor = {q: sup_diff(euler_base.omega, q) for q in config.q_list}
 
     rows = []
     for traj in viscous:
-        sup_lp = float(np.max(lp_norms(np.abs(traj.omega), base_grid, config.p)))
+        sup_lp = float(np.max(lp_norms(np.abs(traj.omega), base.grid, config.p)))
         slack = renormalized_slack(traj, config.phi, config.slack_q)
         ok = _energy_ok(traj.series)
         for q in config.q_list:
@@ -282,7 +283,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     metadata = {"n_steps": n_steps, "dt": dt, "attempts": attempt,
                 "refined_n_steps": len(euler_fine.series["t"]) - 1,
                 "base_grid": [base.n_r, base.n_theta],
-                "refined_grid": [m * base.n_r, m * base.n_theta],
+                "refined_grid": [refined.n_r, refined.n_theta],
                 "ensemble_wall_ms": ensemble_ms,
                 "euler_refined_wall_ms": euler_fine_ms,
                 "ensemble_cpu_ms": ensemble_cpu_ms,

@@ -104,6 +104,19 @@ def test_sweep_config_leaves_callers_base_unchanged():
     assert config.base.lp_exponents == (2.0, 4.0)
 
 
+def test_sweep_config_keeps_its_refined_runs_config():
+    base = _tiny_base(lp_exponents=(2.0,), output_stride=7)
+    config = SweepConfig(base=base, nu_list=(0.1,), q_list=(2.0,), p=4.0,
+                         euler_refinement_factor=3)
+    refined = config.refined
+    assert (refined.nu, refined.n_r, refined.n_theta, refined.output_stride) == (
+        0.0, 3 * base.n_r, 3 * base.n_theta, 3 * base.output_stride)
+    assert refined.lp_exponents == (2.0, 4.0)
+    assert refined == replace(config.base, nu=0.0, n_r=48, n_theta=48, output_stride=21)
+    assert refined.omega0.shape == refined.grid.shape == (48, 48)
+    assert "refined" not in config.to_dict()
+
+
 def test_sweep_config_dict_roundtrip():
     config = SweepConfig(base=_tiny_base(), nu_list=(0.1, 0.01),
                          q_list=(2.0,), p=4.0)
@@ -582,6 +595,39 @@ def test_diagnose_verb_rejects_runs_with_fewer_than_two_snapshots(tmp_path, caps
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{keep} snapshot" in err, err
         assert not (run_dir / "diagnostics.json").exists()
+
+
+def test_sweep_steps_its_configs_refined_run():
+    config = SweepConfig(base=_tiny_base(nu=0.0), nu_list=(0.1,), q_list=(2.0,), p=4.0)
+    report = run_sweep(config)
+    m = config.euler_refinement_factor
+    assert report.runs["euler_refined"].config == replace(
+        config.refined, dt=report.metadata["dt"] / m)
+    assert report.metadata["refined_grid"] == [config.refined.n_r, config.refined.n_theta]
+
+
+def test_sweep_at_a_large_p_exits_0_with_finite_norms(tmp_path):
+    # the README bump's |omega|^400 overflows the plain sum, and a
+    # tenth's underflows: the p = 400 sweep used to print an overflow
+    # warning and die on a non-finite sup_lp_enstrophy entry
+    bump = {"bump": {"center": [0.3, 0.0], "radius": 0.4, "amplitude": 8.0}}
+    spec = {"base": {"nu": 0.0, "t_end": 0.05, "initial_condition": bump, "alpha": 1.0,
+                     "n_r": 16, "n_theta": 16},
+            "nu_list": [0.1, 0.01], "q_list": [2.0], "p": 400.0}
+    cpath, out = tmp_path / "sweep.json", tmp_path / "sweep-out"
+    cpath.write_text(json.dumps(spec))
+    done = subprocess.run([sys.executable, "-m", "slipdisk", "sweep", str(cpath),
+                           "--out", str(out)], env=_env_with_src_on_path(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert [row["nu"] for row in rows] == [0.1, 0.01]
+    for row in rows:
+        assert 7.8 < row["sup_lp_enstrophy"] < 8.0  # the bump's amplitude is 8
+    traj = simulate(replace(SimConfig.from_dict(spec["base"]), nu=0.01,
+                            lp_exponents=(2.0, 400.0)))
+    assert np.all(np.isfinite(traj.series["enstrophy_400"]))
+    assert traj.series["enstrophy_400"][0] == lp_norm(traj.omegas[0], 400.0)
 
 
 def test_python_m_slipdisk_runs_the_verbs(tmp_path):

@@ -8,6 +8,8 @@ of the solvers.  Generic-function derivatives are checked against a
 symbolically differentiated oracle at two resolutions.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,35 @@ def test_lp_norm_of_a_snapshot_equals_its_entry_in_a_stack(grid48):
                 one = (ScalarField(grid48, f.values[k]) if f is omega
                        else VectorField(grid48, f.u_r[k], f.u_theta[k]))
                 assert lp_norm(one, p) == stacked[k], (p, k)
+
+
+@pytest.mark.parametrize("c, p", [(1e80, 4.0), (-1e80, 4.0), (0.1, 400.0), (8.0, 400.0),
+                                  (0.16, 400.0), (1e-80, 4.0)])
+def test_lp_norms_out_of_the_plain_sums_range_scale_out_their_max(grid32, c, p):
+    # 1e80^4 overflows the sum of w |f|^p and 0.1^400 underflows it to 0;
+    # 0.16^400 and 1e-80^4 leave a subnormal sum, short of digits. The norm
+    # is |c| (sum w)^(1/p) all the same, with no warning
+    mag = np.abs(np.full((2,) + grid32.shape, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norms(mag, grid32, p)
+        one = lp_norm(ScalarField(grid32, mag[0]), p)
+    want = abs(c) * np.sum(grid32.weights) ** (1.0 / p)
+    assert np.all(np.abs(got / want - 1.0) <= 1e-14), (got, want)
+    assert one == got[0]
+
+
+def test_lp_norms_of_a_zero_field_is_zero_and_the_other_indices_keep_their_bits(grid32):
+    vals = np.stack([np.zeros(grid32.shape), smooth_vorticity(grid32).values,
+                     np.full(grid32.shape, 1e200)])
+    mag = np.abs(vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norms(mag, grid32, 3.0)
+    assert got[0] == 0.0
+    assert got[1] == np.sum(grid32.weights * mag[1] ** 3.0) ** (1.0 / 3.0)
+    assert np.isfinite(got[2]) and got[2] > 1e200
+    assert lp_norms(np.zeros((3,) + grid32.shape), grid32, 2.0).tolist() == [0.0] * 3
 
 
 def test_lp_norm_refuses_a_stack_and_points_to_lp_norms(grid32):

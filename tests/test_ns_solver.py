@@ -13,6 +13,7 @@ import os
 import pickle
 import weakref
 import zipfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,61 @@ def test_config_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()))
     assert SimConfig.from_json(path) == config
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Dataclasses of arrays and numbers equal field by field, bit for bit."""
+    return type(a) is type(b) and all(
+        np.asarray(getattr(a, f.name)).tobytes() == np.asarray(getattr(b, f.name)).tobytes()
+        for f in fields(a))
+
+
+@pytest.mark.parametrize("spec", [
+    dict(initial_condition={"bump": {"center": (0.3, 0.0), "radius": 0.4}}, alpha=1.0),
+    dict(initial_condition={"modes": [[2, [0.0, 0.0, 1.5], 0.3]]},
+         alpha={"fourier": [[1, 0.5, 0.25]]}, n_r=12, n_theta=20),
+    dict(initial_condition={"singular": {"center": (0.1, 0.2), "gamma": 0.5, "p": 3.0}}),
+])
+def test_config_keeps_the_grid_trace_and_initial_vorticity_it_samples(spec):
+    config = SimConfig(**{"nu": 0.1, "t_end": 1.0, "n_r": 16, "n_theta": 16, **spec})
+    grid = build_grid(config.n_r, config.n_theta)
+    assert _bitwise_equal(config.grid, grid)
+    assert _bitwise_equal(config.trace, boundary_trace(grid, config.alpha))
+    want = initial_vorticity(config.initial_condition, grid).values
+    assert config.omega0.dtype == want.dtype and config.omega0.tobytes() == want.tobytes()
+    assert not config.omega0.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        config.omega0[0, 0] = 1.0
+    # kept beside the fields, not among them: the config's files, equality
+    # and replace see only the fields
+    assert set(config.to_dict()) == {f.name for f in fields(SimConfig)} - {"tol"}
+    assert SimConfig.from_dict(config.to_dict()) == config == replace(config)
+    assert replace(config, n_r=2 * config.n_r).omega0.shape == (2 * config.n_r, config.n_theta)
+
+
+def test_simulate_starts_from_the_configs_samples(monkeypatch):
+    # the run builds no grid, trace or initial vorticity of its own
+    from slipdisk import ns_solver
+    config = SimConfig(nu=0.05, t_end=0.02, initial_condition={
+        "bump": {"center": (0.2, 0.1), "radius": 0.5, "amplitude": 3.0}},
+        alpha=0.5, n_r=16, n_theta=16, output_stride=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate rebuilt what its config keeps")
+
+    for name in ("build_grid", "boundary_trace", "initial_profile", "initial_vorticity"):
+        monkeypatch.setattr(ns_solver, name, refuse)
+    traj = simulate(config)
+    assert traj.omega[0].tobytes() == config.omega0.tobytes()
+    assert traj.grid is config.grid and traj.trace is config.trace
+
+
+def test_loaded_trajectory_takes_its_configs_grid_and_trace(tmp_path):
+    simulate(SimConfig(nu=0.05, t_end=0.01, initial_condition={"const": 1.0},
+                       alpha=1.0, n_r=8, n_theta=8)).save(tmp_path)
+    again = Trajectory.load(tmp_path)
+    assert again.grid is again.config.grid
+    assert again.trace is again.config.trace
 
 
 def test_config_rejects_unknown_keys():
