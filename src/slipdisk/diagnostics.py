@@ -38,11 +38,15 @@ from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point, table
 from .pressure import check_tangent_field, recover_pressure
 
 # A trajectory of at least this many node values (snapshots x n_r x
-# n_theta) is walked in two processes (see _walk). Below it, the fork,
-# the round trip and the pages both processes copy on their first writes
-# cost more than half the walk saves: on two CPUs (median of 41 paired
-# runs) the forked walk of a 64^2 run lost 3-39% at 8-14 snapshots, tied
-# at 16 (65,536 values) and won 8-24% from 18 on.
+# n_theta) is walked in two processes (see _walk). The fork, the pipe
+# and the pages both processes copy on their first writes cost a fixed
+# time, which weighs more as a batch gets cheaper. With theta
+# derivatives as matrix products, on two CPUs (medians of 41-121 paired
+# calls), the forked walk of a 64^2 run lost 12-31% at 12-18 snapshots
+# and 3-12% at 20-24, tied at 26-28 (106,496-114,688 values) and won
+# 5-27% from 30 on. The threshold stays at 18 snapshots at 64^2: the
+# README's 64^2 run (25 snapshots) then takes the forked walk, for at
+# most about 2 ms a call below the tie.
 FORK_NODE_VALUES = 70_000
 
 
@@ -71,7 +75,7 @@ def navier_residuals(u: VectorField, omega: ScalarField,
     grid = u.grid
     ut = boundary_values(u.u_theta, grid)
     dut = wall_derivative(u.u_theta, grid)
-    dur_dtheta = theta_derivative(boundary_values(u.u_r, grid))
+    dur_dtheta = boundary_values(theta_derivative(u.u_r[..., -3:, :]), grid)
     om_tr = boundary_values(omega.values, grid)
     alpha, kappa = trace.alpha, trace.kappa
 

@@ -163,6 +163,13 @@ class SimConfig:
             self.trace = boundary_trace(self.grid, self.alpha)
         self.omega0.flags.writeable = False
 
+    def __reduce__(self):
+        # A pickle holds the fields alone: unpickling runs __post_init__,
+        # which samples grid, trace and omega0 again and marks omega0
+        # read-only. The sweep's refined run returns from its forked child
+        # this way.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     def to_dict(self) -> dict:
         d = asdict(self)
         if not self.tol:

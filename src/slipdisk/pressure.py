@@ -222,7 +222,7 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     div_a, a_r1 = flux_divergence(a)
     rhs = ScalarField(grid, -div_a)
 
-    lap_u_r = -theta_derivative(boundary_values(omega.values, grid))
+    lap_u_r = -boundary_values(theta_derivative(omega.values[..., -3:, :]), grid)
     g, defect = project_neumann_data(rhs, nu * lap_u_r - a_r1)
     _require(defect, COMPATIBILITY_TOL, "Neumann data{at} incompatible with the source "
              "(defect {value:.3e}); velocity snapshot inconsistent")

@@ -606,6 +606,13 @@ def test_sweep_steps_its_configs_refined_run():
     assert report.metadata["refined_grid"] == [config.refined.n_r, config.refined.n_theta]
 
 
+def test_sweep_refined_config_comes_back_from_its_child_read_only():
+    # the refined run's config crosses the forked child's pipe as a pickle
+    config = SweepConfig(base=_tiny_base(nu=0.0), nu_list=(0.1,), q_list=(2.0,), p=4.0)
+    refined = run_sweep(config).runs["euler_refined"].config
+    assert not refined.omega0.flags.writeable
+
+
 def test_sweep_at_a_large_p_exits_0_with_finite_norms(tmp_path):
     # the README bump's |omega|^400 overflows the plain sum, and a
     # tenth's underflows: the p = 400 sweep used to print an overflow

@@ -37,6 +37,8 @@ from slipdisk.field import (
     lp_norms,
     radial_derivative,
     theta_derivative,
+    theta_matrix,
+    theta_multiplier,
     to_modes,
     vector_gradient,
     wall_derivative,
@@ -118,6 +120,52 @@ def test_theta_derivative_drops_nyquist_for_odd_orders(grid32):
     want = -((n // 2) ** 2) * np.cos((n // 2) * th)
     assert np.allclose(theta_derivative(vals, order=2),
                        np.broadcast_to(want, grid32.shape), atol=1e-9)
+
+
+def _round_trip(values, order):
+    """The rfft -> multiply -> irfft form of theta_derivative: the reference
+    that the matrix product must agree with to roundoff."""
+    n = values.shape[-1]
+    return np.fft.irfft(np.fft.rfft(values, axis=-1) * theta_multiplier(n, order),
+                        n=n, axis=-1)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+@pytest.mark.parametrize("order", [1, 2])
+def test_theta_derivative_equals_the_fft_round_trip(n, order):
+    rng = np.random.default_rng(n + order)
+    vals = rng.standard_normal((3, 10, n))
+    got, want = theta_derivative(vals, order), _round_trip(vals, order)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # a pure Nyquist mode: an odd order sends it to 0, an even one keeps it
+    nyquist = np.cos((n // 2) * 2 * np.pi * np.arange(n) / n)[None, :] * np.ones((4, 1))
+    got, want = theta_derivative(nyquist, order), _round_trip(nyquist, order)
+    scale = (n // 2) ** order
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    if order % 2:
+        assert np.max(np.abs(got)) <= 1e-13 * scale
+    else:
+        assert np.allclose(got, -(n // 2) ** 2 * nyquist, rtol=1e-13, atol=0)
+
+
+def test_theta_derivative_of_a_stack_equals_its_slices_bitwise():
+    # one product per trailing slice: a snapshot, or the last three rings
+    # of one, has the same bits alone as in a stack
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, 24, 64))
+    for vals in (stack, stack[..., -3:, :]):
+        for order in (1, 2):
+            whole = theta_derivative(vals, order)
+            for i in range(len(vals)):
+                assert whole[i].tobytes() == theta_derivative(vals[i], order).tobytes()
+
+
+def test_theta_matrix_is_cached_and_read_only():
+    d = theta_matrix(32, 1)
+    assert theta_matrix(32, 1) is d and theta_matrix(32, 2) is not d
+    assert not d.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

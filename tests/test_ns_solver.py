@@ -188,6 +188,25 @@ def test_config_keeps_the_grid_trace_and_initial_vorticity_it_samples(spec):
     assert replace(config, n_r=2 * config.n_r).omega0.shape == (2 * config.n_r, config.n_theta)
 
 
+@pytest.mark.parametrize("spec", [
+    dict(initial_condition={"bump": {"center": (0.3, 0.0), "radius": 0.4}}, alpha=1.0),
+    dict(initial_condition={"modes": [[2, [0.0, 0.0, 1.5], 0.3]]},
+         alpha={"fourier": [[1, 0.5, 0.25]]}, n_r=12, n_theta=20),
+])
+def test_config_crosses_a_pickle_as_its_fields(spec):
+    # the pickle holds the fields alone; unpickling samples again, so
+    # omega0 comes back read-only and bitwise equal
+    config = SimConfig(**{"nu": 0.1, "t_end": 1.0, "n_r": 16, "n_theta": 16, **spec})
+    blob = pickle.dumps(config)
+    assert b"ndarray" not in blob and len(blob) < 1_000
+    again = pickle.loads(blob)
+    assert again == config
+    assert not again.omega0.flags.writeable
+    assert again.omega0.tobytes() == config.omega0.tobytes()
+    assert _bitwise_equal(again.grid, config.grid)
+    assert _bitwise_equal(again.trace, config.trace)
+
+
 def test_simulate_starts_from_the_configs_samples(monkeypatch):
     # the run builds no grid, trace or initial vorticity of its own
     from slipdisk import ns_solver
