@@ -91,8 +91,7 @@ class PoissonDirichletSolver:
         n_modes = grid.n_theta // 2 + 1
         parity = np.arange(n_modes) % 2
         self._lift = np.where(parity[:, None] == 0, r ** 2, r ** 3)
-        self._lift_trace = np.where(parity == 0, *boundary_values(
-            np.column_stack((r, r ** 2)), grid))
+        self._lift_trace = np.where(parity == 0, *boundary_values(np.column_stack((r, r ** 2))))
 
     def solve_modes(self, rhs_modes: np.ndarray) -> np.ndarray:
         """Solve T_k psi_k = rhs_k for all modes at once, then lift so the
@@ -104,7 +103,7 @@ class PoissonDirichletSolver:
         """
         psi = self._lu.solve(np.asarray(rhs_modes, dtype=complex))
         rings = (psi[..., -3:] / self.grid.r[-3:]).swapaxes(-1, -2)
-        delta = -boundary_values(rings, self.grid) / self._lift_trace
+        delta = -boundary_values(rings) / self._lift_trace
         delta[..., 0] = 0.0
         psi += delta[..., None] * self._lift
         return psi

@@ -41,13 +41,12 @@ from .pressure import check_tangent_field, recover_pressure
 # n_theta) is walked in two processes (see _walk). The fork, the pipe
 # and the pages both processes copy on their first writes cost a fixed
 # time, which weighs more as a batch gets cheaper. With theta
-# derivatives as matrix products, on two CPUs (medians of 41-121 paired
-# calls), the forked walk of a 64^2 run lost 12-31% at 12-18 snapshots
-# and 3-12% at 20-24, tied at 26-28 (106,496-114,688 values) and won
-# 5-27% from 30 on. The threshold stays at 18 snapshots at 64^2: the
-# README's 64^2 run (25 snapshots) then takes the forked walk, for at
-# most about 2 ms a call below the tie.
-FORK_NODE_VALUES = 70_000
+# derivatives as matrix products, on two CPUs (in-process diagnose of
+# 64^2 prefixes of a 236-snapshot run, medians of 61 and 81 paired
+# calls), forked over one-process time read 1.18 at 18 snapshots,
+# 1.05-1.10 at 20-22, 0.98-1.04 at 24-26, 1.00 at 27 and 0.89-0.96 at
+# 28-34. The threshold sits at that tie, 27 snapshots at 64^2.
+FORK_NODE_VALUES = 110_000
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +72,10 @@ def navier_residuals(u: VectorField, omega: ScalarField,
     consistently the vorticity trace matches the velocity stencils.
     """
     grid = u.grid
-    ut = boundary_values(u.u_theta, grid)
+    ut = boundary_values(u.u_theta)
     dut = wall_derivative(u.u_theta, grid)
-    dur_dtheta = boundary_values(theta_derivative(u.u_r[..., -3:, :]), grid)
-    om_tr = boundary_values(omega.values, grid)
+    dur_dtheta = boundary_values(theta_derivative(u.u_r[..., -3:, :]))
+    om_tr = boundary_values(omega.values)
     alpha, kappa = trace.alpha, trace.kappa
 
     strain = 0.5 * (dut - ut + dur_dtheta)
@@ -195,7 +194,7 @@ def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent):
     grid = traj.grid
     nu = traj.config.nu
     gv = vector_gradient(v)
-    weight = (traj.trace.kappa - traj.trace.alpha) * boundary_values(v.u_theta, grid)
+    weight = (traj.trace.kappa - traj.trace.alpha) * boundary_values(v.u_theta)
     worst, blocks = {}, []
     for _, om, u in traj._batches():
         for k, value in navier_residuals(u, om, traj.trace).items():
@@ -205,7 +204,7 @@ def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent):
         mass = integrate(grid, u.u_r * v.u_r + u.u_theta * v.u_theta)
         adv = integrate(grid, a.u_r * v.u_r + a.u_theta * v.u_theta)
         visc = nu * integrate(grid, gradient_frobenius(gu, gv))
-        bnd = nu * np.sum(weight * boundary_values(u.u_theta, grid), axis=-1) * grid.dtheta
+        bnd = nu * np.sum(weight * boundary_values(u.u_theta), axis=-1) * grid.dtheta
         bar = shifted_vorticity(om, u, tau_bar)
         gb = grad(bar)
         f = balance_source(u, ps.p, nu, tau_bar, gu)

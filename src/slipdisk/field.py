@@ -16,10 +16,11 @@ as curl of perp_grad keep second order up to the last ring.
 The stencils act on node arrays (..., n_r, n_theta) and mode arrays
 (..., n_theta//2 + 1, n_r): leading axes, such as the member axis of the
 time stepper's ensemble or the snapshot axis of a trajectory batch, pass
-through untouched. A field holds one validated sample (n_r, n_theta) or
-a stack of them (..., n_r, n_theta), and the vector calculus below maps
-a stack to a stack. The field classes carry no arithmetic: code that
-combines fields works on their arrays.
+through untouched. They rely on build_grid's sizes, n_r >= 4 and an even
+n_theta, and do not check them again. A field holds one validated sample
+(n_r, n_theta) or a stack of them (..., n_r, n_theta), and the vector
+calculus below maps a stack to a stack. The field classes carry no
+arithmetic: code that combines fields works on their arrays.
 
 Boundary traces at r = 1 use quadratic extrapolation from the last three
 node rings; it is exact for radial polynomials of degree <= 2, which keeps
@@ -138,8 +139,8 @@ def theta_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     (b, n_r, n_theta). The rows of one slice are not independent: a
     (b, n_theta) stack of wall traces is one slice, whose rows change
     with b. A wall trace's derivative is therefore taken on its stack's
-    last three rings, boundary_values(theta_derivative(f[..., -3:, :]),
-    grid), one (3, n_theta) slice per snapshot.
+    last three rings, boundary_values(theta_derivative(f[..., -3:, :])),
+    one (3, n_theta) slice per snapshot.
 
     Per call on an (8, n_theta, n_theta) stack, round trip -> product,
     medians of 15 on a 2-CPU x86 machine, one BLAS thread [two]:
@@ -173,8 +174,6 @@ def radial_derivative(values: np.ndarray, grid: PolarGrid,
     Matching the error constant keeps the error field smooth up to the
     boundary, so compositions stay second order.  Exact for quadratics.
     """
-    if grid.n_r < 4:
-        raise ValueError("radial stencils need n_r >= 4")
     v = values
     out = np.empty_like(v)
     # Each row's difference is written in place, then all are divided by 2 dr.
@@ -191,10 +190,9 @@ def radial_derivative(values: np.ndarray, grid: PolarGrid,
     return out
 
 
-def boundary_values(values: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Quadratic extrapolation of a node-sampled quantity to r = 1."""
-    if grid.n_r < 3:
-        raise ValueError("boundary extrapolation needs n_r >= 3")
+def boundary_values(values: np.ndarray) -> np.ndarray:
+    """Quadratic extrapolation to r = 1 of the last three rings of values
+    (..., rings, n_theta), node values or anything laid out like them."""
     return (15.0 * values[..., -1, :] - 10.0 * values[..., -2, :]
             + 3.0 * values[..., -3, :]) / 8.0
 

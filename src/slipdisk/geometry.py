@@ -7,11 +7,12 @@ Quadrature is the midpoint rule in r times the exact trapezoid rule in
 theta, with weights w = r * dr * dtheta; the weights sum to pi exactly
 (up to roundoff).
 
-The boundary trace carries per-angle samples of the friction coefficient
-alpha and the curvature kappa (identically 1 on the unit circle); on the
-circle the outward normal and the counterclockwise tangent are the polar
-unit vectors e_r and e_theta, so fields in polar components need no
-separate frame.
+The grid's sizes are checked in build_grid alone. The boundary trace
+carries the friction coefficient alpha and the curvature kappa
+(identically 1 on the unit circle) at the grid angles; on the circle the
+outward normal and the counterclockwise tangent are the polar unit
+vectors e_r and e_theta, so fields in polar components need no separate
+frame.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Staggered polar grid on the unit disk."""
+    """Staggered polar grid on the unit disk, built by build_grid."""
 
     n_r: int
     n_theta: int
     r: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
-    dr: float = 0.0
-    dtheta: float = 0.0
-    weights: np.ndarray = field(default=None, repr=False)
+    dr: float
+    dtheta: float
+    weights: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -50,15 +51,15 @@ class PolarGrid:
 
 
 def build_grid(n_r: int, n_theta: int) -> PolarGrid:
-    """Build the staggered polar grid.
-
-    n_theta must be even: radial stencils close across the pole by the
-    half-turn shift theta -> theta + pi, which must land on a grid angle.
-    """
-    if n_r <= 0 or n_theta <= 0:
-        raise ValueError(f"grid sizes must be positive, got n_r={n_r}, n_theta={n_theta}")
-    if n_theta % 2 != 0:
-        raise ValueError(f"n_theta must be even for pole parity ghosts, got {n_theta}")
+    """Build the staggered polar grid, or ValueError for sizes the stencils
+    cannot use: n_r < 4 (the outer radial stencil reads four rings), or an
+    n_theta that is not positive and even (radial stencils close across
+    the pole by the half-turn theta -> theta + pi, a grid angle)."""
+    if n_r < 4:
+        raise ValueError(f"n_r must be >= 4 for the radial stencils, got {n_r}")
+    if n_theta <= 0 or n_theta % 2 != 0:
+        raise ValueError(f"n_theta must be positive and even for the pole "
+                         f"parity ghosts, got {n_theta}")
     dr = 1.0 / n_r
     dtheta = 2.0 * np.pi / n_theta
     r = (np.arange(1, n_r + 1) - 0.5) * dr
@@ -76,9 +77,8 @@ def integrate(grid: PolarGrid, values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Per-angle data on the boundary circle r = 1."""
+    """Per-angle data on the boundary circle r = 1, at the grid angles."""
 
-    theta: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     kappa: np.ndarray = field(repr=False)
 
@@ -188,4 +188,4 @@ def boundary_trace(grid: PolarGrid, alpha_spec) -> BoundaryTrace:
         raise ValueError(f"alpha samples have shape {alpha.shape}, expected {theta.shape}")
     if not np.all(np.isfinite(alpha)):
         raise ValueError("alpha samples must be finite")
-    return BoundaryTrace(theta=theta, alpha=alpha, kappa=np.ones_like(theta))
+    return BoundaryTrace(alpha=alpha, kappa=np.ones_like(theta))

@@ -138,11 +138,7 @@ class SimConfig:
             setattr(self, name, integer(getattr(self, name), name))
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
-        if self.n_r < 4:
-            raise ValueError(f"n_r must be >= 4 for the radial stencils, got {self.n_r}")
-        if self.n_theta <= 0 or self.n_theta % 2 != 0:
-            raise ValueError(f"n_theta must be positive and even for the pole "
-                             f"parity ghosts, got {self.n_theta}")
+        self.grid = build_grid(self.n_r, self.n_theta)
         self.lp_exponents = reals(self.lp_exponents, "lp_exponents")
         if not all(p >= 1 for p in self.lp_exponents):
             raise ValueError(f"lp exponents must be >= 1, got {list(self.lp_exponents)}")
@@ -154,7 +150,6 @@ class SimConfig:
         # builds them, so a config that cannot be run is refused before any
         # run starts, and the run starts from these samples; an overflow is
         # refused as a non-finite sample, unwarned.
-        self.grid = build_grid(self.n_r, self.n_theta)
         with np.errstate(over="ignore", invalid="ignore"):
             self.omega0 = initial_profile(self.initial_condition)(self.grid)
             if not np.all(np.isfinite(self.omega0)):
@@ -430,14 +425,21 @@ class Trajectory:
     velocity is derived one Poisson solve per batch (_batches) and lives
     as long as its batch; only us keeps every snapshot's velocity. A run
     in memory and the same run loaded from disk give identical fields.
+    grid and trace are the config's, read through it, not kept beside it.
     """
 
     config: SimConfig
-    grid: PolarGrid
-    trace: BoundaryTrace
     times: np.ndarray
     omega: np.ndarray
     series: dict
+
+    @property
+    def grid(self) -> PolarGrid:
+        return self.config.grid
+
+    @property
+    def trace(self) -> BoundaryTrace:
+        return self.config.trace
 
     @cached_property
     def omegas(self) -> list:
@@ -517,8 +519,7 @@ class Trajectory:
         if names != columns or len(values) != len(columns):
             raise ValueError(f"{path}: series_names {names} with {len(values)} rows of "
                              f"series_values differ from the configured columns {columns}")
-        return cls(config=config, grid=config.grid, trace=config.trace, times=times, omega=omega,
-                   series=dict(zip(names, values)))
+        return cls(config=config, times=times, omega=omega, series=dict(zip(names, values)))
 
 
 def write_atomically(path, content) -> None:
@@ -595,7 +596,7 @@ def simulate_ensemble(configs) -> list[Trajectory]:
 
     def record(t, s: _State):
         """The series columns after t, one entry per member in each."""
-        bc = boundary_values(s.omega, grid) - stepper.boundary_vorticity(s.psi)
+        bc = boundary_values(s.omega) - stepper.boundary_vorticity(s.psi)
         abs_omega = np.abs(s.omega)
         record_times.append(t)
         records.append([np.sum(grid.weights * s.speed2(), axis=(-2, -1)),
@@ -617,7 +618,7 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     while t < first.t_end - eps:
         if auto and step_idx % 10 == 0:
             bound = float(np.min(cfl_bound(state)))
-            dt_nominal = 0.9 * bound if np.isfinite(bound) else first.t_end
+            dt_nominal = 0.9 * bound
         dt = min(dt_nominal, first.t_end - t)
         try:
             state = stepper.advance(state, dt)
@@ -635,7 +636,6 @@ def simulate_ensemble(configs) -> list[Trajectory]:
     columns = _series_columns(first.lp_exponents)[1:]
     # pop: a member's copies are freed once its array is built
     return [Trajectory(
-        config=config, grid=grid, trace=first.trace, times=np.array(times),
-        omega=np.stack(snapshots.pop(0)),
+        config=config, times=np.array(times), omega=np.stack(snapshots.pop(0)),
         series={"t": np.array(record_times), **dict(zip(columns, series[k]))})
         for k, config in enumerate(configs)]

@@ -79,7 +79,7 @@ def check_tangent_field(v: VectorField, name: str) -> None:
     TANGENT_FIELD_TOL."""
     _require(np.abs(divergence(v).values).max(axis=(-2, -1)), TANGENT_FIELD_TOL,
              name + "{at} is not divergence-free: max |div| = {value:.3e}")
-    _require(np.abs(boundary_values(v.u_r, v.grid)).max(axis=-1), TANGENT_FIELD_TOL,
+    _require(np.abs(boundary_values(v.u_r)).max(axis=-1), TANGENT_FIELD_TOL,
              name + "{at} is not tangent: max |u_r| at r=1 is {value:.3e}")
 
 
@@ -96,7 +96,7 @@ def flux_divergence(a: VectorField) -> tuple[np.ndarray, np.ndarray]:
     grid = a.grid
     r, dr = grid.r, grid.dr
     faces = grid.r_face
-    a_r1 = boundary_values(a.u_r, grid)
+    a_r1 = boundary_values(a.u_r)
     flux = np.empty(a.u_r.shape[:-2] + (grid.n_r + 1, grid.n_theta))
     flux[..., 0, :] = 0.0
     flux[..., 1:-1, :] = faces[1:-1, None] * 0.5 * (a.u_r[..., :-1, :] + a.u_r[..., 1:, :])
@@ -204,8 +204,9 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     reported; a defect above 1e-6 signals an inconsistent velocity field
     and raises. Both checks are per snapshot, and an error names the first
     failing one.
-    trace, when given, is only checked against the grid: the Neumann data
-    holds no slip coefficient, so the pressure does not depend on it.
+    trace, when given, is only checked against the grid (its alpha's
+    shape): the Neumann data holds no slip coefficient, so the pressure
+    does not depend on it.
     """
     grid = u.grid
     if omega.grid is not grid and omega.grid.shape != grid.shape:
@@ -213,7 +214,7 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     if omega.values.shape != u.u_r.shape:
         raise ValueError(f"omega {omega.values.shape} and u {u.u_r.shape} "
                          f"hold different snapshot stacks")
-    if trace is not None and trace.theta.shape != grid.theta.shape:
+    if trace is not None and trace.alpha.shape != grid.theta.shape:
         raise ValueError("boundary trace does not match the grid")
     check_tangent_field(u, "velocity")
 
@@ -222,7 +223,7 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     div_a, a_r1 = flux_divergence(a)
     rhs = ScalarField(grid, -div_a)
 
-    lap_u_r = -boundary_values(theta_derivative(omega.values[..., -3:, :]), grid)
+    lap_u_r = -boundary_values(theta_derivative(omega.values[..., -3:, :]))
     g, defect = project_neumann_data(rhs, nu * lap_u_r - a_r1)
     _require(defect, COMPATIBILITY_TOL, "Neumann data{at} incompatible with the source "
              "(defect {value:.3e}); velocity snapshot inconsistent")

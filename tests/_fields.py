@@ -35,9 +35,9 @@ def navier_mode_basis(grid: PolarGrid, alpha_const: float, k: int) -> np.ndarray
     # times the half-turn parity of mode k
     utheta_prof = radial_derivative(np.stack([r ** m for m in exps])[..., None],
                                     grid, pole_sign)[..., 0].T
-    trace_row = boundary_values(np.column_stack([r ** (m - 1) for m in exps]), grid)
+    trace_row = boundary_values(np.column_stack([r ** (m - 1) for m in exps]))
     slip_row = (wall_derivative(utheta_prof, grid)
-                + (alpha_const - 1.0) * boundary_values(utheta_prof, grid)
+                + (alpha_const - 1.0) * boundary_values(utheta_prof)
                 + k ** 2 * trace_row)
     mat = np.array([[trace_row[1], trace_row[2]],
                     [slip_row[1], slip_row[2]]])

@@ -103,7 +103,7 @@ def test_velocity_is_tangent_at_wall(grid64):
     rng = np.random.default_rng(11)
     omega = ScalarField(grid64, rng.standard_normal(grid64.shape))
     u = biot_savart(omega)
-    assert np.max(np.abs(boundary_values(u.u_r, grid64))) < 1e-11
+    assert np.max(np.abs(boundary_values(u.u_r))) < 1e-11
 
 
 def test_velocity_is_divergence_free(grid64):
@@ -145,7 +145,7 @@ def test_sampled_field_is_divergence_free(grid48):
 
 def test_sampled_field_is_tangent(grid48):
     u = sample_navier_field(1, 1.0, grid48)
-    assert np.max(np.abs(boundary_values(u.u_r, grid48))) < 1e-11
+    assert np.max(np.abs(boundary_values(u.u_r))) < 1e-11
 
 
 def test_sampled_field_satisfies_slip_functional(grid64):
@@ -155,7 +155,7 @@ def test_sampled_field_satisfies_slip_functional(grid64):
     for alpha in (0.0, 1.0, 3.5):
         u = sample_navier_field(5, alpha, grid64)
         dut = (2.0 * u.u_theta[-1] - 3.0 * u.u_theta[-2] + u.u_theta[-3]) / grid64.dr
-        u_tau = boundary_values(u.u_theta, grid64)
+        u_tau = boundary_values(u.u_theta)
         assert np.max(np.abs(dut + (alpha - 1.0) * u_tau)) < 1e-8, f"alpha={alpha}"
 
 
@@ -167,8 +167,8 @@ def test_sampled_slip_law_through_vorticity_trace_refines():
     for n in (48, 96):
         grid = build_grid(n, 64)
         u = sample_navier_field(5, 1.0, grid)
-        om_wall = boundary_values(curl(u).values, grid)
-        u_tau = boundary_values(u.u_theta, grid)
+        om_wall = boundary_values(curl(u).values)
+        u_tau = boundary_values(u.u_theta)
         errs.append(np.max(np.abs(om_wall - u_tau)))
     assert errs[0] / errs[1] > 3.0
 

@@ -78,12 +78,6 @@ def test_field_rejects_non_finite(grid32):
         VectorField(grid32, bad, np.zeros(grid32.shape))
 
 
-def test_radial_derivative_needs_four_rings():
-    tiny = build_grid(3, 8)
-    with pytest.raises(ValueError):
-        radial_derivative(np.zeros(tiny.shape), tiny)
-
-
 def test_lp_norm_rejects_p_below_one(grid32):
     f = ScalarField(grid32, np.ones(grid32.shape))
     with pytest.raises(ValueError):
@@ -436,7 +430,7 @@ def test_lp_norm_refuses_a_stack_and_points_to_lp_norms(grid32):
 def test_boundary_values_exact_on_radial_quadratics(grid32):
     r = grid32.r_col
     vals = np.broadcast_to(1.0 - 2.0 * r + 3.0 * r ** 2, grid32.shape).copy()
-    tr = boundary_values(vals, grid32)
+    tr = boundary_values(vals)
     assert np.max(np.abs(tr - 2.0)) < 1e-12  # 1 - 2 + 3 at r = 1
 
 
@@ -447,12 +441,6 @@ def test_boundary_tangential_velocity_rigid_rotation(grid32):
     # leading axes pass through
     stacked = np.stack([psi, 2.0 * psi])
     assert np.max(np.abs(wall_derivative(stacked, grid32) - [[1.0], [2.0]])) < 1e-12
-
-
-def test_boundary_values_needs_three_rings():
-    tiny = build_grid(2, 8)
-    with pytest.raises(ValueError):
-        boundary_values(np.zeros(tiny.shape), tiny)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,21 @@ def test_odd_angular_count_rejected():
         build_grid(16, 31)
 
 
+@pytest.mark.parametrize("n_r, n_theta, match", [
+    # the outer radial stencil reads four rings, the wall traces three
+    (3, 8, "n_r must be >= 4"),
+    (2, 8, "n_r must be >= 4"),
+    (0, 8, "n_r must be >= 4"),
+    # the pole closes by a half-turn of the angles
+    (16, 31, "n_theta must be positive and even"),
+    (16, 0, "n_theta must be positive and even"),
+    (16, -8, "n_theta must be positive and even"),
+])
+def test_build_grid_refuses_sizes_the_stencils_cannot_use(n_r, n_theta, match):
+    with pytest.raises(ValueError, match=match):
+        build_grid(n_r, n_theta)
+
+
 def test_alpha_function_forms():
     assert alpha_function(2.5)(0.3) == pytest.approx(2.5)
     assert alpha_function({"const": 1.5})(1.0) == pytest.approx(1.5)
@@ -50,6 +65,5 @@ def test_boundary_trace_geometry(grid32):
     trace = boundary_trace(grid32, {"fourier": [[1, 1.0, 0.0]]})
     assert np.allclose(trace.kappa, 1.0)
     assert np.allclose(trace.alpha, np.cos(grid32.theta))
-    assert np.array_equal(trace.theta, grid32.theta)
     with pytest.raises(ValueError):
         boundary_trace(grid32, {"unknown": 1})

@@ -232,6 +232,27 @@ def test_loaded_trajectory_takes_its_configs_grid_and_trace(tmp_path):
     assert again.trace is again.config.trace
 
 
+def test_trajectory_grid_and_trace_are_its_configs(tmp_path):
+    # a trajectory keeps no grid or trace of its own: however it is made,
+    # it reads them through its config
+    from slipdisk.sweep import SweepConfig, run_sweep
+    base = SimConfig(nu=0.05, t_end=0.02, initial_condition={"const": 1.0},
+                     alpha=1.0, n_r=8, n_theta=8, output_stride=1)
+    traj = simulate(base)
+    traj.save(tmp_path)
+    configs = [replace(base, nu=nu) for nu in (0.1, 0.0)]
+    members = simulate_ensemble(configs)
+    assert all(m.config is c for m, c in zip(members, configs))
+    half = replace(traj, times=traj.times[1:], omega=traj.omega[1:])  # as the split walk's
+    refined = run_sweep(SweepConfig(base=replace(base, nu=0.0), nu_list=(0.1,),
+                                    q_list=(2.0,), p=4.0)).runs["euler_refined"]
+    for run in (traj, *members, Trajectory.load(tmp_path), half, refined):
+        assert run.grid is run.config.grid and run.trace is run.config.trace
+    assert refined.grid.shape == (16, 16)
+    with pytest.raises(AttributeError):
+        traj.grid = members[0].grid
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         SimConfig.from_dict({"nu": 0.1, "t_end": 1.0,
@@ -405,17 +426,22 @@ def test_fixed_dt_at_the_level_bound_steps_and_one_ulp_above_trips():
 
 def test_auto_dt_is_t_end_when_every_squared_speed_underflows():
     # At amplitude 1e-170 the velocity is not 0 but every u_r^2 + u_theta^2
-    # underflows to 0; the automatic dt still takes the run in one step.
-    config = SimConfig(nu=0.01, t_end=0.1, initial_condition={
-        "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 1e-170}},
-        alpha=1.0, n_r=16, n_theta=16)
+    # underflows to 0; the automatic dt still takes the run in one step, as
+    # it does for the zero field. Both CFL bounds are infinite.
     grid = build_grid(16, 16)
-    _, level = _level(grid, initial_vorticity(config.initial_condition, grid).values[None])
-    assert np.max(np.abs(level.u_r)) > 0.0 and np.all(level.speed2() == 0.0)
-    traj = simulate(config)
-    assert traj.series["t"].tolist() == [0.0, 0.1]
-    assert traj.times.tolist() == [0.0, 0.1]
-    assert np.all(np.isfinite(traj.omega)) and np.max(np.abs(traj.omega[-1])) > 0.0
+    for initial_condition, moving in (
+            ({"bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 1e-170}}, True),
+            ({"const": 0.0}, False)):
+        config = SimConfig(nu=0.01, t_end=0.1, initial_condition=initial_condition,
+                           alpha=1.0, n_r=16, n_theta=16)
+        _, level = _level(grid, initial_vorticity(initial_condition, grid).values[None])
+        assert (np.max(np.abs(level.u_r)) > 0.0) == moving
+        assert np.all(level.speed2() == 0.0) and cfl_bound(level) == np.inf
+        traj = simulate(config)
+        assert traj.series["t"].tolist() == [0.0, 0.1]
+        assert traj.times.tolist() == [0.0, 0.1]
+        assert np.all(np.isfinite(traj.omega))
+        assert (np.max(np.abs(traj.omega[-1])) > 0.0) == moving
 
 
 def test_level_cfl_bound_matches_its_velocity_field():

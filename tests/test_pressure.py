@@ -256,7 +256,7 @@ def _eager_certificate(u, omega, nu):
     grid = u.grid
     div_a, a_r1 = flux_divergence(advective_acceleration(u))
     rhs = ScalarField(grid, -div_a)
-    lap_u_r = -boundary_values(theta_derivative(omega.values[..., -3:, :]), grid)
+    lap_u_r = -boundary_values(theta_derivative(omega.values[..., -3:, :]))
     g, _ = project_neumann_data(rhs, nu * lap_u_r - a_r1)
     solver = PoissonNeumannSolver(grid)
     p = solver.solve(rhs, g)
