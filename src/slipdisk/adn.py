@@ -529,9 +529,11 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     and the complementing condition, and witnesses belong to the first
     failing sample in (point, scaling) order; the root-count witness is
     that sample's one-sample _upper_roots, as roots_positive_imag would
-    report it."""
+    report it. ValueError naming both counts for fewer than 8 boundary or
+    8 xi samples, the adn verb's exit 2."""
     if n_boundary_samples < 8 or n_xi_samples < 8:
-        raise ValueError("need at least 8 boundary and 8 xi samples")
+        raise ValueError(f"need at least 8 boundary and 8 xi samples, got "
+                         f"{n_boundary_samples} and {n_xi_samples}")
     angles = np.linspace(0.0, 2.0 * np.pi, n_boundary_samples, endpoint=False)
     points = [disk_boundary(float(a)) for a in angles]
     sphere = [(np.cos(p), np.sin(p))

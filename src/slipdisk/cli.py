@@ -2,7 +2,8 @@
 
     slipdisk simulate <config.json> [--out DIR] (exit 1 run stopped, 2 unreadable config)
     slipdisk sweep    <config.json> [--out DIR] (exit 1 run stopped, 2 unreadable config)
-    slipdisk adn      <problem.json> [--out FILE] (exit 0 pass, 1 fail, 2 unusable problem)
+    slipdisk adn      <problem.json> [--out FILE] [--boundary-samples N] [--xi-samples N]
+                      (exit 0 pass, 1 fail, 2 unusable problem or fewer than 8 samples)
     slipdisk diagnose <trajectory-dir> [--out FILE] (exit 0 pass or no verdict, 1 a failing
                                                      verdict, 2 unreadable run directory
                                                      or fewer than 2 snapshots)
@@ -11,15 +12,17 @@ Run directories hold config-resolved.json, series.csv, and (simulate)
 snapshots.npz with the vorticity snapshots; diagnose takes everything
 from the run directory. The engines live in ns_solver (simulate), sweep,
 adn and diagnostics (diagnose); this module reads their inputs, calls
-them, writes their reports and prints a summary. A verb that cannot go
-on raises _Refusal, and main alone prints its one line "cannot <what>
-<path>: <reason>" on stderr and returns its exit code: 2 from _load for
-an unusable input or an --out the verb cannot write, before any work (a
+them, writes their reports and prints a summary; it holds no input rule
+of its own. A verb that cannot go on raises _Refusal, and main alone
+prints its one line "cannot <what> <path>: <reason>" on stderr and
+returns its exit code, with nothing written. Code 2: an unusable input
+or an --out the verb cannot write, refused by _load before any work (a
 directory where a file goes, or an existing file where a directory goes
-or on the way to one), 1 from _run for a simulate or sweep run that
-stops on a CFL trip or a divergence, which writes nothing. Each output
-file goes through ns_solver.write_atomically, which makes a missing
---out directory.
+or on the way to one), or an engine's ValueError (check_all's fewer than
+8 samples, diagnose's fewer than 2 snapshots). Code 1: a simulate or
+sweep run that stops on a CFL trip or a divergence, a sweep's non-finite
+report entry included. Each output file goes through
+ns_solver.write_atomically, which makes a missing --out directory.
 """
 
 from __future__ import annotations
@@ -49,22 +52,22 @@ class _Refusal(Exception):
     <reason>", which main prints on stderr before returning the code."""
 
 
+def _run(what, path, call, errors=(CflError, DivergenceError), code=1):
+    """call(), or a _Refusal with code if it raises one of errors: by
+    default a simulate or sweep run that cannot go on (code 1). adn and
+    diagnose pass ValueError, their engine's refusal of its input, with
+    code 2, so a TypeError or KeyError inside an engine keeps its
+    traceback. Any other error propagates."""
+    try:
+        return call()
+    except errors as err:
+        raise _Refusal(code, f"cannot {what} {path}: {err}") from None
+
+
 def _load(what, loader, path):
     """loader(path), or a _Refusal with code 2: the refusal of every
     verb's unusable input."""
-    try:
-        return loader(path)
-    except (KeyError, ValueError, OSError, TypeError) as err:
-        raise _Refusal(2, f"cannot {what} {path}: {err}") from None
-
-
-def _run(what, path, call):
-    """call(), or a _Refusal with code 1 if the run cannot go on: a
-    CflError or DivergenceError. Any other error propagates."""
-    try:
-        return call()
-    except (CflError, DivergenceError) as err:
-        raise _Refusal(1, f"cannot {what} {path}: {err}") from None
+    return _run(what, path, lambda: loader(path), (KeyError, ValueError, OSError, TypeError), 2)
 
 
 def _out_dir(path):
@@ -97,7 +100,7 @@ def _cmd_simulate(args) -> int:
     times = traj.series["t"]
     n_steps = len(times) - 1
     report = {"config": config.to_dict(),
-              "dt_first_step": float(times[1] - times[0]) if len(times) > 1 else None,
+              "dt_first_step": float(times[1] - times[0]),
               "n_steps": n_steps, "n_snapshots": len(traj.times),
               "wall_ms": wall_ms, "cpu_ms": cpu_ms, "ms_per_step": wall_ms / n_steps}
     write_json(os.path.join(out, "report.json"), report)
@@ -123,7 +126,9 @@ def _cmd_adn(args) -> int:
     problem = _load("parse problem file", adn_mod.load_problem, args.problem)
     out = _load("write to", _out_file,
                 args.out or os.path.splitext(args.problem)[0] + ".report.json")
-    report = adn_mod.check_all(problem, args.boundary_samples, args.xi_samples)
+    report = _run("check problem", args.problem,
+                  lambda: adn_mod.check_all(problem, args.boundary_samples, args.xi_samples),
+                  ValueError, 2)
     write_json(out, report.to_dict())
     status = "pass" if report.passed else "fail"
     print(f"{problem.name or 'problem'}: {status} "
@@ -134,11 +139,8 @@ def _cmd_adn(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     traj = _load("load run directory", Trajectory.load, args.run_dir)
-    if len(traj.times) < 2:
-        raise _Refusal(2, f"cannot diagnose run directory {args.run_dir}: "
-                          f"{len(traj.times)} snapshot(s), the balances need at least 2")
     out = _load("write to", _out_file, args.out or os.path.join(args.run_dir, "diagnostics.json"))
-    report = diagnose(traj)
+    report = _run("diagnose run directory", args.run_dir, lambda: diagnose(traj), ValueError, 2)
     write_json(out, report)
     verdicts = [report[k].get("pass") for k in ("navier", "weak_form", "balance")]
     for key in ("navier", "weak_form", "balance"):
@@ -147,17 +149,6 @@ def _cmd_diagnose(args) -> int:
         print(f"{key}: max {entry['max']:.4e} [{state}]")
     print(f"report -> {out}")
     return 1 if False in verdicts else 0
-
-
-def _sample_count(text: str) -> int:
-    """argparse type of the adn sample counts: an integer of at least 8."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if count < 8:
-        raise argparse.ArgumentTypeError(f"need at least 8 samples, got {count}")
-    return count
 
 
 def _stem(path) -> str:
@@ -182,8 +173,8 @@ def main(argv=None) -> int:
     p_adn = sub.add_parser("adn", help="check ellipticity conditions")
     p_adn.add_argument("problem")
     p_adn.add_argument("--out", default=None)
-    p_adn.add_argument("--boundary-samples", type=_sample_count, default=32)
-    p_adn.add_argument("--xi-samples", type=_sample_count, default=8)
+    p_adn.add_argument("--boundary-samples", type=int, default=32)
+    p_adn.add_argument("--xi-samples", type=int, default=8)
     p_adn.set_defaults(func=_cmd_adn)
 
     p_diag = sub.add_parser("diagnose", help="evaluate residuals on a saved run")

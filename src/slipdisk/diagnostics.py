@@ -279,7 +279,8 @@ def diagnose(traj) -> dict:
     from one _walk: the Navier curves' maxima over the snapshots, the weak
     form against the rigid rotation r e_theta and the shifted enstrophy
     balance, each with its max, the config's tolerance, and a pass verdict
-    when that is set. ValueError for a run of fewer than 2 snapshots."""
+    when that is set. ValueError naming the count for a run of fewer than
+    2 snapshots, the diagnose verb's exit 2."""
     if len(traj.times) < 2:
         raise ValueError(f"diagnose needs at least 2 snapshots, got {len(traj.times)}")
     tol = traj.config.tol
@@ -327,6 +328,7 @@ def phi_bump(phi_spec: dict) -> tuple | None:
     return center, radius, amplitude
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
     """Value S(nu) of the renormalized inequality for the built-in test
     function family phi(t, x) = (1 - t/T) * bump(x):
@@ -338,7 +340,8 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
     callers report max(0, -S)/nu as the measured constant. q must lie in
     [1, p) for the largest tracked exponent p (a run that tracks none is
     refused), phi_spec must pass phi_bump, and the run must hold at least
-    2 snapshots (T > 0).
+    2 snapshots (T > 0). A |omega|^q outside the float range warns of
+    nothing: S is then not finite, and run_sweep stops on it.
     """
     if len(traj.times) < 2:
         raise ValueError(f"renormalized_slack needs at least 2 snapshots, "
@@ -355,8 +358,6 @@ def renormalized_slack(traj, phi_spec: dict, q: float) -> float:
 
     grid = traj.grid
     bump, gx, gy = bump_values(grid, *phi)
-    if bump.min() < 0.0:
-        raise ValueError("phi sampled negative")
     times = np.asarray(traj.times)
     t_final = times[-1]
     integrand = np.empty(times.size)

@@ -182,10 +182,7 @@ def alpha_function(alpha_spec):
 
 def boundary_trace(grid: PolarGrid, alpha_spec) -> BoundaryTrace:
     """Sample alpha and kappa at the grid angles."""
-    theta = grid.theta
-    alpha = np.asarray(alpha_function(alpha_spec)(theta), dtype=float)
-    if alpha.shape != theta.shape:
-        raise ValueError(f"alpha samples have shape {alpha.shape}, expected {theta.shape}")
+    alpha = alpha_function(alpha_spec)(grid.theta)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("alpha samples must be finite")
-    return BoundaryTrace(alpha=alpha, kappa=np.ones_like(theta))
+    return BoundaryTrace(alpha=alpha, kappa=np.ones_like(grid.theta))

@@ -93,7 +93,8 @@ class CflError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite values appeared in the state."""
+    """Non-finite values appeared in the state, or in a value read from it
+    (a sweep's report entry): the run cannot go on."""
 
 
 # ---------------------------------------------------------------------------

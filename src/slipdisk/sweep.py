@@ -30,8 +30,8 @@ from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
 from .field import ScalarField, lp_norms
 from .geometry import build_grid, distinct, integer, real, reals, table
-from .ns_solver import (CflError, SimConfig, cfl_bound, simulate, simulate_ensemble,
-                        write_atomically, write_json)
+from .ns_solver import (CflError, DivergenceError, SimConfig, cfl_bound, simulate,
+                        simulate_ensemble, write_atomically, write_json)
 
 ENERGY_RATE_TOL = 1e-6
 DEFAULT_PHI = {"bump": {"center": (0.0, 0.0), "radius": 0.9, "amplitude": 1.0}}
@@ -274,7 +274,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     for row in rows:
         for key, value in row.items():
             if not np.isfinite(float(value)):
-                raise RuntimeError(f"non-finite report entry {key} at nu={row['nu']}")
+                raise DivergenceError(f"non-finite report entry {key} at nu={row['nu']}")
 
     resolved = config.to_dict()
     resolved["base"]["dt"] = dt

@@ -436,6 +436,17 @@ def test_simulate_verb_writes_run(tmp_path):
     assert report["ms_per_step"] == report["wall_ms"] / report["n_steps"]
 
 
+def test_simulate_verb_of_one_step_reports_t_end_as_its_first_step(tmp_path):
+    # SimConfig refuses t_end <= 0, so every run takes a first step
+    config = _tiny_base(t_end=0.01, dt=0.01).to_dict()
+    cpath, out = tmp_path / "one.json", tmp_path / "one"
+    cpath.write_text(json.dumps(config))
+    assert main(["simulate", str(cpath), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_steps"] == 1
+    assert report["dt_first_step"] == 0.01
+
+
 def test_diagnose_verb_exit_codes(tmp_path, capsys):
     # diagnose consumes a saved run directory produced by simulate
     # the balance tolerance reflects the 16-ring resolution: the cutoff's
@@ -593,7 +604,8 @@ def test_diagnose_verb_rejects_runs_with_fewer_than_two_snapshots(tmp_path, caps
         capsys.readouterr()
         assert main(["diagnose", str(run_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"{keep} snapshot" in err, err
+        assert err.startswith(f"cannot diagnose run directory {run_dir}: "), err
+        assert err.count("\n") == 1 and f"at least 2 snapshots, got {keep}\n" in err, err
         assert not (run_dir / "diagnostics.json").exists()
 
 
@@ -635,6 +647,25 @@ def test_sweep_at_a_large_p_exits_0_with_finite_norms(tmp_path):
                             lp_exponents=(2.0, 400.0)))
     assert np.all(np.isfinite(traj.series["enstrophy_400"]))
     assert traj.series["enstrophy_400"][0] == lp_norm(traj.omegas[0], 400.0)
+
+
+def test_sweep_whose_slack_leaves_the_float_range_stops_in_one_line(tmp_path):
+    # |omega|^399 of the README bump (amplitude 8) overflows: the sweep
+    # printed three overflow warnings and a 27-line traceback of a
+    # RuntimeError on its non-finite renorm_slack entry
+    bump = {"bump": {"center": [0.3, 0.0], "radius": 0.4, "amplitude": 8.0}}
+    spec = {"base": {"nu": 0.0, "t_end": 0.05, "initial_condition": bump, "alpha": 1.0,
+                     "n_r": 16, "n_theta": 16},
+            "nu_list": [0.1, 0.01], "q_list": [2.0], "p": 400.0, "slack_q": 399.0}
+    cpath, out = tmp_path / "sweep.json", tmp_path / "sweep-out"
+    cpath.write_text(json.dumps(spec))
+    done = subprocess.run([sys.executable, "-m", "slipdisk", "sweep", str(cpath),
+                           "--out", str(out)], env=_env_with_src_on_path(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == (f"cannot sweep {cpath}: non-finite report entry "
+                           f"renorm_slack at nu=0.1\n"), done.stderr
+    assert not out.exists()
 
 
 def test_python_m_slipdisk_runs_the_verbs(tmp_path):
@@ -883,11 +914,20 @@ def test_adn_verb_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err, (stem, err)
         assert not (tmp_path / f"{stem}.report.json").exists()
-    for flag in ("--boundary-samples", "--xi-samples"):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["adn", str(good), flag, "4"])
-        assert exit_info.value.code == 2
-        assert "at least 8" in capsys.readouterr().err
+    # too few samples is check_all's refusal, one line like any unusable
+    # input; a count that is not an integer is still argparse's
+    capsys.readouterr()
+    out = tmp_path / "few.report.json"
+    for flag, counts in (("--boundary-samples", "4 and 8"), ("--xi-samples", "32 and 4")):
+        assert main(["adn", str(good), flag, "4", "--out", str(out)]) == 2, flag
+        assert capsys.readouterr().err == (f"cannot check problem {good}: need at least 8 "
+                                           f"boundary and 8 xi samples, got {counts}\n")
+        assert not out.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["adn", str(good), "--xi-samples", "x", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert not out.exists()
 
     # an --out that cannot be written is an unusable input (exit 2), not a
     # failed verdict (exit 1): an existing directory, a path under a file
