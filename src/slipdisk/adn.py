@@ -96,8 +96,6 @@ def _adjugate(a: np.ndarray) -> np.ndarray:
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., n, k, Ka) @ (..., k, m, Kb) -> (..., n, m, Ka + Kb - 1)."""
-    if a.shape[-2] != b.shape[-3]:
-        raise ValueError(f"shape mismatch {a.shape[-3:-1]} @ {b.shape[-3:-1]}")
     return _polymul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
 
 

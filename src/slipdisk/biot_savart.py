@@ -26,7 +26,7 @@ import numpy as np
 
 from ._tridiag import TridiagonalBatch
 from .field import ScalarField, VectorField, boundary_values, from_modes, perp_grad, to_modes
-from .geometry import PolarGrid, build_grid
+from .geometry import PolarGrid
 
 
 def flux_laplacian_bands(grid: PolarGrid, outer):
@@ -57,10 +57,10 @@ def flux_laplacian_bands(grid: PolarGrid, outer):
 
 
 @functools.cache
-def cached_solver(solver_cls, n_r: int, n_theta: int):
-    """The one solver_cls instance, built on build_grid(n_r, n_theta), that
-    every caller on that grid shares; solvers are immutable."""
-    return solver_cls(build_grid(n_r, n_theta))
+def cached_solver(solver_cls, grid: PolarGrid):
+    """The one solver_cls instance that every caller on a grid equal to
+    grid shares, built on the first such grid; solvers are immutable."""
+    return solver_cls(grid)
 
 
 class PoissonDirichletSolver:
@@ -114,7 +114,7 @@ class PoissonDirichletSolver:
 
 
 def solve_poisson_dirichlet(omega: ScalarField) -> ScalarField:
-    return cached_solver(PoissonDirichletSolver, *omega.grid.shape).solve(omega)
+    return cached_solver(PoissonDirichletSolver, omega.grid).solve(omega)
 
 
 def biot_savart(omega: ScalarField) -> VectorField:

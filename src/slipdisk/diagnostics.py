@@ -34,7 +34,7 @@ from .biot_savart import biot_savart
 from .field import (ScalarField, VectorField, boundary_values, bump_values, curl,
                     grad, gradient_frobenius, lp_norm, perp_grad, theta_derivative,
                     vector_gradient, wall_derivative)
-from .geometry import BoundaryTrace, PolarGrid, finite, integrate, point, table
+from .geometry import BoundaryTrace, PolarGrid, bump_radius, finite, integrate, point, table
 from .pressure import check_tangent_field, recover_pressure
 
 # A trajectory of at least this many node values (snapshots x n_r x
@@ -307,8 +307,8 @@ def diagnose(traj) -> dict:
 def phi_bump(phi_spec: dict) -> tuple | None:
     """Validated (center, radius, amplitude) of renormalized_slack's test
     function spec: None for {'zero': {}}. ValueError unless the spec is a
-    nonnegative bump of positive radius supported strictly inside the disk;
-    an object holding a key it does not take is refused too."""
+    nonnegative bump supported strictly inside the disk, its radius read by
+    bump_radius; an object holding a key it does not take is refused too."""
     if len(table(phi_spec, "phi_spec", ("bump", "zero"))) != 1:
         raise ValueError(f"phi_spec must hold exactly one of bump or zero, got {phi_spec!r}")
     if "zero" in phi_spec:
@@ -318,11 +318,11 @@ def phi_bump(phi_spec: dict) -> tuple | None:
     if "radius" not in spec:
         raise ValueError(f"phi bump must hold a radius, got {spec!r}")
     center = point(spec.get("center", (0.0, 0.0)), "phi center")
-    radius = finite(spec["radius"], "phi radius")
+    radius = bump_radius(spec["radius"], "phi radius")
     amplitude = finite(spec.get("amplitude", 1.0), "phi amplitude")
     if not amplitude >= 0.0:
         raise ValueError(f"phi must be nonnegative: amplitude {amplitude}")
-    if not (radius > 0.0 and np.hypot(*center) + radius < 1.0):
+    if not np.hypot(*center) + radius < 1.0:
         raise ValueError(f"phi must be supported strictly inside the disk: center "
                          f"{center}, radius {radius}")
     return center, radius, amplitude

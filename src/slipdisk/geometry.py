@@ -7,12 +7,12 @@ Quadrature is the midpoint rule in r times the exact trapezoid rule in
 theta, with weights w = r * dr * dtheta; the weights sum to pi exactly
 (up to roundoff).
 
-The grid's sizes are checked in build_grid alone. The boundary trace
-carries the friction coefficient alpha and the curvature kappa
-(identically 1 on the unit circle) at the grid angles; on the circle the
-outward normal and the counterclockwise tangent are the polar unit
-vectors e_r and e_theta, so fields in polar components need no separate
-frame.
+The grid's sizes are checked in build_grid alone; grids of equal sizes
+compare and hash equal. The boundary trace carries the friction
+coefficient alpha and the curvature kappa (identically 1 on the unit
+circle) at the grid angles; on the circle the outward normal and the
+counterclockwise tangent are the polar unit vectors e_r and e_theta, so
+fields in polar components need no separate frame.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Staggered polar grid on the unit disk, built by build_grid."""
+    """Staggered polar grid on the unit disk, built by build_grid; it compares
+    and hashes by its sizes, which fix its arrays r, theta and weights."""
 
     n_r: int
     n_theta: int
-    r: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False, compare=False)
+    theta: np.ndarray = field(repr=False, compare=False)
     dr: float
     dtheta: float
-    weights: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -111,6 +112,17 @@ def finite(value, name: str) -> float:
     value = real(value, name)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def bump_radius(value, name: str) -> float:
+    """finite(value), or ValueError naming the entry unless its square, a
+    bump's denominator, is a normal float: at least sqrt(sys.float_info.min)
+    ~ 1.49e-154. The initial bump and the sweep's phi read their radius here."""
+    value, least = finite(value, name), np.sqrt(np.finfo(float).tiny)
+    if not value >= least:
+        raise ValueError(f"{name} must be at least {least:.4g}, so that its square is "
+                         f"a normal float, got {value}")
     return value
 
 

@@ -66,8 +66,8 @@ from .field import (ScalarField, VectorField, boundary_values, bump_values,
                     theta_multiplier, to_modes, wall_derivative)
 # Unused here: perfbench/test_tracing.py calls ns_solver.perp_grad.
 from .field import perp_grad  # noqa: F401
-from .geometry import (BoundaryTrace, PolarGrid, boundary_trace, build_grid, distinct,
-                       finite, integer, point, reals, table)
+from .geometry import (BoundaryTrace, PolarGrid, boundary_trace, build_grid, bump_radius,
+                       distinct, finite, integer, point, reals, table)
 
 # Snapshots stacked per batch of a trajectory analysis: on 64^2 runs,
 # batches of 16 or 32 ran slower than 8 and hold more temporaries.
@@ -152,7 +152,7 @@ class SimConfig:
         # run starts, and the run starts from these samples; an overflow is
         # refused as a non-finite sample, unwarned.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.omega0 = initial_profile(self.initial_condition)(self.grid)
+            self.omega0 = initial_profile(self.initial_condition, self.grid)
             if not np.all(np.isfinite(self.omega0)):
                 raise ValueError(f"initial condition samples on the {self.n_r} x "
                                  f"{self.n_theta} grid are not finite")
@@ -182,12 +182,12 @@ class SimConfig:
             return cls.from_dict(json.load(fh))
 
 
-def initial_profile(spec: dict):
-    """Parse an initial-condition spec into a function grid -> vorticity
-    samples, raising ValueError for any spec that cannot be built.
+def initial_profile(spec: dict, grid: PolarGrid) -> np.ndarray:
+    """The vorticity samples of an initial-condition spec on grid, or
+    ValueError for any spec that cannot be built.
 
-    Forms: {"const": c}; {"bump": {center, radius, amplitude}} with a
-    finite radius > 0; {"singular": {center, gamma, p}} for the capped
+    Forms: {"const": c}; {"bump": {center, radius, amplitude}}, the radius
+    read by bump_radius; {"singular": {center, gamma, p}} for the capped
     power-law min(dr^-gamma, |x - x0|^-gamma), requiring 0 < gamma * p < 2
     so the profile lies in L^p; {"modes": [[k, coeffs(, phase)], ...]} for
     radial polynomials sum_m coeffs[m] r^m times cos(k theta - phase).
@@ -199,16 +199,13 @@ def initial_profile(spec: dict):
     kind, params = next(iter(spec.items()))
     try:
         if kind == "const":
-            c = finite(params, "const initial condition")
-            return lambda grid: np.full(grid.shape, c)
+            return np.full(grid.shape, finite(params, "const initial condition"))
         if kind == "bump":
             params = table(params, "'bump' initial condition", ("center", "radius", "amplitude"))
-            cx, cy = point(params.get("center", (0.0, 0.0)), "bump center")
-            radius = finite(params.get("radius", 0.5), "bump radius")
+            center = point(params.get("center", (0.0, 0.0)), "bump center")
+            radius = bump_radius(params.get("radius", 0.5), "bump radius")
             amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
-            if not radius > 0.0:
-                raise ValueError(f"bump radius must be finite and positive, got {radius}")
-            return lambda grid: bump_values(grid, (cx, cy), radius, amplitude)[0]
+            return bump_values(grid, center, radius, amplitude)[0]
         if kind == "singular":
             params = table(params, "'singular' initial condition", ("center", "gamma", "p"))
             gamma = finite(params["gamma"], "singular gamma")
@@ -217,14 +214,10 @@ def initial_profile(spec: dict):
                 raise ValueError(f"singular profile needs 0 < gamma*p < 2, "
                                  f"got gamma={gamma}, p={p}")
             cx, cy = point(params.get("center", (0.0, 0.0)), "singular center")
-
-            def singular(grid):
-                r, th = grid.r_col, grid.theta
-                dist = np.hypot(r * np.cos(th) - cx, r * np.sin(th) - cy)
-                with np.errstate(divide="ignore"):
-                    return np.minimum(np.float64(grid.dr) ** -gamma, dist ** (-gamma))
-
-            return singular
+            r, th = grid.r_col, grid.theta
+            dist = np.hypot(r * np.cos(th) - cx, r * np.sin(th) - cy)
+            with np.errstate(divide="ignore"):
+                return np.minimum(np.float64(grid.dr) ** -gamma, dist ** (-gamma))
         if kind == "modes":
             if not (isinstance(params, (list, tuple)) and all(
                     isinstance(e, (list, tuple)) and len(e) in (2, 3)
@@ -236,15 +229,11 @@ def initial_profile(spec: dict):
                       [finite(c, "modes coefficient") for c in entry[1]],
                       finite(entry[2], "modes phase") if len(entry) > 2 else 0.0)
                      for entry in params]
-
-            def modes(grid):
-                vals = np.zeros(grid.shape)
-                for k, coeffs, phase in terms:
-                    prof = sum(c * grid.r ** m for m, c in enumerate(coeffs))
-                    vals += prof[:, None] * np.cos(k * grid.theta - phase)[None, :]
-                return vals
-
-            return modes
+            vals = np.zeros(grid.shape)
+            for k, coeffs, phase in terms:
+                prof = sum(c * grid.r ** m for m, c in enumerate(coeffs))
+                vals += prof[:, None] * np.cos(k * grid.theta - phase)[None, :]
+            return vals
     except (AttributeError, IndexError, KeyError, TypeError) as err:
         raise ValueError(f"malformed {kind!r} initial condition {params!r}: "
                          f"{err!r}") from None
@@ -253,7 +242,7 @@ def initial_profile(spec: dict):
 
 def initial_vorticity(spec: dict, grid: PolarGrid) -> ScalarField:
     """Initial vorticity of a config spec (see initial_profile) on grid."""
-    return ScalarField(grid, initial_profile(spec)(grid))
+    return ScalarField(grid, initial_profile(spec, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +333,7 @@ class _Stepper:
         self.trace = trace
         self.nus = np.array(nus, dtype=float)
         self.viscous = bool(np.any(self.nus > 0.0))
-        self.poisson = cached_solver(PoissonDirichletSolver, *grid.shape)
+        self.poisson = cached_solver(PoissonDirichletSolver, grid)
         self._diffusion: _DiffusionCN | None = None
         # Kept, not rebuilt per level or stage
         self._slip = 2.0 * trace.kappa - trace.alpha

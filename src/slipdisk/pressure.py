@@ -178,8 +178,7 @@ class PressureSolve:
         """Max-norm residual of the discrete Poisson system, boundary row
         included, per snapshot, against the source -div((u.grad)u) rebuilt
         from acceleration."""
-        grid = self.p.grid
-        solver = cached_solver(PoissonNeumannSolver, *grid.shape)
+        solver = cached_solver(PoissonNeumannSolver, self.p.grid)
         rhs = -flux_divergence(self.acceleration)[0]
         return np.abs(solver.apply(self.p, self.neumann).values - rhs).max(axis=(-2, -1))
 
@@ -209,7 +208,7 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     does not depend on it.
     """
     grid = u.grid
-    if omega.grid is not grid and omega.grid.shape != grid.shape:
+    if omega.grid != grid:
         raise ValueError("omega and u live on different grids")
     if omega.values.shape != u.u_r.shape:
         raise ValueError(f"omega {omega.values.shape} and u {u.u_r.shape} "
@@ -228,7 +227,7 @@ def recover_pressure(u: VectorField, omega: ScalarField, nu: float,
     _require(defect, COMPATIBILITY_TOL, "Neumann data{at} incompatible with the source "
              "(defect {value:.3e}); velocity snapshot inconsistent")
 
-    p = cached_solver(PoissonNeumannSolver, *grid.shape).solve(rhs, g)
+    p = cached_solver(PoissonNeumannSolver, grid).solve(rhs, g)
     return PressureSolve(p=p, compatibility_defect=defect, acceleration=a,
                          gradient=gu, neumann=g)
 

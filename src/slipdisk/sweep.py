@@ -29,7 +29,7 @@ from ._forked import ForkedCall
 from .biot_savart import biot_savart
 from .diagnostics import phi_bump, renormalized_slack
 from .field import ScalarField, lp_norms
-from .geometry import build_grid, distinct, integer, real, reals, table
+from .geometry import distinct, integer, real, reals, table
 from .ns_solver import (CflError, DivergenceError, SimConfig, cfl_bound, simulate,
                         simulate_ensemble, write_atomically, write_json)
 
@@ -145,14 +145,13 @@ def _energy_ok(series: dict) -> bool:
 
 
 @functools.cache
-def _spline_matrix(n_base: int, n_fine: int) -> np.ndarray:
-    """W of shape (n_base, n_fine): W @ y is the not-a-knot cubic spline
-    through the values y at the radial nodes of build_grid(n_fine, .),
-    evaluated at those of build_grid(n_base, .). Shared by every caller;
-    read-only."""
-    x = build_grid(n_fine, 2).r
-    t = build_grid(n_base, 2).r
-    n, h = n_fine, np.diff(x)
+def _spline_matrix(base_grid, fine_grid) -> np.ndarray:
+    """W of shape (base n_r, fine n_r): W @ y is the not-a-knot cubic
+    spline through the values y at the radial nodes of fine_grid,
+    evaluated at those of base_grid. Shared by every caller on grids equal
+    to these; read-only."""
+    x, t = fine_grid.r, base_grid.r
+    n, h = fine_grid.n_r, np.diff(x)
     # Second derivatives M from A M = B y: the interior rows ask for a
     # continuous slope, the first and last for a continuous third
     # derivative across the second and the second-to-last node.
@@ -180,13 +179,13 @@ def _spline_matrix(n_base: int, n_fine: int) -> np.ndarray:
     return W
 
 
-def _interpolate_to_base(values: np.ndarray, factor: int, base_grid,
-                         fine_grid) -> np.ndarray:
+def _interpolate_to_base(values: np.ndarray, base_grid, fine_grid) -> np.ndarray:
     """Refined-grid field (..., n_r, n_theta) to the base grid: the angular
     nodes nest, so subsample; the radial nodes are staggered, so apply the
     cached not-a-knot cubic spline matrix to every angle and leading
     index in one matmul."""
-    return _spline_matrix(base_grid.n_r, fine_grid.n_r) @ values[..., ::factor]
+    stride = fine_grid.n_theta // base_grid.n_theta
+    return _spline_matrix(base_grid, fine_grid) @ values[..., ::stride]
 
 
 def _timed_run(run, arg):
@@ -255,7 +254,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
 
     if not np.allclose(euler_fine.times, euler_base.times, atol=1e-9):
         raise RuntimeError("reference snapshot times do not align with the sweep")
-    ref = _interpolate_to_base(euler_fine.omega, m, base.grid, refined.grid)
+    ref = _interpolate_to_base(euler_fine.omega, base.grid, refined.grid)
 
     def sup_diff(stack, q):
         return float(np.max(lp_norms(np.abs(stack - ref), base.grid, q)))

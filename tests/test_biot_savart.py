@@ -23,6 +23,7 @@ from slipdisk import (
     perp_grad,
     solve_poisson_dirichlet,
 )
+from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
 from slipdisk.field import boundary_values
 from slipdisk.ns_solver import initial_vorticity
 
@@ -213,3 +214,10 @@ def test_sampled_stream_is_resolved(grid48):
     energy = np.sum(np.abs(coeffs) ** 2, axis=0)
     assert energy[6] < 0.2 * energy.max()
     assert np.all(energy[7:] < 1e-20 * energy.max())
+
+
+def test_cached_solver_is_shared_by_equal_grids():
+    g1, g2 = build_grid(16, 16), build_grid(16, 16)
+    solver = cached_solver(PoissonDirichletSolver, g1)
+    assert cached_solver(PoissonDirichletSolver, g2) is solver
+    assert cached_solver(PoissonDirichletSolver, build_grid(16, 8)) is not solver

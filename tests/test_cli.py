@@ -86,6 +86,12 @@ def test_sweep_config_rejects_nan_viscosity_and_phi_off_the_disk():
         SweepConfig(**{**good, "phi": {"bump": {"radius": 0.5, "amplitude": -1.0}}})
     with pytest.raises(ValueError, match="phi_spec"):
         SweepConfig(**{**good, "phi": {"gauss": {"radius": 0.5}}})
+    # a radius whose square underflows made phi's gradient 0/0
+    for radius in (1e-200, 1e-160):
+        with pytest.raises(ValueError, match=f"phi radius must be at least .*, got {radius}"):
+            SweepConfig(**{**good, "phi": {"bump": {"radius": radius}}})
+    least = _tiny_base(initial_condition={"bump": {"radius": 1.5e-154}})
+    SweepConfig(**{**good, "base": least, "phi": {"bump": {"radius": 1.5e-154}}})
     SweepConfig(**{**good, "phi": {"zero": {}}})
 
 
@@ -148,7 +154,7 @@ def test_interpolate_to_base_accuracy():
     base = build_grid(24, 16)
     fine = build_grid(48, 32)
     vals = np.cos(3.0 * fine.r)[:, None] * np.cos(2.0 * fine.theta)[None, :]
-    got = _interpolate_to_base(vals, 2, base, fine)
+    got = _interpolate_to_base(vals, base, fine)
     want = np.cos(3.0 * base.r)[:, None] * np.cos(2.0 * base.theta)[None, :]
     assert got.shape == base.shape
     assert np.max(np.abs(got - want)) < 1e-5
@@ -163,7 +169,7 @@ def test_interpolate_to_base_reproduces_radial_cubics(n_base):
         return 0.3 - 1.7 * r + 2.2 * r ** 2 - 0.9 * r ** 3
 
     vals = np.stack([k * cubic(fine.r)[:, None] * np.ones(16) for k in (1.0, -2.0)])
-    got = _interpolate_to_base(vals, 2, base, fine)
+    got = _interpolate_to_base(vals, base, fine)
     want = np.stack([k * cubic(base.r)[:, None] * np.ones(8) for k in (1.0, -2.0)])
     assert got.shape == (2,) + base.shape
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -174,7 +180,7 @@ def test_interpolate_to_base_matches_scipy_cubic_spline(n_base):
     interpolate = pytest.importorskip("scipy.interpolate")
     base, fine = build_grid(n_base, 8), build_grid(2 * n_base, 16)
     stack = np.random.default_rng(n_base).standard_normal((5, 2 * n_base, 16))
-    got = _interpolate_to_base(stack, 2, base, fine)
+    got = _interpolate_to_base(stack, base, fine)
     want = interpolate.CubicSpline(fine.r, stack[..., ::2], axis=-2)(base.r)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -296,9 +302,9 @@ def test_sweep_rows_equal_a_per_snapshot_lp_norm_recomputation():
     config = SweepConfig(base=_tiny_base(nu=0.0), nu_list=(0.1, 0.01),
                          q_list=(1.0, 2.0, 3.0), p=4.0)
     report = run_sweep(config)
-    runs, m = report.runs, config.euler_refinement_factor
+    runs = report.runs
     base_grid, fine_grid = runs["euler_base"].grid, runs["euler_refined"].grid
-    ref = [_interpolate_to_base(om.values, m, base_grid, fine_grid)
+    ref = [_interpolate_to_base(om.values, base_grid, fine_grid)
            for om in runs["euler_refined"].omegas]
 
     def sup_diff(traj, q):
@@ -713,6 +719,9 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"dt": "0.01"}, "dt"), ({"lp_exponents": "24"}, "lp_exponents"),
                          ({"initial_condition": {"const": True}}, "const"),
                          ({"initial_condition": {"bump": {"radius": True}}}, "radius"),
+                         # a radius whose square underflows warned and ran
+                         ({"initial_condition": {"bump": {"radius": 1e-200}}},
+                          "bump radius must be at least"),
                          ({"initial_condition": {"singular": {"gamma": 0.5, "p": True}}},
                           "singular p"),
                          ({"initial_condition": {"modes": [[1.7, [0.0, 1.0]]]}}, "modes k"),
@@ -737,6 +746,7 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"phi": {"bump": {}}}, "phi"),
                          ({"phi": {"bump": {"radius": 0.3, "center": [0.1]}}}, "phi center"),
                          ({"phi": {"bump": {"radius": 0.3, "amplitde": 2.0}}}, "amplitde"),
+                         ({"phi": {"bump": {"radius": 1e-200}}}, "phi radius must be at least"),
                          ({"phi": {"bump": {"radius": 0.3}, "zero": {}}},
                           "exactly one of bump or zero")):
         cases.append(("sweep", {**sweep, **change}, name))

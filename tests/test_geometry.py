@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slipdisk.geometry import (alpha_function, boundary_trace, build_grid,
-                               integrate)
+                               bump_radius, integrate)
 
 
 def test_weights_sum_to_disk_area_exactly(grid64):
@@ -48,6 +48,25 @@ def test_odd_angular_count_rejected():
 def test_build_grid_refuses_sizes_the_stencils_cannot_use(n_r, n_theta, match):
     with pytest.raises(ValueError, match=match):
         build_grid(n_r, n_theta)
+
+
+def test_grids_of_equal_sizes_are_one_value():
+    # the arrays made the generated == raise ValueError and hash TypeError
+    a, b, other = build_grid(8, 8), build_grid(8, 8), build_grid(8, 16)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and build_grid(16, 8) != a
+    assert {a, b, other} == {a, other}
+    assert {a: 1, other: 2}[b] == 1
+
+
+def test_bump_radius_is_the_least_whose_square_is_normal():
+    least = np.sqrt(np.finfo(float).tiny)
+    assert least ** 2 >= np.finfo(float).tiny > np.nextafter(least, 0.0) ** 2
+    for radius in (least, 1.5e-154, 0.4):
+        assert bump_radius(radius, "r") == radius
+    for radius in (np.nextafter(least, 0.0), 1e-160, 1e-200, 0.0, -0.4):
+        with pytest.raises(ValueError, match=f"r must be at least 1.492e-154, .*got {radius}"):
+            bump_radius(radius, "r")
 
 
 def test_alpha_function_forms():

@@ -139,6 +139,10 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     # 2 and 2.0 both named the column enstrophy_2: series.csv wrote it twice
     ({"lp_exponents": [2, 4.0, 2.0]}, r"lp exponent 2.0 is repeated in \[2.0, 4.0, 2.0\]"),
     ({"tol": {"balance": -1e-3}}, r"tol balance must be >= 0, got -0.001"),
+    # a radius whose square underflows: 1e-200 warned of a division by
+    # zero and sampled a zero field
+    ({"initial_condition": {"bump": {"radius": 1e-200}}}, "bump radius must be at least"),
+    ({"initial_condition": {"bump": {"radius": 1e-160}}}, "bump radius must be at least"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
@@ -570,7 +574,7 @@ def test_crank_nicolson_step_matches_dense_solve():
     # for viscous and inviscid members on the Poisson solver's Dirichlet bands
     rng = np.random.default_rng(3)
     grid = build_grid(8, 8)
-    bands = cached_solver(PoissonDirichletSolver, *grid.shape).bands
+    bands = cached_solver(PoissonDirichletSolver, grid).bands
     nus, dt = np.array([0.05, 0.0]), 0.01
     n_modes = grid.n_theta // 2 + 1
     omega = (rng.standard_normal((2, n_modes, grid.n_r))
@@ -587,7 +591,7 @@ def test_crank_nicolson_step_matches_dense_solve():
     # and the step's 2 y - omega cancels; each mode to 1e-13 of its largest
     # entry.
     grid = build_grid(64, 64)
-    bands = cached_solver(PoissonDirichletSolver, *grid.shape).bands
+    bands = cached_solver(PoissonDirichletSolver, grid).bands
     nus, dt = np.array([0.1, 0.001, 0.0]), 0.5 / 969
     n_modes = grid.n_theta // 2 + 1
     omega = (rng.standard_normal((3, n_modes, grid.n_r))
@@ -601,7 +605,7 @@ def test_crank_nicolson_step_matches_dense_solve():
 
 
 def test_viscous_run_leaves_the_shared_dirichlet_bands_unchanged():
-    bands = cached_solver(PoissonDirichletSolver, 16, 16).bands
+    bands = cached_solver(PoissonDirichletSolver, build_grid(16, 16)).bands
     before = [band.copy() for band in bands[:3]]
     simulate(SimConfig(nu=0.05, t_end=0.02, initial_condition={
         "bump": {"center": (0.3, 0.0), "radius": 0.4, "amplitude": 8.0}},

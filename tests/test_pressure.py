@@ -194,6 +194,15 @@ def test_grid_mismatch_rejected(grid48, grid64):
         recover_pressure(u, omega, nu=0.0)
 
 
+def test_fields_on_equal_but_distinct_grids_accepted(grid48):
+    # grids compare by their sizes, not by identity
+    u, omega = _rigid(grid48)
+    twin = initial_vorticity({"const": 2.0}, build_grid(grid48.n_r, grid48.n_theta))
+    assert twin.grid is not grid48
+    got = recover_pressure(u, twin, nu=0.1).p.values
+    assert np.array_equal(got, recover_pressure(u, omega, nu=0.1).p.values)
+
+
 def test_data_of_another_grid_rejected(grid32, grid48):
     # grid32 has 32 angles, grid48 64
     u, omega = _rigid(grid48)

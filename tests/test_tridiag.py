@@ -8,6 +8,7 @@ from scipy.linalg import lapack
 
 from slipdisk._tridiag import TridiagonalBatch
 from slipdisk.biot_savart import PoissonDirichletSolver, cached_solver
+from slipdisk.geometry import build_grid
 
 
 def _bands(seed: int, n_batch: int = 5, n: int = 9):
@@ -82,7 +83,7 @@ def _parts_solved_apart(lower, diag, upper, rhs):
 def test_complex_solve_gives_the_bits_of_its_parts_solved_apart(operator, members):
     # On the 64^2 Dirichlet bands (members as further right-hand sides) and
     # on stacked Crank-Nicolson bands 1 - lam T (one lam per member).
-    lower, diag, upper, _ = cached_solver(PoissonDirichletSolver, 64, 64).bands
+    lower, diag, upper, _ = cached_solver(PoissonDirichletSolver, build_grid(64, 64)).bands
     if operator == "crank_nicolson":
         lam = (0.5 * np.linspace(0.001, 0.1, members) * 4e-4)[:, None, None]
         lower, diag, upper = -lam * lower, 1.0 - lam * diag, -lam * upper
