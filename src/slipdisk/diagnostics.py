@@ -17,8 +17,8 @@ The trajectory diagnostics walk the snapshots in batches
 acts on a batch's stacked fields (b, n_r, n_theta) at once, and only
 per-snapshot numbers outlive the batch. diagnose() walks a trajectory
 once (_walk), differentiating each snapshot's velocity once. A run of
-at least 2 snapshots and FORK_NODE_VALUES node values is walked in two
-processes, each taking a view of half its snapshots as a trajectory.
+2 or more snapshots is walked in two processes, each taking a view of
+half its snapshots as a trajectory.
 A snapshot's rows do not depend on where its batch starts, so the
 halves' rows, joined in order, are bitwise those of one process's walk.
 """
@@ -36,17 +36,6 @@ from .field import (ScalarField, VectorField, boundary_values, bump_values, curl
                     vector_gradient, wall_derivative)
 from .geometry import BoundaryTrace, PolarGrid, bump_radius, finite, integrate, point, table
 from .pressure import check_tangent_field, recover_pressure
-
-# A trajectory of at least this many node values (snapshots x n_r x
-# n_theta) is walked in two processes (see _walk). The fork, the pipe
-# and the pages both processes copy on their first writes cost a fixed
-# time, which weighs more as a batch gets cheaper. With theta
-# derivatives as matrix products, on two CPUs (in-process diagnose of
-# 64^2 prefixes of a 236-snapshot run, medians of 61 and 81 paired
-# calls), forked over one-process time read 1.18 at 18 snapshots,
-# 1.05-1.10 at 20-22, 0.98-1.04 at 24-26, 1.00 at 27 and 0.89-0.96 at
-# 28-34. The threshold sits at that tie, 27 snapshots at 64^2.
-FORK_NODE_VALUES = 110_000
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +207,18 @@ def _walk_batches(traj, v: VectorField, tau_bar: ExtendedTangent):
 def _walk(traj, v: VectorField, tau_bar: ExtendedTangent):
     """(Navier curve maxima, weak-form residual against v per snapshot,
     balance defect with tau_bar per interval) from one pass over the
-    snapshots. A run of at least 2 snapshots and FORK_NODE_VALUES node
-    values is walked in two processes: this one walks its first n // 2
-    snapshots and a forked child the rest, each half a trajectory of its
-    own viewing a slice of traj.omega; one concatenation and one max
-    per Navier curve merge them. ValueError for a run without snapshots."""
+    snapshots. A run of 2 or more snapshots is walked in two processes:
+    this one walks its first n // 2 snapshots and a forked child the
+    rest, each half a trajectory of its own viewing a slice of
+    traj.omega; one concatenation and one max per Navier curve merge
+    them. A run of 1 snapshot has no second half and is walked here.
+    ValueError for a run without snapshots."""
     check_tangent_field(v, "test field")
     nu = traj.config.nu
     times = np.asarray(traj.times)
     if times.size == 0:
         raise ValueError("a trajectory walk needs at least 1 snapshot, got 0")
-    if times.size < 2 or times.size * traj.grid.n_r * traj.grid.n_theta < FORK_NODE_VALUES:
+    if times.size < 2:
         parts = [_walk_batches(traj, v, tau_bar)]
     else:
         first, second = (replace(traj, times=times[s], omega=traj.omega[s])

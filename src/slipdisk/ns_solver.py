@@ -187,7 +187,8 @@ def initial_profile(spec: dict, grid: PolarGrid) -> np.ndarray:
     ValueError for any spec that cannot be built.
 
     Forms: {"const": c}; {"bump": {center, radius, amplitude}}, the radius
-    read by bump_radius; {"singular": {center, gamma, p}} for the capped
+    read by bump_radius and the support meeting the disk, |center| <
+    1 + radius; {"singular": {center, gamma, p}} for the capped
     power-law min(dr^-gamma, |x - x0|^-gamma), requiring 0 < gamma * p < 2
     so the profile lies in L^p; {"modes": [[k, coeffs(, phase)], ...]} for
     radial polynomials sum_m coeffs[m] r^m times cos(k theta - phase).
@@ -205,6 +206,8 @@ def initial_profile(spec: dict, grid: PolarGrid) -> np.ndarray:
             center = point(params.get("center", (0.0, 0.0)), "bump center")
             radius = bump_radius(params.get("radius", 0.5), "bump radius")
             amplitude = finite(params.get("amplitude", 1.0), "bump amplitude")
+            if not abs(complex(*center)) < 1.0 + radius:  # |center|, which cannot overflow
+                raise ValueError(f"bump support misses the disk: center {center}, radius {radius}")
             return bump_values(grid, center, radius, amplitude)[0]
         if kind == "singular":
             params = table(params, "'singular' initial condition", ("center", "gamma", "p"))

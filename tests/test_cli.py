@@ -731,6 +731,9 @@ def test_simulate_and_sweep_verbs_reject_unreadable_configs(tmp_path, capsys):
                          ({"alpha": {"fourier": 3}}, "alpha"),
                          ({"alpha": {"fourier": [[1, 0.5]]}}, "alpha"),
                          ({"initial_condition": {"bump": {"center": [0.1]}}}, "bump center"),
+                         # a bump off the disk sampled a zero field and ran
+                         ({"initial_condition": {"bump": {"center": [5.0, 0.0]}}},
+                          "bump support misses the disk"),
                          # unknown keys inside a spec, which used to be ignored
                          ({"initial_condition": {"bump": {"radius": 0.3, "amplitud": 5.0}}},
                           "amplitud"),

@@ -354,24 +354,35 @@ def _count_gradients(monkeypatch):
     return counted
 
 
+def _walk_in_this_process(monkeypatch):
+    """Make ForkedCall run the walk's second half in this process, where
+    fork is not a start method, so that calls counted here see both
+    halves."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+
 def test_enstrophy_balance_differentiates_each_velocity_once(monkeypatch):
     # the pressure recovery's velocity gradient also feeds the balance
     # source: one gradient per snapshot, summed over the stacks' leading
-    # axes, plus one for the walk's rigid weak-form test field
+    # axes, plus one of the walk's rigid weak-form test field per half
     traj = _bump16()
+    _walk_in_this_process(monkeypatch)
     counted = _count_gradients(monkeypatch)
     enstrophy_balance_residual(traj, extended_tangent(traj.grid, traj.trace))
-    assert sum(counted) == len(traj.times) + 1
+    assert sum(counted) == len(traj.times) + 2
 
 
 def test_diagnose_walks_the_trajectory_once(monkeypatch):
     # one velocity solve, one pressure recovery and one gradient per
-    # snapshot batch serve the slip curves, the weak form and the balance
+    # snapshot batch of each half serve the slip curves, the weak form and
+    # the balance
     from slipdisk import diagnostics, ns_solver
     from slipdisk.diagnostics import diagnose
     traj = _bump16()
-    n_batches = -(-len(traj.times) // ns_solver.SNAPSHOT_BATCH)
-    assert n_batches > 1
+    n = len(traj.times)
+    n_batches = sum(-(-half // ns_solver.SNAPSHOT_BATCH) for half in (n // 2, n - n // 2))
+    assert n_batches > 2
+    _walk_in_this_process(monkeypatch)
     counted = _count_gradients(monkeypatch)
     calls = {"biot_savart": 0, "recover_pressure": 0}
     for module, name in ((ns_solver, "biot_savart"), (diagnostics, "recover_pressure")):
@@ -380,7 +391,7 @@ def test_diagnose_walks_the_trajectory_once(monkeypatch):
             return _inner(*args)
         monkeypatch.setattr(module, name, counting)
     report = diagnose(traj)
-    assert sum(counted) == len(traj.times) + 1  # the snapshots and the test field
+    assert sum(counted) == n + 2  # the snapshots and the test field per half
     assert calls == {"biot_savart": n_batches, "recover_pressure": n_batches}
     assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
     assert report["balance"]["max"] == pytest.approx(max(BUMP16_BALANCE), rel=1e-12)
@@ -398,6 +409,7 @@ def test_diagnose_reads_no_pressure_certificate(monkeypatch):
         applied.append(1)
         return apply(self, *args)
 
+    _walk_in_this_process(monkeypatch)
     monkeypatch.setattr(PoissonNeumannSolver, "apply", counting)
     report = diagnose(_bump16())
     assert applied == []
@@ -415,21 +427,22 @@ def _walk_rigid(traj):
 
 
 def _walk_split_in_two(monkeypatch, traj=None):
-    """_walk of traj (default _bump16()) against the rigid rotation, with
-    the threshold at 0 so that a forked child walks the second half of its
-    snapshots; returns the walk's outputs, the number of children started
-    and the snapshot counts of the halves, this process's first."""
+    """_walk of traj (default _bump16()) against the rigid rotation, whose
+    forked child walks the second half of its snapshots; returns the
+    walk's outputs, the number of children started and the halves'
+    (Navier curve maxima, rows), this process's first."""
     from slipdisk import diagnostics
     traj = _bump16() if traj is None else traj
-    started, halves, parent = [], [], os.getpid()
+    started, parts, parent = [], [], os.getpid()
     walk_batches = diagnostics._walk_batches
 
     def counted_walk(half, *args):
         # each half views a slice of traj's snapshots, in either process
         assert np.shares_memory(half.omega, traj.omega)
+        out = walk_batches(half, *args)
         if os.getpid() == parent:
-            halves.append(len(half.omega))
-        return walk_batches(half, *args)
+            parts.append(out)
+        return out
 
     class Counted(diagnostics.ForkedCall):
         def __init__(self, fn):
@@ -438,32 +451,38 @@ def _walk_split_in_two(monkeypatch, traj=None):
 
         def result(self):
             out = super().result()
-            halves.append(out[1].shape[1])
+            parts.append(out)
             return out
 
-    monkeypatch.setattr(diagnostics, "FORK_NODE_VALUES", 0)
     monkeypatch.setattr(diagnostics, "ForkedCall", Counted)
     monkeypatch.setattr(diagnostics, "_walk_batches", counted_walk)
     try:
         out = _walk_rigid(traj)
     finally:
         assert multiprocessing.active_children() == []
-    return out, len(started), halves
+    return out, len(started), parts
 
 
-@pytest.mark.parametrize("n", [2, 8, 9, 17])
-def test_split_walk_equals_the_walk_in_one_process(monkeypatch, n):
-    # this process walks the first n // 2 snapshots, the child the rest,
-    # whatever the batch size; the rows do not depend on the cut
-    traj = _first(_bump16(), n)
-    worst, weak, balance = _walk_rigid(traj)
-    (split_worst, split_weak, split_balance), children, halves = _walk_split_in_two(
-        monkeypatch, traj)
+def check_split_walk_is_one_pass(monkeypatch, traj):
+    """Assert that the walk of traj starts one child and leaves none, that
+    this process walks its first n // 2 snapshots and the child the rest,
+    and that the halves' maxima and rows, merged, are bitwise
+    _walk_batches' over the whole run: the rows do not depend on the cut."""
+    from slipdisk.diagnostics import _rigid_rotation, _walk_batches
+    n = len(traj.times)
+    worst, rows = _walk_batches(traj, _rigid_rotation(traj.grid),
+                                extended_tangent(traj.grid, traj.trace))
+    _, children, parts = _walk_split_in_two(monkeypatch, traj)
     assert children == 1
-    assert halves == [n // 2, n - n // 2] and min(halves) > 0
-    assert split_worst == worst
-    assert np.array_equal(split_weak, weak)
-    assert np.array_equal(split_balance, balance)
+    assert [part[1].shape[1] for part in parts] == [n // 2, n - n // 2]
+    assert {k: max(part[0][k] for part in parts) for k in worst} == worst
+    assert np.array_equal(np.concatenate([part[1] for part in parts], axis=1), rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 17])
+def test_split_walk_equals_the_walk_in_one_process(monkeypatch, n):
+    # whatever the batch size
+    check_split_walk_is_one_pass(monkeypatch, _first(_bump16(), n))
 
 
 def _in_the_child(monkeypatch, act):
@@ -494,32 +513,25 @@ def test_split_walk_names_the_exit_code_of_a_child_that_dies(monkeypatch):
         _walk_split_in_two(monkeypatch)
 
 
-def test_diagnose_below_the_threshold_starts_no_child(monkeypatch):
-    from slipdisk import diagnostics
-
-    def refuse(fn):
-        raise AssertionError("a trajectory below the threshold started a child")
-
-    traj = _bump16()
-    assert len(traj.times) * traj.grid.n_r * traj.grid.n_theta < diagnostics.FORK_NODE_VALUES
-    monkeypatch.setattr(diagnostics, "ForkedCall", refuse)
-    report = diagnostics.diagnose(traj)
-    assert report["weak_form"]["max"] == pytest.approx(max(BUMP16_WEAK_FORM), rel=1e-12)
-
-
 def test_walk_of_one_snapshot_starts_no_child(monkeypatch):
-    # above the threshold a single snapshot has no second half to fork
+    # a single snapshot has no second half to fork; two start one child
     from slipdisk import diagnostics
+    started = []
 
-    def refuse(fn):
-        raise AssertionError("a walk of one snapshot started a child")
+    class Counted(diagnostics.ForkedCall):
+        def __init__(self, fn):
+            started.append(fn)
+            super().__init__(fn)
 
     traj = _bump16()
-    monkeypatch.setattr(diagnostics, "FORK_NODE_VALUES", 0)
-    monkeypatch.setattr(diagnostics, "ForkedCall", refuse)
+    monkeypatch.setattr(diagnostics, "ForkedCall", Counted)
     worst, weak, balance = _walk_rigid(_first(traj, 1))
+    assert started == []
     assert weak.shape == (1,) and balance.shape == (0,)
     assert set(worst) == {"navier_condition", "curl_identity", "normal_derivative"}
+    _walk_rigid(_first(traj, 2))
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_walk_of_no_snapshots_names_the_count():

@@ -143,6 +143,11 @@ def test_config_rejects_bad_grid_sizes(field, value, match):
     # zero and sampled a zero field
     ({"initial_condition": {"bump": {"radius": 1e-200}}}, "bump radius must be at least"),
     ({"initial_condition": {"bump": {"radius": 1e-160}}}, "bump radius must be at least"),
+    # a bump whose support misses the disk sampled a zero field and ran
+    ({"initial_condition": {"bump": {"center": [5.0, 0.0], "radius": 0.4}}},
+     r"bump support misses the disk: center \(5.0, 0.0\), radius 0.4"),
+    ({"initial_condition": {"bump": {"center": [1e200, 0.0], "radius": 0.4}}},
+     r"bump support misses the disk: center \(1e\+200, 0.0\), radius 0.4"),
 ])
 def test_config_rejects_specs_that_cannot_be_built(spec, match):
     # these used to pass construction and fail (or, for a zero bump
@@ -150,6 +155,13 @@ def test_config_rejects_specs_that_cannot_be_built(spec, match):
     good = dict(nu=0.1, t_end=1.0, initial_condition={"const": 2.0})
     with pytest.raises(ValueError, match=match):
         SimConfig(**{**good, **spec})
+
+
+def test_bump_overlapping_the_wall_is_sampled():
+    # |center| < 1 + radius: the support meets the disk near the wall
+    config = SimConfig(nu=0.1, t_end=1.0, n_r=16, n_theta=16, initial_condition={
+        "bump": {"center": [1.3, 0.0], "radius": 0.4}})
+    assert config.omega0.max() > 0.0
 
 
 def test_config_roundtrip(tmp_path):
