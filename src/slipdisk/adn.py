@@ -20,18 +20,19 @@ A polynomial in the pencil variable is its complex coefficient vector in
 ascending order, and a matrix of such polynomials is one array of shape
 (rows, cols, K). Any axes in front of those are sample axes: the kernels
 below (product, cofactor determinant and adjugate, matrix product,
-division by a monic M+, roots) broadcast over them, so check_all builds
-the pencils of every boundary point and tangential frequency as one
-(samples, rows, cols, K) array and evaluates all samples in one pass;
-complementing_check runs the same chain on a batch of one sample. Samples
-whose determinants agree bit for bit share one companion eigenproblem.
+division by a monic M+, roots) broadcast over them. One chain,
+_pencil_chain, builds the pencils of its samples as one (samples, rows,
+cols, K) array and takes their roots and rank test in one pass: check_all
+runs it on every boundary point and tangential frequency, and
+complementing_check on one sample. Samples whose determinants agree bit
+for bit share one companion eigenproblem.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .geometry import alpha_function, finite, integer, table
@@ -153,13 +154,6 @@ def _root_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out[inverse], count[inverse], size[inverse] > 1
 
 
-def _roots(c: np.ndarray) -> list:
-    """_root_table as one array per row, with np.roots' dtype: complex, or
-    real for a row whose roots are only the exact zeros."""
-    roots, count, solved = _root_table(c)
-    return [r[:n] if ok else r[:n].real for r, n, ok in zip(roots, count, solved)]
-
-
 # ---------------------------------------------------------------------------
 # problems
 # ---------------------------------------------------------------------------
@@ -248,23 +242,22 @@ class AdnProblem:
 
 
 def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
-                     xi_prime=None) -> np.ndarray:
-    """Principal part of L (boundary=False) or B (boundary=True) as one
-    coefficient array of shape (P X, rows, M, K).
+                     xi_prime) -> np.ndarray:
+    """Principal part of L (boundary=False) or B (boundary=True) along
+    xi + sigma xi_prime as one coefficient array of shape (P X, rows, M, K).
 
-    points has length P and xi, xi_prime have shape (P, X, 2): sample
-    p X + x sits at points[p] with direction xi[p, x]. The array holds the
-    pencil along xi + sigma xi_prime; without xi_prime K = 1 and it holds
-    the numeric symbol at xi. Only terms of exact weighted degree survive.
+    points has length P and xi shape (P, X, 2), xi_prime broadcast to it:
+    sample p X + x sits at points[p] with direction xi[p, x]. With
+    xi_prime = 0, [..., 0] is the numeric symbol at xi. Only terms of
+    exact weighted degree survive.
     """
     entries, weights = ((problem.B_coeffs, problem.r) if boundary
                         else (problem.L_coeffs, problem.s))
     terms = [(i, j, mi, c) for (i, j, mi, c) in entries
              if sum(mi) == weights[i] + problem.t[j]]
-    lin = xi[..., None] if xi_prime is None else np.stack([xi, xi_prime], axis=-1)
+    lin = np.stack(np.broadcast_arrays(xi, xi_prime), axis=-1)
     order = max((sum(mi) for (_, _, mi, _) in terms), default=0)
-    out = np.zeros(xi.shape[:2] + (len(weights), problem.M,
-                                   order * (lin.shape[-1] - 1) + 1), dtype=complex)
+    out = np.zeros(xi.shape[:2] + (len(weights), problem.M, order + 1), dtype=complex)
     for (i, j, mi, coeff) in terms:
         values = np.array([coeff(p) if callable(coeff) else coeff for p in points],
                           dtype=complex)
@@ -279,18 +272,18 @@ def _principal_array(problem: AdnProblem, boundary: bool, points, xi,
 def principal_parts(problem: AdnProblem):
     """The principal-part evaluators of L and of B, in that order.
 
-    Each evaluator maps (point, xi) to a numeric complex matrix, or
-    (point, xi, xi_prime) to the (rows, M, K) coefficient array of the
-    pencil along xi + sigma xi_prime. Only terms of exact weighted degree
+    Each evaluator maps (point, xi, xi_prime) to the (rows, M, K)
+    coefficient array of the pencil along xi + sigma xi_prime, and
+    (point, xi) to the numeric complex matrix at xi, its sigma^0
+    coefficient at xi_prime = 0. Only terms of exact weighted degree
     survive; the weights were checked when the problem was built.
     """
     def build(boundary):
         def evaluate(point, xi, xi_prime=None):
-            xi = np.asarray(xi, dtype=float)[None, None]
-            if xi_prime is None:
-                return _principal_array(problem, boundary, [point], xi)[0, ..., 0]
-            xp = np.asarray(xi_prime, dtype=float)[None, None]
-            return _principal_array(problem, boundary, [point], xi, xp)[0]
+            xp = np.zeros(2) if xi_prime is None else np.asarray(xi_prime, dtype=float)
+            pencil = _principal_array(problem, boundary, [point],
+                                      np.asarray(xi, dtype=float)[None, None], xp)[0]
+            return pencil[..., 0] if xi_prime is None else pencil
         return evaluate
 
     return build(False), build(True)
@@ -345,8 +338,9 @@ def check_ellipticity(problem: AdnProblem, x_samples, xi_samples) -> AdnReport:
     xi = np.asarray(xi_samples, dtype=float)
     unit = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
     symbols = _principal_array(problem, False, points,
-                               np.broadcast_to(unit, (len(points),) + unit.shape))
-    dets = np.abs(np.linalg.det(symbols[..., 0]))
+                               np.broadcast_to(unit, (len(points),) + unit.shape),
+                               np.zeros(2))[..., 0]
+    dets = np.abs(np.linalg.det(symbols))
     det_min, det_max = float(dets.min()), float(dets.max())
     witnesses = {}
     if det_min < DET_TOL:
@@ -398,12 +392,13 @@ def _stable_roots(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _upper_roots(det: np.ndarray, theta: float, xi: np.ndarray) -> list:
     """_stable_roots of the roots of one determinant (K,), as a list; a
     root within REAL_AXIS_TOL of the real axis raises
-    DegenerateConfigurationError."""
-    roots = _roots(det[None])[0]
-    stable, count, first = _stable_roots(np.asarray(roots, dtype=complex)[None])
+    DegenerateConfigurationError naming it in np.roots' dtype."""
+    roots, _, solved = _root_table(det[None])
+    stable, count, first = _stable_roots(roots)
     if first[0] >= 0:
+        root = roots[0, first[0]] if solved[0] else roots[0, first[0]].real
         raise DegenerateConfigurationError(
-            f"pencil root {roots[first[0]]:.3e} on the real axis at theta={theta:.4f}, "
+            f"pencil root {root:.3e} on the real axis at theta={theta:.4f}, "
             f"xi={tuple(xi.tolist())}")
     return stable[0, :count[0]].tolist()
 
@@ -470,19 +465,37 @@ def _rank_test(stacked: np.ndarray):
     return passed, ratio, combination
 
 
+def _pencil_chain(problem: AdnProblem, points, xi):
+    """The pencils of the samples xi (P, X, 2) at points (length P) along
+    each point's normal, their determinants, one root table and
+    stable-root pass, and _rank_test of the remainder rows of the valid
+    samples: those with exactly problem.m stable roots and none within
+    REAL_AXIS_TOL of the real axis. Returns the determinants (P X, K),
+    the valid flags and _rank_test's triple, or None if none is valid."""
+    normal = np.array([p.n for p in points], dtype=float)[:, None, :]
+    lpen = _principal_array(problem, False, points, xi, normal)
+    bpen = _principal_array(problem, True, points, xi, normal)
+    det = _det(lpen)
+    stable, count, on_axis = _stable_roots(_root_table(det)[0])
+    valid = (on_axis < 0) & (count == problem.m)
+    rank = (_rank_test(_remainder_rows(lpen[valid], bpen[valid], stable[valid, :problem.m]))
+            if valid.any() else None)
+    return det, valid, rank
+
+
 def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> ComplementingVerdict:
     """Linear independence of the boundary rows modulo the stable pencil
-    factor M+.
+    factor M+: check_all's _pencil_chain on this one sample, so the
+    verdicts agree bit for bit.
 
-    Builds B(point, xi + sigma n) adj(L)(point, xi + sigma n), reduces
-    every entry modulo M+ = prod (sigma - root), stacks the remainder
-    coefficients row by row, and tests full row rank by the singular
-    value ratio (threshold RANK_RATIO_TOL after per-row max
+    The chain reduces every entry of B(point, xi + sigma n)
+    adj(L)(point, xi + sigma n) modulo M+ = prod (sigma - root), stacks
+    the remainder coefficients row by row, and tests full row rank by the
+    singular value ratio (threshold RANK_RATIO_TOL after per-row max
     normalization). A failing verdict carries the vanishing row
-    combination as witness. This is check_all's chain on a batch of one
-    sample, so the verdicts agree bit for bit. A sample whose stable root
-    count is not problem.m has no M+ of degree m: check_all fails the
-    root-count condition there, and this check raises ValueError.
+    combination as witness. Where check_all fails the root-count
+    condition this check raises: DegenerateConfigurationError for a root
+    on the real axis, ValueError for a stable root count other than m.
     """
     xi = np.asarray(xi, dtype=float)
     normal = np.asarray(point.n, dtype=float)
@@ -491,15 +504,13 @@ def complementing_check(problem: AdnProblem, point: BoundaryPoint, xi) -> Comple
     if abs(xi @ normal) > 1e-12 * np.linalg.norm(xi):
         raise ValueError(f"xi must be orthogonal to the normal at the sample: "
                          f"xi.n = {xi @ normal:.3e}")
-    lpen = _principal_array(problem, False, [point], xi[None, None], normal[None, None])
-    bpen = _principal_array(problem, True, [point], xi[None, None], normal[None, None])
-    roots = _upper_roots(_det(lpen)[0], point.theta, xi)
-    if len(roots) != problem.m:
+    det, valid, rank = _pencil_chain(problem, [point], xi[None, None])
+    if not valid[0]:
+        roots = _upper_roots(det[0], point.theta, xi)
         raise ValueError(f"{len(roots)} stable pencil roots for half-order m={problem.m} "
                          f"at theta={point.theta:.4f}, xi={tuple(xi.tolist())}: the "
                          f"root-count condition fails")
-    passed, ratio, combination = _rank_test(
-        _remainder_rows(lpen, bpen, np.array([roots], dtype=complex)))
+    passed, ratio, combination = rank
     return ComplementingVerdict(bool(passed[0]), float(ratio[0]),
                                 None if passed[0] else combination(0),
                                 point, tuple(xi.tolist()))
@@ -520,15 +531,16 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     determinant, and tangential xi = c tau over both-sign scalings c for
     the root and complementing conditions.
 
-    The n_boundary_samples x n_xi_samples pencils are evaluated as one
+    The n_boundary_samples x n_xi_samples pencils are one _pencil_chain
     batch: the companion eigenproblem runs once per bitwise-distinct
-    determinant, and one array pass sorts, clusters and counts every
-    sample's stable roots. Each sample's roots serve both the root-count
-    and the complementing condition, and witnesses belong to the first
-    failing sample in (point, scaling) order; the root-count witness is
-    that sample's one-sample _upper_roots, as roots_positive_imag would
-    report it. ValueError naming both counts for fewer than 8 boundary or
-    8 xi samples, the adn verb's exit 2."""
+    determinant, and one array pass finds every sample's stable roots,
+    which serve both the root-count and the complementing condition.
+    Witnesses belong to the first failing sample in (point, scaling)
+    order; the root-count witness is that sample's one-sample
+    _upper_roots, as roots_positive_imag would report it. The pencil
+    verdicts, witnesses and count extend check_ellipticity's report.
+    ValueError naming both counts for fewer than 8 boundary or 8 xi
+    samples, the adn verb's exit 2."""
     if n_boundary_samples < 8 or n_xi_samples < 8:
         raise ValueError(f"need at least 8 boundary and 8 xi samples, got "
                          f"{n_boundary_samples} and {n_xi_samples}")
@@ -541,20 +553,12 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     witnesses = dict(report.witnesses)
 
     tau = np.array([p.tau for p in points], dtype=float)
-    normal = np.array([p.n for p in points], dtype=float)
     xi = _xi_scalings(n_xi_samples)[None, :, None] * tau[:, None, :]
-    normal = np.broadcast_to(normal[:, None, :], xi.shape)
-    lpen = _principal_array(problem, False, points, xi, normal)
-    bpen = _principal_array(problem, True, points, xi, normal)
+    det, valid, rank = _pencil_chain(problem, points, xi)
     xi = xi.reshape(-1, 2)
-
-    m = problem.m
-    det = _det(lpen)
-    stable, count, on_axis = _stable_roots(_root_table(det)[0])
-    failing = (on_axis >= 0) | (count != m)
-    if failing.any():
+    if not valid.all():
         # the first failing sample's witness, from the one-sample chain
-        s = int(np.argmax(failing))
+        s = int(np.argmin(valid))
         theta = points[s // n_xi_samples].theta
         try:
             failure = {"roots": _upper_roots(det[s], theta, xi[s])}
@@ -562,13 +566,11 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
             failure = {"error": str(err)}
         witnesses["supplementary"] = {"theta": theta, "xi": tuple(xi[s].tolist()), **failure}
 
-    valid = np.flatnonzero(~failing)
-    if valid.size:
-        passed, ratio, combination = _rank_test(_remainder_rows(
-            lpen[valid], bpen[valid], stable[valid, :m]))
+    if rank is not None:
+        passed, ratio, combination = rank
         failed = np.nonzero(~passed)[0]
         if failed.size:
-            k, s = failed[0], valid[failed[0]]
+            k, s = failed[0], np.flatnonzero(valid)[failed[0]]
             witnesses["complementing"] = {"theta": points[s // n_xi_samples].theta,
                                           "xi": tuple(xi[s].tolist()),
                                           "combination": combination(k),
@@ -576,11 +578,8 @@ def check_all(problem: AdnProblem, n_boundary_samples: int = 32,
     verdicts["supplementary"] = "supplementary" not in witnesses
     verdicts["complementing"] = (verdicts["supplementary"]
                                  and "complementing" not in witnesses)
-    counts = dict(report.sample_counts)
-    counts["pencil"] = len(xi)
-    return AdnReport(verdicts=verdicts, ellipticity_min=report.ellipticity_min,
-                     ellipticity_max=report.ellipticity_max, m=problem.m,
-                     witnesses=witnesses, sample_counts=counts, name=problem.name)
+    return replace(report, verdicts=verdicts, witnesses=witnesses,
+                   sample_counts={**report.sample_counts, "pencil": len(xi)})
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ prints its one line "cannot <what> <path>: <reason>" on stderr and
 returns its exit code, with nothing written. Code 2: an unusable input
 or an --out the verb cannot write, refused by _load before any work (a
 directory where a file goes, or an existing file where a directory goes
-or on the way to one), or an engine's ValueError (check_all's fewer than
-8 samples, diagnose's fewer than 2 snapshots). Code 1: a simulate or
-sweep run that stops on a CFL trip or a divergence, a sweep's non-finite
-report entry included. Each output file goes through
-ns_solver.write_atomically, which makes a missing --out directory.
+or on the way to one), an input size that cannot be allocated (a grid
+or an adn sample count, numpy's MemoryError), or an engine's ValueError
+(check_all's fewer than 8 samples, diagnose's fewer than 2 snapshots).
+Code 1: a simulate or sweep run that stops on a CFL trip or a
+divergence, a sweep's non-finite report entry included. Each output file
+goes through ns_solver.write_atomically, which makes a missing --out
+directory.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _run(what, path, call, errors=(CflError, DivergenceError), code=1):
     """call(), or a _Refusal with code if it raises one of errors: by
     default a simulate or sweep run that cannot go on (code 1). adn and
     diagnose pass ValueError, their engine's refusal of its input, with
-    code 2, so a TypeError or KeyError inside an engine keeps its
+    code 2 (adn also MemoryError, a sample count that cannot be
+    allocated), so a TypeError or KeyError inside an engine keeps its
     traceback. Any other error propagates."""
     try:
         return call()
@@ -66,8 +69,9 @@ def _run(what, path, call, errors=(CflError, DivergenceError), code=1):
 
 def _load(what, loader, path):
     """loader(path), or a _Refusal with code 2: the refusal of every
-    verb's unusable input."""
-    return _run(what, path, lambda: loader(path), (KeyError, ValueError, OSError, TypeError), 2)
+    verb's unusable input, a size that cannot be allocated included."""
+    return _run(what, path, lambda: loader(path),
+                (KeyError, ValueError, OSError, TypeError, MemoryError), 2)
 
 
 def _out_dir(path):
@@ -128,7 +132,7 @@ def _cmd_adn(args) -> int:
                 args.out or os.path.splitext(args.problem)[0] + ".report.json")
     report = _run("check problem", args.problem,
                   lambda: adn_mod.check_all(problem, args.boundary_samples, args.xi_samples),
-                  ValueError, 2)
+                  (ValueError, MemoryError), 2)
     write_json(out, report.to_dict())
     status = "pass" if report.passed else "fail"
     print(f"{problem.name or 'problem'}: {status} "

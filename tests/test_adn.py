@@ -31,8 +31,8 @@ from slipdisk import (
 )
 from slipdisk import adn
 from slipdisk.adn import (DegenerateConfigurationError, _adjugate, _degrees, _det,
-                          _matmul, _monic, _polydiv, _polymul, _roots, _upper_roots,
-                          _xi_scalings)
+                          _matmul, _monic, _polydiv, _polymul, _root_table,
+                          _upper_roots, _xi_scalings)
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,10 +77,18 @@ def test_polyc_divmod_invariant():
         assert err < 1e-11, err
 
 
+def _table_rows(c):
+    """_root_table of the rows of c as one array per row: the values up
+    to the row's count, real where no companion matrix was solved, the
+    dtype np.roots gives."""
+    roots, count, solved = _root_table(c)
+    return [r[:n] if ok else r[:n].real for r, n, ok in zip(roots, count, solved)]
+
+
 def test_polyc_roots_recovered():
     wanted = [1j, 2j, (-1 + 1j) / 2]
     p = _monic(np.array(wanted))
-    (got,) = _roots(p[None])
+    (got,) = _table_rows(p[None])
     got = sorted(got, key=lambda z: (z.real, z.imag))
     for g, w in zip(got, sorted(wanted, key=lambda z: (z.real, z.imag))):
         assert abs(g - w) < 1e-12
@@ -127,7 +135,7 @@ def test_batched_roots_equal_np_roots_per_sample():
     polys[4, 5] = 1e-16                               # trimmed leading term
     polys[5, 0] = 3.0                                 # constant
     # polys[6] is the zero polynomial
-    got = _roots(polys)
+    got = _table_rows(polys)
     for s in range(len(polys)):
         want = np.roots(polys[s, :_degrees(polys[s]) + 1][::-1])
         assert got[s].dtype == want.dtype and np.array_equal(got[s], want), s
@@ -287,16 +295,18 @@ def test_ellipticity_constants_scaled_laplacian():
 
 def test_check_ellipticity_builds_one_symbol_batch(monkeypatch):
     # the half-order comes from the weights, so the determinant check
-    # builds its numeric symbols and no pencils
+    # builds one batch, the numeric symbols as pencils along xi' = 0
     calls, principal_array = [], adn._principal_array
 
-    def counting(problem, boundary, points, xi, xi_prime=None):
-        calls.append(xi_prime)
+    def counting(problem, boundary, points, xi, xi_prime):
+        calls.append((boundary, np.asarray(xi_prime)))
         return principal_array(problem, boundary, points, xi, xi_prime)
 
     monkeypatch.setattr(adn, "_principal_array", counting)
     report = check_ellipticity(navier_laplacian_problem(0.0), _points(8), _sphere(8))
-    assert calls == [None]
+    assert len(calls) == 1
+    boundary, xi_prime = calls[0]
+    assert not boundary and not xi_prime.any()
     assert report.m == 2
 
 
@@ -644,7 +654,7 @@ def test_batched_stable_roots_equal_the_one_sample_pass(monkeypatch, key):
                 _upper_roots(row, 0.0, np.zeros(2))
             continue
         want = _upper_roots(row, 0.0, np.zeros(2))
-        by_loop = _upper_roots_by_loop(_roots(row[None])[0])
+        by_loop = _upper_roots_by_loop(_table_rows(row[None])[0])
         assert _bits(stable[s, :count[s]]) == _bits(want) == _bits(by_loop)
     if key == "tilted_bitsadze":
         assert set(count.tolist()) == {0, 1, 2}

@@ -961,6 +961,55 @@ def test_adn_verb_custom_out(tmp_path):
         assert parsed["verdicts"]["ellipticity"] is True
 
 
+# Sizes whose first array cannot be allocated on any machine: 2e17 angles
+# ask for 1.39 EiB (build_grid's int64 angle index) and 1e17 adn samples
+# for 711 PiB (np.linspace's float64 array). Both are above 2^57 bytes,
+# past every x86-64 address space, so no overcommit setting grants them,
+# and n_r = 8 keeps every array built before them small.
+HUGE_N_THETA = 200_000_000_000_000_000
+HUGE_SAMPLES = 100_000_000_000_000_000
+
+
+def test_verbs_refuse_an_input_size_that_cannot_be_allocated(tmp_path, capsys):
+    # numpy's MemoryError ended each verb in a traceback and exit 1
+    assert min(8 * HUGE_N_THETA, 8 * HUGE_SAMPLES) > 2 ** 57
+    base = {**_tiny_base(n_r=8, n_theta=8).to_dict(), "n_theta": HUGE_N_THETA}
+    sweep = {"base": base, "nu_list": [0.1], "q_list": [2.0], "p": 4.0}
+    for verb, spec in (("simulate", base), ("sweep", sweep)):
+        cpath = tmp_path / f"{verb}.json"
+        cpath.write_text(json.dumps(spec))
+        out = tmp_path / f"out-{verb}"
+        capsys.readouterr()
+        assert main([verb, str(cpath), "--out", str(out)]) == 2, verb
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read config {cpath}: Unable to allocate "), err
+        assert err.count("\n") == 1 and not out.exists(), verb
+
+    # a run directory whose config-resolved.json has that n_theta fails in
+    # the same SimConfig.from_json
+    cpath = tmp_path / "tiny.json"
+    cpath.write_text(json.dumps(_tiny_base(n_r=8, n_theta=8).to_dict()))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", str(cpath), "--out", str(run_dir)]) == 0
+    resolved = run_dir / "config-resolved.json"
+    resolved.write_text(json.dumps({**json.loads(resolved.read_text()),
+                                    "n_theta": HUGE_N_THETA}))
+    capsys.readouterr()
+    assert main(["diagnose", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load run directory {run_dir}: Unable to allocate "), err
+    assert err.count("\n") == 1 and not (run_dir / "diagnostics.json").exists()
+
+    problem = tmp_path / "slip.json"
+    problem.write_text(json.dumps({"builtin": "navier_laplacian", "alpha": 1.0}))
+    out = tmp_path / "slip.report.json"
+    for flag in ("--boundary-samples", "--xi-samples"):
+        assert main(["adn", str(problem), flag, str(HUGE_SAMPLES), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot check problem {problem}: Unable to allocate "), err
+        assert err.count("\n") == 1 and not out.exists(), flag
+
+
 def test_readme_json_examples_are_accepted():
     # every complete JSON example in README.md goes through its reader, so
     # an example that drifts from the strict config tables fails here
